@@ -13,7 +13,7 @@ placements:
 
 It checks two things:
 
-* **Parity (hard failure everywhere):** scores and heap-merged top-k from
+* **Parity (hard failure everywhere):** scores and merged top-k from
   both distributed backends are bit-identical to the serial path — the
   whole point of the fixed tile grid + canonical merge.
 * **Throughput:** shard top-k through the process pool vs the same shards

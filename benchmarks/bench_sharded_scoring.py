@@ -9,7 +9,7 @@ execute.  This benchmark builds a **synthetic 50k-herb vocabulary** (far
 beyond the experiment corpora — exactly the regime sharding exists for) and
 checks two things:
 
-* **Parity (hard failure):** per-shard scoring + heap-merged top-k is
+* **Parity (hard failure):** per-shard scoring + merged top-k is
   bit-identical to the unsharded path, for every shard count and backend
   measured.
 * **Throughput:** shards fanned across the ``threads`` backend vs the same

@@ -31,7 +31,7 @@ from .evaluation.evaluator import EvaluationResult, Evaluator
 from .evaluation.metrics import top_k_indices
 from .experiments.datasets import experiment_evaluator, experiment_split, get_profile
 from .experiments.runners import train_registered_model
-from .inference.engine import InferenceEngine, Recommendation
+from .inference.engine import InferenceEngine, Recommendation, ranked_prefixes
 from .io.checkpoint import load_checkpoint, save_checkpoint, validate_checkpoint_path
 from .models import MODEL_REGISTRY
 from .models.base import GraphHerbRecommender
@@ -241,16 +241,8 @@ class Pipeline:
         if isinstance(model, GraphHerbRecommender):
             return self.engine.recommend_batch(sets, k=ks)
         scores = model.score_sets(sets)
-        results: List[Recommendation] = []
-        for row, kk in enumerate(ks):
-            top = top_k_indices(scores[row : row + 1], min(kk, scores.shape[1]))[0]
-            results.append(
-                Recommendation(
-                    herb_ids=tuple(int(h) for h in top),
-                    scores=tuple(float(scores[row, h]) for h in top),
-                )
-            )
-        return results
+        top = top_k_indices(scores, max(ks))
+        return ranked_prefixes(top, np.take_along_axis(scores, top, axis=1), ks)
 
     def recommend_stream(self, records, k: int = 10, window: int = 1024):
         """Stream JSONL prescription records through the pipeline, lazily.

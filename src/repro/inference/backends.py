@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..evaluation.metrics import top_k_indices
 from ..models.base import WeightSnapshot, score_herb_tiles
 
 __all__ = [
@@ -98,7 +99,7 @@ class ShardTask:
     ``(padded_rows, stop - start)`` score block; ``"topk"`` reduces to the
     shard-local top-``k`` candidates ``(ids, scores)`` over the first
     ``num_rows`` rows, pre-sorted in the canonical (score desc, id asc)
-    order so the caller can heap-merge shards exactly.
+    order so the caller can merge shards exactly.
     """
 
     op: str  # "score" | "topk"
@@ -121,13 +122,12 @@ def shard_topk(scores: np.ndarray, start: int, k: int) -> Tuple[np.ndarray, np.n
 
     ``scores`` is ``(rows, width)`` for global herb ids ``start..start+width``.
     Returns ``(global_ids, values)``, each ``(rows, min(k, width))``, rows
-    sorted by (score desc, id asc) — the same stable order
-    ``top_k_indices`` uses, which the heap merge relies on.
+    sorted by (score desc, id asc) through ``top_k_indices`` itself, which
+    is what lets :func:`~repro.inference.sharding.merge_topk` rebuild the
+    unsharded ranking exactly.
     """
-    k = min(k, scores.shape[1])
-    local = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    rows = np.arange(scores.shape[0])[:, None]
-    return local + start, scores[rows, local]
+    local = top_k_indices(scores, k)
+    return local + start, np.take_along_axis(scores, local, axis=1)
 
 
 def execute_shard_task(

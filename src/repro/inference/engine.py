@@ -18,7 +18,7 @@ pluggable :class:`~repro.inference.backends.ComputeBackend` — serially by
 default, across a thread pool (``backend="threads"``), across worker
 processes attaching the weights via shared memory (``"processes"``), or
 fanned out to remote shard-worker servers (``"remote"`` +
-``worker_addrs``) — and top-k answers heap-merge per-shard candidates
+``worker_addrs``) — and top-k answers merge per-shard candidates
 without ever materialising the full score matrix.  Sharded answers are
 bit-identical to the unsharded path (every backend runs the same fixed
 scoring-tile grid and the same canonical ranking), so sharding and backend
@@ -70,6 +70,23 @@ class Recommendation:
 
     def __len__(self) -> int:
         return len(self.herb_ids)
+
+
+def ranked_prefixes(
+    ids: np.ndarray, scores: np.ndarray, ks: Sequence[int]
+) -> List[Recommendation]:
+    """One :class:`Recommendation` per row: the first ``ks[row]`` of its ranking.
+
+    ``ids``/``scores`` are ``(rows, k_max)`` canonical rankings selected once
+    at ``max(ks)``; their prefixes are exactly what ``top_k_indices`` returns
+    at each smaller ``k``, so one selection answers a whole mixed-``k`` batch.
+    """
+    return [
+        Recommendation(
+            herb_ids=tuple(ids[row, :kk].tolist()), scores=tuple(scores[row, :kk].tolist())
+        )
+        for row, kk in enumerate(ks)
+    ]
 
 
 class InferenceEngine:
@@ -405,25 +422,16 @@ class InferenceEngine:
         if self.sharding_active:
             return self._recommend_sharded(symptom_sets, ks)
         scores = self.score_batch(symptom_sets)
-        results: List[Recommendation] = [None] * scores.shape[0]  # type: ignore[list-item]
-        for kk in sorted(set(ks)):
-            rows = [row for row, row_k in enumerate(ks) if row_k == kk]
-            top = top_k_indices(scores[rows], int(kk))
-            for position, row in enumerate(rows):
-                results[row] = Recommendation(
-                    herb_ids=tuple(int(h) for h in top[position]),
-                    scores=tuple(float(scores[row, h]) for h in top[position]),
-                )
-        return results
+        top = top_k_indices(scores, max(ks))
+        return ranked_prefixes(top, np.take_along_axis(scores, top, axis=1), ks)
 
     def _recommend_sharded(
         self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
     ) -> List[Recommendation]:
-        """Per-shard top-k + heap merge; the full score matrix never exists.
+        """Per-shard top-k + candidate merge; the full score matrix never exists.
 
         One selection pass runs at ``max(ks)``; each row then keeps its own
-        ``k`` prefix — prefixes of the canonical ranking are exactly what
-        ``top_k_indices`` would return at the smaller ``k``.
+        ``k`` prefix (see :func:`ranked_prefixes`).
         """
         self.model.cached_encode()
         k_max = min(max(ks), self.model.num_herbs)
@@ -433,14 +441,7 @@ class InferenceEngine:
                 chunk = symptom_sets[start : start + self.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
                 ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
-                for row, kk in enumerate(ks[start : start + len(chunk)]):
-                    keep = min(kk, ids.shape[1])
-                    results.append(
-                        Recommendation(
-                            herb_ids=tuple(int(h) for h in ids[row, :keep]),
-                            scores=tuple(float(s) for s in scores[row, :keep]),
-                        )
-                    )
+                results.extend(ranked_prefixes(ids, scores, ks[start : start + len(chunk)]))
         return results
 
     def _recommend_approx(

@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..evaluation.metrics import top_k_indices
 from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
 from .backends import ComputeBackend, NumpyBackend, ShardTask
 from .sharding import ShardedHerbIndex
@@ -250,15 +251,15 @@ class ApproxHerbIndex:
         """``(num_rows, nprobe)`` list ids per request, canonically ordered.
 
         Probing ranks lists by the query-centroid inner product (the IVF-IP
-        convention) under the canonical tie-break — via a stable argsort on
-        the negated scores, ties fall to the lower list id.
+        convention) under the canonical tie-break of ``top_k_indices``: ties
+        fall to the lower list id.
         """
         if self.num_lists == 1:
             return np.zeros((num_rows, 1), dtype=np.int64)
         centroid_scores = score_herb_tiles(
             syndrome32, self.centroids32, row_block=self.row_block
         )[:num_rows]
-        return np.argsort(-centroid_scores, axis=1, kind="stable")[:, : self.nprobe]
+        return top_k_indices(centroid_scores, self.nprobe)
 
     @staticmethod
     def _select_pool(scores: np.ndarray, ids: np.ndarray, pool: int) -> np.ndarray:

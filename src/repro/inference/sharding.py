@@ -8,7 +8,7 @@ into column shards, turns each scoring request into picklable
 :class:`~repro.models.base.WeightSnapshot` (so shards can execute in-process,
 in a process pool, or on remote shard workers — see
 :mod:`repro.inference.backends` and :mod:`repro.inference.distributed`), and
-merges the per-shard top-k candidates with the heap-based :func:`merge_topk`.
+merges the per-shard top-k candidates with :func:`merge_topk`.
 
 Two invariants make the sharded results *bit-identical* to the unsharded
 path, not merely close:
@@ -21,14 +21,13 @@ path, not merely close:
    floating-point operations in both paths, wherever the task executes.
 2. **Canonical ranking.**  :func:`~repro.evaluation.metrics.top_k_indices`
    orders by (score descending, herb id ascending).  Per-shard candidates are
-   selected under that same order, so a k-way heap merge on
+   selected by that same function, so ranking their union on
    ``(-score, herb_id)`` reconstructs the global ranking exactly — ties at
    shard boundaries included.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -66,15 +65,16 @@ def merge_topk(
     shard_scores: Sequence[np.ndarray],
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Heap-merge per-shard top-k candidates into the exact global top-k.
+    """Merge per-shard top-k candidates into the exact global top-k.
 
     Each ``shard_ids[s]`` / ``shard_scores[s]`` pair holds one shard's
     candidates: ``(rows, k_s)`` arrays whose columns are already sorted by
-    (score descending, id ascending).  A k-way merge on ``(-score, id)``
-    yields the globally sorted prefix — identical, ties included, to running
-    :func:`~repro.evaluation.metrics.top_k_indices` on the concatenated score
-    row, because any global top-k element is necessarily within the top-k of
-    its own shard.
+    (score descending, id ascending).  Any global top-k element is within
+    the top-k of its own shard, so ranking the concatenated candidates on
+    ``(-score, id)`` (one row-wise ``np.lexsort``, NaN last) yields exactly
+    :func:`~repro.evaluation.metrics.top_k_indices` on the concatenated
+    score row, ties at shard boundaries included.  A single shard's
+    candidates are already that ranking and come back as they are.
 
     Returns ``(ids, scores)`` of shape ``(rows, min(k, total candidates))``.
     """
@@ -84,34 +84,12 @@ def merge_topk(
         raise ValueError("shard_ids and shard_scores must pair up")
     if not shard_ids:
         raise ValueError("need at least one shard candidate list")
-    num_rows = shard_ids[0].shape[0]
-    k_out = min(k, sum(ids.shape[1] for ids in shard_ids))
-    merged_ids = np.empty((num_rows, k_out), dtype=np.int64)
-    merged_scores = np.empty((num_rows, k_out), dtype=np.float64)
-    for row in range(num_rows):
-        # (sort key..., shard, position) seeds one entry per non-empty shard
-        heap = [
-            (-shard_scores[s][row, 0], int(shard_ids[s][row, 0]), s, 0)
-            for s in range(len(shard_ids))
-            if shard_ids[s].shape[1]
-        ]
-        heapq.heapify(heap)
-        for rank in range(k_out):
-            neg_score, herb_id, s, position = heapq.heappop(heap)
-            merged_ids[row, rank] = herb_id
-            merged_scores[row, rank] = -neg_score
-            position += 1
-            if position < shard_ids[s].shape[1]:
-                heapq.heappush(
-                    heap,
-                    (
-                        -shard_scores[s][row, position],
-                        int(shard_ids[s][row, position]),
-                        s,
-                        position,
-                    ),
-                )
-    return merged_ids, merged_scores
+    if len(shard_ids) == 1:
+        return shard_ids[0][:, :k], shard_scores[0][:, :k]
+    ids = np.concatenate(shard_ids, axis=1)
+    scores = np.concatenate(shard_scores, axis=1)
+    order = np.lexsort((ids, -scores), axis=-1)[:, :k]
+    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 class ShardedHerbIndex:
@@ -229,7 +207,7 @@ class ShardedHerbIndex:
         ``rows × shard_width`` scores plus ``rows × k`` candidates — the
         full ``rows × num_herbs`` matrix never exists (and, on the remote
         backend, only the small candidate lists cross the wire back).
-        Candidates then heap-merge into the canonical global ranking (see
+        Candidates then merge into the canonical global ranking (see
         :func:`merge_topk`).
 
         ``num_rows`` trims the row padding; returns ``(ids, scores)`` of

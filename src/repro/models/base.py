@@ -249,13 +249,13 @@ class HerbRecommender(abc.ABC):
         """Return an ``(len(symptom_sets), num_herbs)`` matrix of herb scores."""
 
     def recommend(self, symptom_set: Sequence[int], k: int = 20) -> List[int]:
-        """Greedy top-``k`` herb ids for one symptom set (paper's inference rule)."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        scores = self.score_sets([tuple(symptom_set)])[0]
-        k = min(k, scores.shape[0])
-        top = np.argpartition(-scores, k - 1)[:k]
-        return top[np.argsort(-scores[top])].tolist()
+        """Greedy top-``k`` herb ids for one symptom set (paper's inference rule).
+
+        Ranked in the canonical (score desc, id asc) order of ``top_k_indices``.
+        """
+        from ..evaluation.metrics import top_k_indices  # evaluation imports this module
+
+        return top_k_indices(self.score_sets([tuple(symptom_set)]), k)[0].tolist()
 
 
 class GraphHerbRecommender(Module, HerbRecommender):

@@ -329,7 +329,10 @@ class AsyncSocketServer:
             if self._stop_requested or not self.admission.admit_connection():
                 # accept-then-refuse: the client gets one explicit line back
                 # instead of a silent SYN-queue drop it cannot distinguish
-                # from a network failure
+                # from a network failure; counted first, so the count is
+                # already visible once the client has read the refusal
+                if self._stats is not None and not self._stop_requested:
+                    self._stats.record_rejected_overload()
                 try:
                     sock.send((OVERLOADED_RESPONSE + "\n").encode("utf-8"))
                 except OSError:
@@ -338,8 +341,6 @@ class AsyncSocketServer:
                     sock.close()
                 except OSError:
                     pass
-                if self._stats is not None and not self._stop_requested:
-                    self._stats.record_rejected_overload()
                 continue
             conn = _Connection(sock, time.monotonic())
             self._conns.add(conn)

@@ -170,6 +170,42 @@ class TestTies:
         np.testing.assert_array_equal(scores, [[5.0, 5.0, 5.0]])
 
 
+def lexsort_reference(scores, k):
+    """Canonical (score desc, id asc) ranking, built without ``top_k_indices``.
+
+    The sharded path selects per shard with ``top_k_indices`` itself, so
+    comparing it with the unsharded path alone would check nothing about
+    the selection; this full lexsort is independent of both.
+    """
+    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    return np.lexsort((ids, -scores), axis=-1)[:, :k]
+
+
+class TestIndependentReference:
+    @pytest.fixture(scope="class", params=["normal", "tied"])
+    def case(self, request):
+        rng = np.random.default_rng(17)
+        if request.param == "normal":
+            herbs = rng.normal(size=(NUM_HERBS, DIM))
+            raw = rng.normal(size=(NUM_ROWS, DIM))
+        else:  # integer-valued embeddings: ties everywhere, shard boundaries included
+            herbs = rng.integers(0, 3, size=(NUM_HERBS, DIM)).astype(np.float64)
+            raw = rng.integers(0, 2, size=(NUM_ROWS, DIM)).astype(np.float64)
+        return herbs, _pad_rows(raw, SCORING_BLOCK)
+
+    @pytest.mark.parametrize("num_shards", [1, 3, 1000])
+    @pytest.mark.parametrize("k", [1, 20, HERB_BLOCK + 5, NUM_HERBS + 50])
+    def test_topk_matches_lexsort_reference(self, case, num_shards, k):
+        herbs, syndrome = case
+        index = ShardedHerbIndex(herbs, num_shards=num_shards)
+        full = index.score(syndrome)[:NUM_ROWS]
+        expected = lexsort_reference(full, k)
+        ids, scores = index.topk(syndrome, NUM_ROWS, k)
+        np.testing.assert_array_equal(ids, expected)
+        np.testing.assert_array_equal(scores, np.take_along_axis(full, expected, axis=1))
+        np.testing.assert_array_equal(top_k_indices(full, k), expected)
+
+
 class TestMergeTopk:
     def test_merges_sorted_candidate_lists(self):
         ids, scores = merge_topk(
@@ -183,6 +219,20 @@ class TestMergeTopk:
     def test_k_clamps_to_total_candidates(self):
         ids, _ = merge_topk([np.array([[1]]), np.array([[2]])], [np.array([[1.0]]), np.array([[0.5]])], k=10)
         np.testing.assert_array_equal(ids, [[1, 2]])
+
+    def test_single_shard_trims_to_k(self):
+        ids, scores = merge_topk([np.array([[3, 1, 2]])], [np.array([[9.0, 4.0, 4.0]])], k=2)
+        np.testing.assert_array_equal(ids, [[3, 1]])
+        np.testing.assert_array_equal(scores, [[9.0, 4.0]])
+
+    def test_nan_candidates_rank_last_by_id(self):
+        ids, scores = merge_topk(
+            [np.array([[0, 2]]), np.array([[5, 1]])],
+            [np.array([[1.0, np.nan]]), np.array([[-np.inf, np.nan]])],
+            k=4,
+        )
+        np.testing.assert_array_equal(ids, [[0, 5, 1, 2]])
+        np.testing.assert_array_equal(scores, [[1.0, -np.inf, np.nan, np.nan]])
 
     def test_empty_shard_candidates_are_skipped(self):
         ids, _ = merge_topk(

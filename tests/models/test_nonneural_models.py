@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import build_kg_from_corpus, build_kg_from_latent
+from repro.data import PrescriptionDataset, build_kg_from_corpus, build_kg_from_latent
 from repro.models import (
     CooccurrenceRecommender,
     HCKGETM,
@@ -136,6 +136,14 @@ class TestPopularityBaselines:
         np.testing.assert_allclose(scores[0], scores[1])
         freq = train.herb_frequencies()
         assert np.argmax(scores[0]) == np.argmax(freq)
+
+    def test_recommend_breaks_ties_by_ascending_herb_id(self):
+        # herbs 150..299 appear once, 0..149 never: two tied score levels
+        num_herbs = 300
+        train = PrescriptionDataset.from_id_sets([((0,), tuple(range(150, 300)))], 1, num_herbs)
+        model = PopularityRecommender(num_herbs).fit(train)
+        assert model.recommend((0,), k=10) == list(range(150, 160))
+        assert model.recommend((0,), k=160) == list(range(150, 300)) + list(range(10))
 
     def test_popularity_requires_fit(self):
         with pytest.raises(RuntimeError):
