@@ -34,12 +34,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["BatchRecord", "RecordError", "decode_record", "encode_result", "encode_error"]
+__all__ = [
+    "BatchRecord",
+    "RecordError",
+    "decode_record",
+    "encode_result",
+    "encode_error",
+    "load_json",
+    "request_fields",
+]
 
+#: The keys a serve JSON request may carry; a batch record adds ``id``.
+REQUEST_FIELDS = frozenset({"symptoms", "k", "model"})
 #: The only keys an input record may carry.
-RECORD_FIELDS = frozenset({"id", "symptoms", "k", "model"})
+RECORD_FIELDS = REQUEST_FIELDS | {"id"}
 
 
 class RecordError(ValueError):
@@ -70,10 +80,46 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"non-finite JSON literal {token}")
 
 
+def load_json(line: str) -> Any:
+    """``json.loads`` that refuses ``NaN``/``Infinity``; raises ``ValueError``."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+def request_fields(
+    payload: Dict[str, Any], default_k: int
+) -> Tuple[Union[str, List[Union[str, int]]], int, Optional[str]]:
+    """Validated ``(symptoms, k, model)`` of one JSON request; raises ``ValueError``.
+
+    The one validator behind both JSON surfaces: :func:`decode_record` for
+    ``repro batch`` and the serving handler's JSON mode.
+    """
+    symptoms = payload.get("symptoms")
+    if isinstance(symptoms, str):
+        if not symptoms.strip():
+            raise ValueError('"symptoms" must not be empty')
+    elif isinstance(symptoms, list):
+        if not symptoms:
+            raise ValueError('"symptoms" must not be empty')
+        for item in symptoms:
+            if isinstance(item, bool) or not isinstance(item, (str, int)):
+                raise ValueError(
+                    f'"symptoms" entries must be tokens or integer ids, got {item!r}'
+                )
+    else:
+        raise ValueError('record needs "symptoms": a list of tokens/ids or one string')
+    k = payload.get("k", default_k)
+    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    model = payload.get("model")
+    if model is not None and (not isinstance(model, str) or not model):
+        raise ValueError(f"model must be a non-empty string, got {model!r}")
+    return symptoms, k, model
+
+
 def decode_record(line: str, default_k: int = 10) -> BatchRecord:
     """Parse and validate one input line; raises only :class:`RecordError`."""
     try:
-        payload = json.loads(line, parse_constant=_reject_constant)
+        payload = load_json(line)
     except ValueError as error:
         raise RecordError(f"bad JSON record: {error}") from error
     if not isinstance(payload, dict):
@@ -87,29 +133,10 @@ def decode_record(line: str, default_k: int = 10) -> BatchRecord:
         raise RecordError(
             f"unknown record fields: {', '.join(sorted(unknown))}", record_id
         )
-    symptoms = payload.get("symptoms")
-    if isinstance(symptoms, str):
-        if not symptoms.strip():
-            raise RecordError('"symptoms" must not be empty', record_id)
-    elif isinstance(symptoms, list):
-        if not symptoms:
-            raise RecordError('"symptoms" must not be empty', record_id)
-        for item in symptoms:
-            if isinstance(item, bool) or not isinstance(item, (str, int)):
-                raise RecordError(
-                    f'"symptoms" entries must be tokens or integer ids, got {item!r}',
-                    record_id,
-                )
-    else:
-        raise RecordError(
-            'record needs "symptoms": a list of tokens/ids or one string', record_id
-        )
-    k = payload.get("k", default_k)
-    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-        raise RecordError(f"k must be a positive integer, got {k!r}", record_id)
-    model = payload.get("model")
-    if model is not None and (not isinstance(model, str) or not model):
-        raise RecordError(f"model must be a non-empty string, got {model!r}", record_id)
+    try:
+        symptoms, k, model = request_fields(payload, default_k)
+    except ValueError as error:
+        raise RecordError(str(error), record_id) from error
     return BatchRecord(id=record_id, symptoms=symptoms, k=k, model=model)
 
 

@@ -8,11 +8,11 @@ tooling on stdin/stdout or over files with durable progress.
 
 Three layers, each usable on its own:
 
-* :func:`score_lines` — one window of raw lines through the catalog: decode,
-  route by ``model``, group per entry, lease, one pooled
-  ``recommend_many`` per entry with per-record retry on poison — the same
-  isolation ladder as the serving handler, so a malformed or unscorable
-  record answers with an ``error`` line and its neighbours are untouched.
+* :func:`score_lines` — one window of raw lines: decode each record, score
+  them all through :func:`repro.io.catalog.answer` (the request-scoring path
+  ``repro serve`` shares: route, lease, pooled scoring, per-record retry on
+  poison), encode each answer.  A malformed or unscorable record answers
+  with an ``error`` line and its neighbours are untouched.
 * :func:`stream_results` — a generator over any iterable of lines/records
   holding at most ``window`` records in memory (this is what
   :meth:`repro.api.Pipeline.recommend_stream` wraps).
@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
-    Dict,
     IO,
     Iterable,
     Iterator,
@@ -52,7 +51,7 @@ from typing import (
     Union,
 )
 
-from ..io.catalog import CatalogError, ModelCatalog
+from ..io.catalog import ModelCatalog, answer
 from .checkpoint import (
     BatchCheckpoint,
     CheckpointStateError,
@@ -135,108 +134,40 @@ def score_lines(
 ) -> List[str]:
     """One output line per input line, in order; never raises for a record.
 
-    Mirrors the serving handler's isolation ladder: decode/route errors
-    answer without touching a model, parse errors are caught per record
-    against the routed entry's vocabulary, and a failed pooled scoring call
-    retries its records individually so only the poisoned ones answer with
-    an error line.
+    Decodes each line, scores the records through
+    :func:`~repro.io.catalog.answer` (the scoring path ``repro serve`` shares)
+    and encodes each answer.  A record that fails to decode, route, parse,
+    score or encode answers with an error line; its neighbours are untouched.
     """
-    responses: List[Optional[str]] = [None] * len(lines)
-    error_indices: set = set()
-
-    def fail(index: int, record_id, reason: str) -> None:
-        responses[index] = encode_error(record_id, reason)
-        error_indices.add(index)
-
-    groups: Dict[str, List[Tuple[int, BatchRecord]]] = {}
+    out: List[str] = [""] * len(lines)
+    positions: List[int] = []
+    records: List[BatchRecord] = []
+    errors = 0
     for index, line in enumerate(lines):
         try:
-            record = decode_record(line, default_k=default_k)
+            records.append(decode_record(line, default_k=default_k))
         except RecordError as error:
-            fail(index, error.record_id, str(error))
+            out[index] = encode_error(error.record_id, str(error))
+            errors += 1
             continue
-        try:
-            entry_name = catalog.entry(record.model).name
-        except CatalogError as error:
-            fail(index, record.id, str(error))
-            continue
-        groups.setdefault(entry_name, []).append((index, record))
-    for entry_name, members in groups.items():
-        try:
-            entry = catalog.entry(entry_name)
-        except CatalogError as error:  # entry vanished since routing
-            for index, record in members:
-                fail(index, record.id, str(error))
-            continue
-        _score_group(entry, members, responses, fail)
-    out: List[str] = []
-    for index, response in enumerate(responses):
-        if response is None:  # pragma: no cover — defensive, must not happen
-            fail(index, None, "unanswered")
-            response = responses[index]
-        out.append(response)
-        if stats is not None:
-            stats.records += 1
-            if index in error_indices:
-                stats.errors += 1
-            else:
-                stats.ok += 1
-    return out
-
-
-def _score_group(
-    entry: Any,
-    members: List[Tuple[int, BatchRecord]],
-    responses: List[Optional[str]],
-    fail: Callable[[int, Any, str], None],
-) -> None:
-    """Score one catalog entry's records on one leased pipeline generation."""
-    from ..api import parse_symptom_tokens  # lazy: repro.api imports this package
-
-    with entry.lease() as pipeline:
-        valid: List[Tuple[int, BatchRecord, Tuple[int, ...]]] = []
-        for index, record in members:
+        positions.append(index)
+    for index, record, result in zip(positions, records, answer(catalog, records)):
+        reason = result.error
+        if reason is None:
             try:
-                symptom_ids = tuple(
-                    parse_symptom_tokens(record.symptoms, pipeline.symptom_vocab)
+                out[index] = encode_result(
+                    record.id, result.model, result.herbs, result.herb_ids, result.scores
                 )
-                valid.append((index, record, symptom_ids))
-            except ValueError as error:
-                fail(index, record.id, str(error))
-        if not valid:
-            return
-        try:
-            recommendations = pipeline.recommend_many(
-                [ids for _, _, ids in valid], k=[record.k for _, record, _ in valid]
-            )
-        except Exception:  # noqa: BLE001 — retry per record to find the poison
-            recommendations = None
-        if recommendations is None:
-            answered = []
-            for index, record, symptom_ids in valid:
-                try:
-                    answered.append(
-                        ((index, record), pipeline.recommend(symptom_ids, k=record.k))
-                    )
-                except Exception as error:  # noqa: BLE001
-                    fail(index, record.id, str(error))
-        else:
-            answered = [
-                ((index, record), recommendation)
-                for (index, record, _), recommendation in zip(valid, recommendations)
-            ]
-        herb_vocab = pipeline.herb_vocab
-        for (index, record), recommendation in answered:
-            try:
-                responses[index] = encode_result(
-                    record.id,
-                    entry.name,
-                    [herb_vocab.token_of(h) for h in recommendation.herb_ids],
-                    recommendation.herb_ids,
-                    recommendation.scores,
-                )
+                continue
             except RecordError as error:  # non-finite score — NaN-free guarantee
-                fail(index, record.id, str(error))
+                reason = str(error)
+        out[index] = encode_error(record.id, reason)
+        errors += 1
+    if stats is not None:
+        stats.records += len(lines)
+        stats.errors += errors
+        stats.ok += len(lines) - errors
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,6 @@ Shard-worker line protocol (UTF-8, one request and one response per line):
   worker per scoring call, syndromes deduplicated inside the frame — or
   ``error: need-snapshot <key>`` when the referenced snapshot is not
   attached (the client pushes it and retries), or ``error: <reason>``;
-* ``task <base64 npz>`` → ``result <base64 npz>`` — the single-task form
-  of the same exchange;
 * ``stats`` → one-line counters (handled by the socket front-end);
 * blank line / EOF → the connection closes; the worker keeps running.
 """
@@ -84,12 +82,8 @@ __all__ = [
     "ShardWorkerServer",
     "parse_worker_addr",
     "snapshot_model_tag",
-    "task_to_bytes",
-    "task_from_bytes",
     "tasks_to_bytes",
     "tasks_from_bytes",
-    "result_to_bytes",
-    "result_from_bytes",
     "results_to_bytes",
     "results_from_bytes",
 ]
@@ -123,63 +117,6 @@ def snapshot_model_tag(key: str) -> str:
 # ----------------------------------------------------------------------
 # Wire codec for tasks and results (the same npz codec checkpoints use)
 # ----------------------------------------------------------------------
-_TASK_KIND = "shard-task"
-_RESULT_KIND = "shard-result"
-
-
-def task_to_bytes(task: ShardTask) -> bytes:
-    """Serialize one :class:`~repro.inference.backends.ShardTask` for the wire."""
-    header = {
-        "kind": _TASK_KIND,
-        "op": task.op,
-        "shard_index": int(task.shard_index),
-        "start": int(task.start),
-        "stop": int(task.stop),
-        "snapshot_key": task.snapshot_key,
-        "row_block": int(task.row_block),
-        "num_rows": int(task.num_rows),
-        "k": int(task.k),
-    }
-    return pack_npz_bytes(header, {"syndrome": task.syndrome})
-
-
-def task_from_bytes(data: bytes) -> ShardTask:
-    header, arrays = unpack_npz_bytes(data)
-    if header.get("kind") != _TASK_KIND:
-        raise CheckpointError(f"expected a {_TASK_KIND!r} frame, got {header.get('kind')!r}")
-    try:
-        return ShardTask(
-            op=str(header["op"]),
-            shard_index=int(header["shard_index"]),
-            start=int(header["start"]),
-            stop=int(header["stop"]),
-            snapshot_key=str(header["snapshot_key"]),
-            row_block=int(header["row_block"]),
-            num_rows=int(header["num_rows"]),
-            syndrome=arrays["syndrome"],
-            k=int(header["k"]),
-        )
-    except KeyError as error:
-        raise CheckpointError(f"shard-task frame misses field {error}") from error
-
-
-def result_to_bytes(op: str, result: ShardResult) -> bytes:
-    """Serialize one shard result (score block, or top-k candidate pair)."""
-    if op == "score":
-        return pack_npz_bytes({"kind": _RESULT_KIND, "op": op}, {"scores": result})
-    ids, scores = result
-    return pack_npz_bytes({"kind": _RESULT_KIND, "op": op}, {"ids": ids, "scores": scores})
-
-
-def result_from_bytes(data: bytes) -> ShardResult:
-    header, arrays = unpack_npz_bytes(data)
-    if header.get("kind") != _RESULT_KIND:
-        raise CheckpointError(f"expected a {_RESULT_KIND!r} frame, got {header.get('kind')!r}")
-    if header.get("op") == "score":
-        return arrays["scores"]
-    return arrays["ids"], arrays["scores"]
-
-
 _TASK_BATCH_KIND = "shard-task-batch"
 _RESULT_BATCH_KIND = "shard-result-batch"
 
@@ -768,16 +705,6 @@ class ShardWorkerHandler:
                 self._snapshots.move_to_end(snapshot.key)
                 self._evict_locked(snapshot_model_tag(snapshot.key))
             return f"ok {snapshot.key}"
-        if verb == "task":
-            task = task_from_bytes(base64.b64decode(payload))
-            with self._lock:
-                matrix = self._snapshots.get(task.snapshot_key)
-            if matrix is None:
-                return f"error: need-snapshot {task.snapshot_key}"
-            result = execute_shard_task(task, matrix)
-            with self._lock:
-                self.tasks_executed += 1
-            return "result " + base64.b64encode(result_to_bytes(task.op, result)).decode("ascii")
         if verb == "tasks":
             batch = tasks_from_bytes(base64.b64decode(payload))
             results: List[ShardResult] = []

@@ -2,6 +2,7 @@
 rolls them out (multi-model tenancy, zero-downtime hot reload)."""
 
 from .catalog import (
+    Answer,
     CanaryState,
     CatalogEntry,
     CatalogError,
@@ -9,6 +10,7 @@ from .catalog import (
     MAX_VERSION_HISTORY,
     ModelCatalog,
     ModelVersion,
+    answer,
 )
 from .checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -23,6 +25,7 @@ from .checkpoint import (
 )
 
 __all__ = [
+    "Answer",
     "CHECKPOINT_FORMAT_VERSION",
     "CanaryState",
     "CatalogEntry",
@@ -33,6 +36,7 @@ __all__ = [
     "MAX_VERSION_HISTORY",
     "ModelCatalog",
     "ModelVersion",
+    "answer",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_header",

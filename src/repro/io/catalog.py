@@ -14,6 +14,10 @@ gives every layer above it one contract:
   generation; the last lease out closes it, releasing old weight snapshots
   through the engine's bounded LRU / ``release_snapshot`` path — so rollouts
   never grow memory and never drop or corrupt a request;
+* **answering** — :func:`answer` is the one request-scoring path behind
+  ``repro serve`` and ``repro batch``: route each query to an entry, lease
+  it, parse, score each entry's queries in one pooled call, retry per query
+  when that call fails, and mirror answered queries to a canary;
 * **observation** — per-entry version history, a shadow/canary mode that
   mirrors a configurable fraction of traffic to a candidate build and
   reports score/latency deltas without affecting responses, and
@@ -32,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from .checkpoint import (
     CheckpointError,
@@ -41,6 +45,7 @@ from .checkpoint import (
 )
 
 __all__ = [
+    "Answer",
     "CanaryState",
     "CatalogEntry",
     "CatalogError",
@@ -48,6 +53,7 @@ __all__ = [
     "MAX_VERSION_HISTORY",
     "ModelCatalog",
     "ModelVersion",
+    "answer",
 ]
 
 #: How many :class:`ModelVersion` records an entry keeps.  Rollout tooling
@@ -144,6 +150,27 @@ class CanaryState:
     def record_error(self) -> None:
         with self._lock:
             self._errors += 1
+
+    def mirror(self, query: Any, primary: "Answer", primary_ms: float) -> None:
+        """Score ``query`` on the candidate and record how it compares.
+
+        Never raises: a candidate failure is only counted.
+        """
+        try:
+            started = time.perf_counter()
+            shadow = self.pipeline.recommend(query.symptoms, k=query.k)
+            shadow_ms = (time.perf_counter() - started) * 1000.0
+        except Exception:  # noqa: BLE001 — a canary must never hurt serving
+            self.record_error()
+            return
+        shadow_herbs = [self.pipeline.herb_vocab.token_of(h) for h in shadow.herb_ids]
+        self.record(
+            matched=list(primary.herbs) == shadow_herbs,
+            score_delta=(shadow.scores[0] if shadow.scores else 0.0)
+            - (primary.scores[0] if primary.scores else 0.0),
+            primary_ms=primary_ms,
+            shadow_ms=shadow_ms,
+        )
 
     def report(self) -> Dict[str, Any]:
         with self._lock:
@@ -510,6 +537,106 @@ class ModelCatalog:
             entries = list(self._entries.values())
         for entry in entries:
             entry.close()
+
+
+class Answer(NamedTuple):
+    """One query's outcome from :func:`answer`: herbs best first, or an error.
+
+    ``model`` names the entry that answered; it is ``None`` when the query
+    could not be routed to one.  ``herbs`` are decoded under the same lease
+    that scored ``herb_ids``.
+    """
+
+    model: Optional[str]
+    herbs: Sequence[str] = ()
+    herb_ids: Sequence[int] = ()
+    scores: Sequence[float] = ()
+    error: Optional[str] = None
+
+
+def answer(catalog: ModelCatalog, queries: Sequence[Any]) -> List[Answer]:
+    """One :class:`Answer` per query, in order; never raises for a query.
+
+    A query is anything with ``symptoms`` (tokens/ids, or one string), ``k``
+    and ``model`` (``None`` routes to the default entry) attributes.  Errors
+    are isolated per query at every step:
+
+    * routing — an unknown model, or an entry removed between routing and
+      leasing, fails only its own queries, without touching any model;
+    * parsing — symptoms are parsed against the leased generation's
+      vocabulary, so a rollout can never mix vocabularies within a call;
+    * scoring — each entry's queries score in one pooled ``recommend_many``;
+      if that call fails they are retried one by one, so only the poisoned
+      queries answer with an error and other entries are never affected.
+
+    When an entry has a canary attached, its share of the answered queries is
+    mirrored to the candidate after the answers are decided, so canary
+    behaviour (crashes included) never changes an answer.
+    """
+    answers: List[Optional[Answer]] = [None] * len(queries)
+    groups: Dict[str, List[int]] = {}
+    for index, query in enumerate(queries):
+        try:
+            groups.setdefault(catalog.entry(query.model).name, []).append(index)
+        except CatalogError as error:
+            answers[index] = Answer(None, error=str(error))
+    for name, members in groups.items():
+        try:
+            entry = catalog.entry(name)
+        except CatalogError as error:  # entry vanished since routing
+            for index in members:
+                answers[index] = Answer(None, error=str(error))
+            continue
+        with entry.lease() as pipeline:
+            _answer_entry(entry, pipeline, queries, members, answers)
+    return answers
+
+
+def _answer_entry(
+    entry: CatalogEntry,
+    pipeline,
+    queries: Sequence[Any],
+    members: List[int],
+    answers: List[Optional[Answer]],
+) -> None:
+    """Parse, score and decode one entry's queries on one leased generation."""
+    from ..api import parse_symptom_tokens  # lazy: repro.api imports repro.io
+
+    vocab = pipeline.symptom_vocab
+    valid = []
+    for index in members:
+        try:
+            valid.append((index, tuple(parse_symptom_tokens(queries[index].symptoms, vocab))))
+        except ValueError as error:
+            answers[index] = Answer(entry.name, error=str(error))
+    if not valid:
+        return
+    started = time.perf_counter()
+    try:
+        results = pipeline.recommend_many(
+            [ids for _, ids in valid], k=[queries[index].k for index, _ in valid]
+        )
+    except Exception:  # noqa: BLE001 — retry per query to find the poison
+        results = []
+        for index, symptom_ids in valid:
+            try:
+                results.append(pipeline.recommend(symptom_ids, k=queries[index].k))
+            except Exception as error:  # noqa: BLE001
+                results.append(None)
+                answers[index] = Answer(entry.name, error=str(error))
+    primary_ms = (time.perf_counter() - started) * 1000.0
+    herb_vocab = pipeline.herb_vocab
+    answered = []
+    for (index, _), result in zip(valid, results):
+        if result is not None:
+            herbs = [herb_vocab.token_of(h) for h in result.herb_ids]
+            answers[index] = Answer(entry.name, herbs, result.herb_ids, result.scores)
+            answered.append(index)
+    canary = entry.canary
+    if canary is not None:
+        for index in answered:
+            if canary.take():
+                canary.mirror(queries[index], answers[index], primary_ms / len(answered))
 
 
 class _Watch:

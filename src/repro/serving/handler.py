@@ -22,55 +22,37 @@ answers line N of input, even when request N was malformed.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
-from ..api import Pipeline, parse_symptom_tokens
-from ..io.catalog import CatalogEntry, CatalogError, ModelCatalog
+from ..api import Pipeline
+from ..batch.records import REQUEST_FIELDS, load_json, request_fields
+from ..io.catalog import Answer, ModelCatalog, answer
 from .stats import ServerStats
 
 __all__ = ["RecommendationHandler"]
 
 
-@dataclass
-class _Request:
-    """One parsed-but-not-yet-scored request line."""
+class _Request(NamedTuple):
+    """One parsed request line: a query for :func:`~repro.io.catalog.answer`."""
 
-    index: int
-    tokens: List[str]
+    symptoms: Union[str, List[Union[str, int]]]
     k: int
     model: Optional[str]  # as requested; None -> catalog default
     json_mode: bool
-    entry_name: Optional[str] = None  # resolved catalog entry
-    symptom_ids: Tuple[int, ...] = field(default_factory=tuple)
 
 
 class RecommendationHandler:
-    """Answer batches of request lines through per-model pooled scoring calls.
+    """Answer batches of request lines through the catalog's shared scoring path.
 
     This is the ``handler`` a :class:`~repro.serving.batcher.MicroBatcher`
     flushes into.  It accepts either a single :class:`~repro.api.Pipeline`
     (wrapped into a one-entry catalog, the historical contract) or a
-    :class:`~repro.io.catalog.ModelCatalog`; each batch is grouped by
-    catalog entry, every group **leases** its entry's current pipeline so a
-    concurrent rollout can never swap (or release) weights mid-score, and
-    groups score independently — one entry's poison cannot fail another's
-    requests.
-
-    Per-request error isolation is enforced at three levels:
-
-    * routing errors (unknown model, bad JSON) answer with ``error:`` /
-      ``{"error": ...}`` without touching any model;
-    * parse errors (unknown token, bad id, empty set) are caught per
-      request against the routed entry's vocabulary;
-    * if a group's batched scoring call fails, its requests are retried
-      individually so only the poisoned one answers with an error.
-
-    When an entry has a canary attached, the configured fraction of its
-    successfully-answered requests is mirrored to the candidate pipeline
-    after the primary response is already decided — canary behaviour
-    (including crashes) can never change what the client receives.
+    :class:`~repro.io.catalog.ModelCatalog`.  The handler only parses lines
+    and formats answers: routing, leasing, vocabulary parsing, pooled scoring
+    with per-request retry and canary mirroring all happen in
+    :func:`~repro.io.catalog.answer`, the same path ``repro batch`` uses.  A
+    line that fails to parse, route or score answers with ``error:`` /
+    ``{"error": ...}`` and never affects its batchmates.
     """
 
     def __init__(
@@ -93,35 +75,34 @@ class RecommendationHandler:
         return self._catalog
 
     # ------------------------------------------------------------------
+    # Batch entry point (MicroBatcher handler contract)
+    # ------------------------------------------------------------------
+    def __call__(self, lines: Sequence[str]) -> List[str]:
+        responses: List[Optional[str]] = [None] * len(lines)
+        positions: List[int] = []
+        requests: List[_Request] = []
+        for index, line in enumerate(lines):
+            try:
+                requests.append(self._parse_line(line))
+            except ValueError as error:
+                responses[index] = self._fail(
+                    str(error), json_mode=line.lstrip().startswith("{")
+                )
+                continue
+            positions.append(index)
+        results = answer(self._catalog, requests)
+        for index, request, result in zip(positions, requests, results):
+            responses[index] = self._respond(request, result)
+        return responses
+
+    # ------------------------------------------------------------------
     # Protocol pieces
     # ------------------------------------------------------------------
-    def parse(self, line: str) -> Tuple[Tuple[int, ...], int]:
-        """``(symptom_ids, k)`` for one text line against the default entry.
-
-        Kept for the single-model contract (and tests); the batch path uses
-        the routed entry's vocabulary instead.  Raises ``ValueError``.
-        """
-        request = self._parse_line(0, line)
-        if request.json_mode:
-            raise ValueError("parse() handles text lines; JSON goes through __call__")
-        with self._catalog.lease(request.model) as pipeline:
-            return (
-                tuple(parse_symptom_tokens(request.tokens, pipeline.symptom_vocab)),
-                request.k,
-            )
-
-    def format(self, recommendation, pipeline: Optional[Pipeline] = None) -> str:
-        """The text response line: herb tokens, best first."""
-        if pipeline is None:
-            with self._catalog.lease() as pipeline:
-                return self.format(recommendation, pipeline)
-        return " ".join(pipeline.herb_vocab.token_of(h) for h in recommendation.herb_ids)
-
-    def _parse_line(self, index: int, line: str) -> _Request:
+    def _parse_line(self, line: str) -> _Request:
         """Classify one line as a JSON or text request; raises ``ValueError``."""
         line = line.strip()
         if line.startswith("{"):
-            return self._parse_json(index, line)
+            return self._parse_json(line)
         tokens = line.split()
         k: Optional[int] = None
         model: Optional[str] = None
@@ -135,38 +116,19 @@ class RecommendationHandler:
             else:
                 break
             tokens = tokens[1:]
-        return _Request(
-            index=index,
-            tokens=tokens,
-            k=k if k is not None else self._default_k,
-            model=model,
-            json_mode=False,
-        )
+        return _Request(tokens, k if k is not None else self._default_k, model, False)
 
-    def _parse_json(self, index: int, line: str) -> _Request:
+    def _parse_json(self, line: str) -> _Request:
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
+            payload = load_json(line)
+        except ValueError as error:
             raise ValueError(f"bad JSON request: {error}") from error
         if not isinstance(payload, dict):
             raise ValueError("JSON request must be an object")
-        unknown = set(payload) - {"symptoms", "k", "model"}
+        unknown = set(payload) - REQUEST_FIELDS
         if unknown:
             raise ValueError(f"unknown JSON request fields: {', '.join(sorted(unknown))}")
-        symptoms = payload.get("symptoms")
-        if isinstance(symptoms, str):
-            tokens = symptoms.split()
-        elif isinstance(symptoms, list):
-            tokens = [str(item) for item in symptoms]
-        else:
-            raise ValueError('JSON request needs "symptoms": a string or a list')
-        k = payload.get("k", self._default_k)
-        if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        model = payload.get("model")
-        if model is not None and not isinstance(model, str):
-            raise ValueError(f"model must be a string, got {model!r}")
-        return _Request(index=index, tokens=tokens, k=k, model=model, json_mode=True)
+        return _Request(*request_fields(payload, self._default_k), True)
 
     @staticmethod
     def _parse_k(raw_k: str, token: str) -> int:
@@ -174,147 +136,24 @@ class RecommendationHandler:
             raise ValueError(f"k must be a positive integer, got {token!r}")
         return int(raw_k)
 
-    # ------------------------------------------------------------------
-    # Batch entry point (MicroBatcher handler contract)
-    # ------------------------------------------------------------------
-    def __call__(self, lines: Sequence[str]) -> List[str]:
-        responses: List[Optional[str]] = [None] * len(lines)
-        groups: Dict[str, List[_Request]] = {}
-        for index, line in enumerate(lines):
-            json_mode = line.lstrip().startswith("{")
-            try:
-                request = self._parse_line(index, line)
-                request.entry_name = self._catalog.entry(request.model).name
-            except (ValueError, CatalogError) as error:
-                responses[index] = self._fail(str(error), json_mode=json_mode)
-                continue
-            groups.setdefault(request.entry_name, []).append(request)
-        for entry_name, requests in groups.items():
-            try:
-                entry = self._catalog.entry(entry_name)
-            except CatalogError as error:  # entry vanished since routing
-                for request in requests:
-                    responses[request.index] = self._fail(
-                        str(error), json_mode=request.json_mode
-                    )
-                continue
-            self._answer_group(entry, requests, responses)
-        return [
-            response if response is not None else self._fail("unanswered")
-            for response in responses
-        ]
-
-    def _answer_group(
-        self,
-        entry: CatalogEntry,
-        requests: List[_Request],
-        responses: List[Optional[str]],
-    ) -> None:
-        """Score one entry's requests on one leased pipeline generation."""
-        with entry.lease() as pipeline:
-            valid: List[_Request] = []
-            for request in requests:
-                try:
-                    request.symptom_ids = tuple(
-                        parse_symptom_tokens(request.tokens, pipeline.symptom_vocab)
-                    )
-                    valid.append(request)
-                except ValueError as error:
-                    responses[request.index] = self._fail(
-                        str(error), model=entry.name, json_mode=request.json_mode
-                    )
-            if not valid:
-                return
-            answered: List[Tuple[_Request, Any]] = []
-            started = time.perf_counter()
-            try:
-                recommendations = pipeline.recommend_many(
-                    [request.symptom_ids for request in valid],
-                    k=[request.k for request in valid],
-                )
-            except Exception:  # noqa: BLE001 — retry per request to find the poison
-                recommendations = None
-            if recommendations is None:
-                for request in valid:
-                    try:
-                        recommendation = pipeline.recommend(
-                            request.symptom_ids, k=request.k
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        responses[request.index] = self._fail(
-                            str(error), model=entry.name, json_mode=request.json_mode
-                        )
-                        continue
-                    answered.append((request, recommendation))
-            else:
-                answered = list(zip(valid, recommendations))
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            for request, recommendation in answered:
-                responses[request.index] = self._format_response(
-                    entry.name, request, recommendation, pipeline
-                )
-                if self._stats is not None:
-                    self._stats.record_model_request(entry.name)
-            if entry.canary is not None and answered:
-                self._mirror_to_canary(
-                    entry, answered, pipeline, elapsed_ms / len(answered)
-                )
-
-    def _format_response(
-        self, entry_name: str, request: _Request, recommendation, pipeline: Pipeline
-    ) -> str:
+    def _respond(self, request: _Request, result: Answer) -> str:
+        """The response line for one answered request; records its stats."""
+        if result.error is not None:
+            return self._fail(result.error, model=result.model, json_mode=request.json_mode)
         if not request.json_mode:
-            return self.format(recommendation, pipeline)
-        return json.dumps(
-            {
-                "model": entry_name,
-                "herbs": [
-                    pipeline.herb_vocab.token_of(h) for h in recommendation.herb_ids
-                ],
-                "scores": [round(float(s), 6) for s in recommendation.scores],
-            }
-        )
-
-    # ------------------------------------------------------------------
-    # Canary mirroring (off the response path)
-    # ------------------------------------------------------------------
-    def _mirror_to_canary(
-        self,
-        entry: CatalogEntry,
-        answered: List[Tuple[_Request, Any]],
-        pipeline: Pipeline,
-        primary_ms: float,
-    ) -> None:
-        canary = entry.canary
-        if canary is None:
-            return
-        for request, recommendation in answered:
-            if not canary.take():
-                continue
+            response = " ".join(result.herbs)
+        else:
+            scores = [round(float(s), 6) for s in result.scores]
+            payload = {"model": result.model, "herbs": list(result.herbs), "scores": scores}
             try:
-                started = time.perf_counter()
-                shadow_ids = tuple(
-                    parse_symptom_tokens(request.tokens, canary.pipeline.symptom_vocab)
+                response = json.dumps(payload, allow_nan=False)
+            except ValueError:  # a non-finite score: refuse rather than emit bare NaN
+                return self._fail(
+                    f"non-finite score in {scores!r}", model=result.model, json_mode=True
                 )
-                shadow = canary.pipeline.recommend(shadow_ids, k=request.k)
-                shadow_ms = (time.perf_counter() - started) * 1000.0
-            except Exception:  # noqa: BLE001 — a canary must never hurt serving
-                canary.record_error()
-                continue
-            primary_herbs = [
-                pipeline.herb_vocab.token_of(h) for h in recommendation.herb_ids
-            ]
-            shadow_herbs = [
-                canary.pipeline.herb_vocab.token_of(h) for h in shadow.herb_ids
-            ]
-            top1_primary = recommendation.scores[0] if recommendation.scores else 0.0
-            top1_shadow = shadow.scores[0] if shadow.scores else 0.0
-            canary.record(
-                matched=primary_herbs == shadow_herbs,
-                score_delta=top1_shadow - top1_primary,
-                primary_ms=primary_ms,
-                shadow_ms=shadow_ms,
-            )
+        if self._stats is not None:
+            self._stats.record_model_request(result.model)
+        return response
 
     # ------------------------------------------------------------------
     # Errors

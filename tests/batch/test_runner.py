@@ -98,6 +98,7 @@ class TestScoreLines:
 
         class FakeEntry:
             name = "nan-model"
+            canary = None
 
             def lease(self):
                 import contextlib

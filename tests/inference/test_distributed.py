@@ -27,12 +27,8 @@ from repro.inference.distributed import (
     ShardWorkerHandler,
     ShardWorkerServer,
     parse_worker_addr,
-    result_from_bytes,
-    result_to_bytes,
     results_from_bytes,
     results_to_bytes,
-    task_from_bytes,
-    task_to_bytes,
     tasks_from_bytes,
     tasks_to_bytes,
 )
@@ -100,32 +96,6 @@ class TestWireCodec:
         assert clone.row_block == snapshot.row_block
         np.testing.assert_array_equal(clone.herb_embeddings, snapshot.herb_embeddings)
 
-    def test_task_round_trip(self, snapshot, syndrome):
-        task = ShardTask(
-            op="topk",
-            shard_index=2,
-            start=256,
-            stop=700,
-            snapshot_key=snapshot.key,
-            row_block=SCORING_BLOCK,
-            num_rows=NUM_ROWS,
-            syndrome=syndrome,
-            k=13,
-        )
-        clone = task_from_bytes(task_to_bytes(task))
-        for attr in ("op", "shard_index", "start", "stop", "snapshot_key", "row_block", "num_rows", "k"):
-            assert getattr(clone, attr) == getattr(task, attr)
-        np.testing.assert_array_equal(clone.syndrome, syndrome)
-
-    def test_result_round_trips_both_ops(self):
-        block = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(result_from_bytes(result_to_bytes("score", block)), block)
-        ids = np.array([[3, 1]], dtype=np.int64)
-        scores = np.array([[2.0, 1.0]])
-        out_ids, out_scores = result_from_bytes(result_to_bytes("topk", (ids, scores)))
-        np.testing.assert_array_equal(out_ids, ids)
-        np.testing.assert_array_equal(out_scores, scores)
-
     def test_task_batch_round_trip_deduplicates_syndromes(self, snapshot, syndrome, index):
         batch = index.tasks(syndrome, "topk", num_rows=NUM_ROWS, k=9)
         data = tasks_to_bytes(batch)
@@ -156,10 +126,10 @@ class TestWireCodec:
         np.testing.assert_array_equal(out[1][1], scores)
 
     def test_kind_mismatch_refused(self, snapshot, syndrome):
-        with pytest.raises(CheckpointError, match="shard-task"):
-            task_from_bytes(snapshot_to_bytes(snapshot))
+        with pytest.raises(CheckpointError, match="shard-task-batch"):
+            tasks_from_bytes(snapshot_to_bytes(snapshot))
         with pytest.raises(CheckpointError, match="weight-snapshot"):
-            snapshot_from_bytes(result_to_bytes("score", syndrome))
+            snapshot_from_bytes(results_to_bytes(["score"], [syndrome]))
 
     def test_parse_worker_addr(self):
         assert parse_worker_addr("localhost:7801") == ("localhost", 7801)
@@ -268,12 +238,13 @@ class TestShardWorkerHandler:
 
     def test_task_needs_snapshot_first(self, snapshot, syndrome, index):
         handler = ShardWorkerHandler()
-        task_line = f"task {self._encode(task_to_bytes(index.tasks(syndrome, 'score', num_rows=NUM_ROWS)[0]))}"
+        batch = index.tasks(syndrome, "score", num_rows=NUM_ROWS)
+        task_line = f"tasks {self._encode(tasks_to_bytes(batch))}"
         assert handler.submit(task_line).result() == f"error: need-snapshot {snapshot.key}"
         handler.submit(f"snapshot {self._encode(snapshot_to_bytes(snapshot))}")
         response = handler.submit(task_line).result()
-        assert response.startswith("result ")
-        assert handler.tasks_executed == 1
+        assert response.startswith("results ")
+        assert handler.tasks_executed == len(batch)
 
     def _push(self, handler, key: str, seed: int = 0) -> str:
         snap = WeightSnapshot.from_matrix(
