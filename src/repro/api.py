@@ -22,6 +22,7 @@ single-file checkpoint format of :mod:`repro.io.checkpoint`.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -32,6 +33,7 @@ from .evaluation.metrics import top_k_indices
 from .experiments.datasets import experiment_evaluator, experiment_split, get_profile
 from .experiments.runners import train_registered_model
 from .inference.engine import InferenceEngine, Recommendation, ranked_prefixes
+from .inference.options import FIELD_NAMES, EngineOptions
 from .io.checkpoint import load_checkpoint, save_checkpoint, validate_checkpoint_path
 from .models import MODEL_REGISTRY
 from .models.base import GraphHerbRecommender
@@ -67,7 +69,13 @@ def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> L
 
 
 class Pipeline:
-    """Train once, serve forever: one object from corpus to recommendations."""
+    """Train once, serve forever: one object from corpus to recommendations.
+
+    ``options`` is the serving engine's :class:`~repro.inference.options.
+    EngineOptions`; its field names are also accepted as keywords
+    (``Pipeline("SMGCN", retrieval="approx")``) and folded in.  Every other
+    keyword overrides a field of the model's config.
+    """
 
     def __init__(
         self,
@@ -75,32 +83,19 @@ class Pipeline:
         scale: str = "default",
         seed: int = 0,
         trainer_config: Optional[TrainerConfig] = None,
-        batch_size: int = 1024,
-        num_shards: int = 1,
-        backend=None,
-        num_workers: Optional[int] = None,
-        worker_addrs: Optional[Sequence[str]] = None,
-        retrieval: str = "exact",
-        candidate_factor: int = 4,
-        num_lists: int = 0,
-        nprobe: int = 1,
-        **model_overrides,
+        options: Optional[EngineOptions] = None,
+        **overrides,
     ) -> None:
         self._entry = MODEL_REGISTRY.get(model)  # fail fast on unknown names
         self.model_name = model
         self.scale = scale
         self.seed = seed
         self.trainer_config = trainer_config
-        self.batch_size = batch_size
-        self.num_shards = num_shards
-        self.backend = backend
-        self.num_workers = num_workers
-        self.worker_addrs = list(worker_addrs) if worker_addrs is not None else None
-        self.retrieval = retrieval
-        self.candidate_factor = candidate_factor
-        self.num_lists = num_lists
-        self.nprobe = nprobe
-        self.model_overrides = dict(model_overrides)
+        # engine knobs and model-config overrides share **overrides; they are
+        # told apart by EngineOptions' field names (no model config reuses one)
+        knobs = {name: overrides.pop(name) for name in FIELD_NAMES if name in overrides}
+        self.options = dataclasses.replace(options or EngineOptions(), **knobs)
+        self.model_overrides = overrides
         self._model = None
         self._history = None
         self._engine: Optional[InferenceEngine] = None
@@ -167,9 +162,9 @@ class Pipeline:
     def engine(self) -> InferenceEngine:
         """A warmed-up inference engine over the fitted neural model.
 
-        Honors the pipeline's ``num_shards``/``backend``/``num_workers``
-        knobs, so sharded scoring and pooled-backend execution flow through
-        every ``recommend``/``score`` call (and the serving layer above).
+        Built from the pipeline's :attr:`options`, so sharded scoring, pooled
+        backends and approximate retrieval flow through every
+        ``recommend``/``score`` call (and the serving layer above).
         """
         model = self._require_model()
         if not isinstance(model, GraphHerbRecommender):
@@ -178,18 +173,7 @@ class Pipeline:
                 "call recommend()/score() directly instead"
             )
         if self._engine is None:
-            self._engine = InferenceEngine(
-                model,
-                batch_size=self.batch_size,
-                num_shards=self.num_shards,
-                backend=self.backend,
-                num_workers=self.num_workers,
-                worker_addrs=self.worker_addrs,
-                retrieval=self.retrieval,
-                candidate_factor=self.candidate_factor,
-                num_lists=self.num_lists,
-                nprobe=self.nprobe,
-            ).warm_up()
+            self._engine = InferenceEngine(model, self.options).warm_up()
         return self._engine
 
     def close(self) -> None:
@@ -295,14 +279,8 @@ class Pipeline:
         cls,
         path: Union[str, Path],
         scale: Optional[str] = None,
-        num_shards: int = 1,
-        backend=None,
-        num_workers: Optional[int] = None,
-        worker_addrs: Optional[Sequence[str]] = None,
-        retrieval: str = "exact",
-        candidate_factor: int = 4,
-        num_lists: int = 0,
-        nprobe: int = 1,
+        options: Optional[EngineOptions] = None,
+        **knobs,
     ) -> "Pipeline":
         """Rebuild a pipeline from a checkpoint in milliseconds — no training.
 
@@ -311,19 +289,15 @@ class Pipeline:
         the target corpus.  The bundle is opened once — the header resolves
         the corpus in-flight.  The loaded pipeline carries the checkpoint's
         seed and config as its own, so a later ``fit()`` retrains the same
-        architecture rather than a default one.  ``num_shards``/``backend``/
-        ``num_workers``/``worker_addrs`` configure the serving engine exactly
-        as in the constructor — sharding and backend placement are serving
-        knobs, not checkpoint properties — and ``retrieval`` (plus
-        ``candidate_factor``/``num_lists``/``nprobe``) selects exact or
-        two-stage approximate top-k the same way.
+        architecture rather than a default one.  ``options`` and option-named
+        keywords configure the serving engine as in the constructor: they are
+        serving knobs, not checkpoint properties.
 
         The path is validated up front (exists, regular file, ``.npz``) so a
         typo fails with one clear :class:`~repro.io.checkpoint.CheckpointError`
         before any corpus is built or serving resource spawned.
         """
-        import dataclasses
-
+        options = dataclasses.replace(options or EngineOptions(), **knobs)
         path = validate_checkpoint_path(path)
 
         resolved = {}
@@ -345,14 +319,7 @@ class Pipeline:
             header.model_name,
             scale=resolved["scale"],
             seed=seed,
-            num_shards=num_shards,
-            backend=backend,
-            num_workers=num_workers,
-            worker_addrs=worker_addrs,
-            retrieval=retrieval,
-            candidate_factor=candidate_factor,
-            num_lists=num_lists,
-            nprobe=nprobe,
+            options=options,
             **overrides,
         )
         pipeline._model = model

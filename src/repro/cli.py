@@ -34,17 +34,18 @@ entry when its checkpoint file changes, the ``reload``/``models`` control
 lines do the same on demand, and ``--canary NAME=PATH`` shadows a fraction
 of an entry's traffic onto a candidate build — all with zero downtime.
 
-Both ``predict`` and ``serve`` take ``--shards``/``--backend``/``--workers``
-to split the herb-embedding matrix into column shards scored through a
-pluggable compute backend: serial ``numpy``, a ``threads`` pool, a
+``predict``, ``serve`` and ``batch`` take the engine flags declared by
+:class:`~repro.inference.options.EngineOptions`.  ``--shards``/``--backend``/
+``--workers`` split the herb-embedding matrix into column shards scored
+through a pluggable compute backend: serial ``numpy``, a ``threads`` pool, a
 ``processes`` pool (weights in shared memory), or ``remote`` shard workers
 (``--worker-addr host:port``, one per running ``repro shard-worker``);
 answers are bit-identical whatever the placement — see docs/SERVING.md.
-``--retrieval approx`` (with ``--candidate-factor``/``--num-lists``/
-``--nprobe``) swaps the exhaustive top-k scan for the two-stage
-int8-first-pass + exact-re-rank tier: sub-linear in vocabulary size,
-returned scores still bit-exact, per-request fallback to exact when the
-candidate pool cannot certify ``k`` results.
+``--retrieval approx`` (tuned by the candidate-factor and IVF flags) swaps
+the exhaustive top-k scan for the two-stage int8-first-pass +
+exact-re-rank tier: sub-linear in vocabulary size, returned scores still
+bit-exact, per-request fallback to exact when the candidate pool cannot
+certify ``k`` results.
 
 ``shard-worker`` runs one such worker: a model-free scoring server that
 receives weight snapshots and shard tasks over TCP.
@@ -69,6 +70,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .experiments import EXPERIMENTS, run_experiment
+from .inference.options import EngineOptions
 from .io.checkpoint import CheckpointError
 
 __all__ = ["build_parser", "main"]
@@ -90,7 +92,7 @@ examples:
   repro serve --checkpoint smgcn.npz --port 7654 --frontend threads
   repro serve --checkpoint smgcn.npz --shards 4 --backend processes --workers 4
   repro serve --checkpoint smgcn.npz --retrieval approx --candidate-factor 4
-  repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64 --nprobe 8
+  repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64   # IVF lists
   repro shard-worker --port 7801      # one model-free scoring worker
   repro serve --checkpoint smgcn.npz --shards 4 --backend remote \\
       --worker-addr 127.0.0.1:7801 --worker-addr 127.0.0.1:7802
@@ -386,68 +388,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser, multi_model: bool = 
         "--epochs", type=int, default=None, help="override the profile's training epochs"
     )
     parser.add_argument("--seed", type=int, default=None, help="model initialisation seed")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="split the herb embeddings into this many column shards for "
-        "scoring/top-k; answers stay bit-identical (default: 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend for shard scoring: 'numpy' (serial BLAS, the "
-        "default), 'threads' (thread pool), 'processes' (process pool over "
-        "shared memory), 'remote' (shard-worker servers via --worker-addr), "
-        "or any registered backend name",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --backend threads/processes (default: the "
-        "schedulable CPU count)",
-    )
-    parser.add_argument(
-        "--worker-addr",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="address of a running `repro shard-worker` (repeat once per "
-        "worker; requires --backend remote)",
-    )
-    parser.add_argument(
-        "--retrieval",
-        default="exact",
-        choices=("exact", "approx"),
-        help="top-k retrieval mode: 'exact' scans every herb per request "
-        "(default, the bit-exact oracle); 'approx' runs an int8-quantized "
-        "first pass keeping candidate_factor*k survivors and re-scores them "
-        "with the exact fixed-tile arithmetic, falling back to exact per "
-        "request whenever the pool cannot certify k results",
-    )
-    parser.add_argument(
-        "--candidate-factor",
-        type=int,
-        default=4,
-        help="survivor-pool multiplier for --retrieval approx: the first "
-        "pass keeps candidate-factor*k herbs per request (default: 4)",
-    )
-    parser.add_argument(
-        "--num-lists",
-        type=int,
-        default=0,
-        help="IVF coarse-partition size for --retrieval approx: k-means the "
-        "herb embeddings into this many lists so each query scans only the "
-        "--nprobe closest ones (default: 0 = full int8 scan)",
-    )
-    parser.add_argument(
-        "--nprobe",
-        type=int,
-        default=1,
-        help="how many IVF lists to probe per request with --num-lists "
-        "(default: 1; clamped to the number of lists)",
-    )
+    EngineOptions.add_arguments(parser)
 
 
 def _render(result) -> str:
@@ -487,14 +428,7 @@ def _build_pipeline(args):
         scale=scale,
         seed=args.seed if args.seed is not None else 0,
         trainer_config=_trainer_config(scale, args.epochs),
-        num_shards=args.shards,
-        backend=args.backend,
-        num_workers=args.workers,
-        worker_addrs=args.worker_addr,
-        retrieval=args.retrieval,
-        candidate_factor=args.candidate_factor,
-        num_lists=args.num_lists,
-        nprobe=args.nprobe,
+        options=args.engine_options,
     ).fit()
 
 
@@ -507,89 +441,18 @@ def _format_recommendation(recommendation, herb_vocab) -> str:
     return "\n".join(lines)
 
 
-def _check_k(args) -> Optional[int]:
+def _check_serving(args) -> Optional[int]:
+    """Validate --k and the engine flags before paying for model setup.
+
+    On success the parsed flags are kept as ``args.engine_options``.
+    """
     if args.k <= 0:
         print("error: --k must be a positive integer", file=sys.stderr)
         return 2
-    return _check_sharding(args)
-
-
-def _check_sharding(args) -> Optional[int]:
-    """Validate --shards/--backend/--workers/--worker-addr before paying for model setup."""
-    from .inference.backends import available_backends
-    from .inference.distributed import parse_worker_addr
-
-    if args.shards <= 0:
-        print("error: --shards must be a positive integer", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers <= 0:
-        print("error: --workers must be a positive integer", file=sys.stderr)
-        return 2
-    if args.backend is not None and args.backend not in available_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; "
-            f"available: {', '.join(available_backends())}",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.shards == 1
-        and args.retrieval == "exact"
-        and (
-            args.workers is not None
-            or args.worker_addr
-            or args.backend not in (None, "numpy")
-        )
-    ):
-        # approx retrieval runs its exact re-rank through the backend even
-        # with one shard, so the backend knobs stay meaningful there
-        print(
-            "error: --backend/--workers/--worker-addr only take effect with "
-            "--shards >= 2 or --retrieval approx",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend == "remote" and not args.worker_addr:
-        print(
-            "error: --backend remote needs at least one --worker-addr "
-            "(start workers with `repro shard-worker`)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.worker_addr and args.backend != "remote":
-        print("error: --worker-addr requires --backend remote", file=sys.stderr)
-        return 2
-    if args.worker_addr and args.workers is not None:
-        print("error: --workers conflicts with --worker-addr (one worker per address)", file=sys.stderr)
-        return 2
-    for addr in args.worker_addr or []:
-        try:
-            parse_worker_addr(addr)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    return _check_retrieval(args)
-
-
-def _check_retrieval(args) -> Optional[int]:
-    """Validate --retrieval/--candidate-factor/--num-lists/--nprobe up front."""
-    if args.candidate_factor < 1:
-        print("error: --candidate-factor must be >= 1", file=sys.stderr)
-        return 2
-    if args.num_lists < 0:
-        print("error: --num-lists must be >= 0", file=sys.stderr)
-        return 2
-    if args.nprobe < 1:
-        print("error: --nprobe must be >= 1", file=sys.stderr)
-        return 2
-    if args.retrieval == "exact" and (
-        args.candidate_factor != 4 or args.num_lists != 0 or args.nprobe != 1
-    ):
-        print(
-            "error: --candidate-factor/--num-lists/--nprobe only take effect "
-            "with --retrieval approx",
-            file=sys.stderr,
-        )
+    try:
+        args.engine_options = EngineOptions.from_args(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     return None
 
@@ -733,7 +596,7 @@ def _run_train(args) -> int:
 
 
 def _run_predict(args) -> int:
-    error = _check_k(args)
+    error = _check_serving(args)
     if error is not None:
         return error
     try:
@@ -767,18 +630,7 @@ def _load_or_none(args):
         raise ValueError("--epochs/--seed only apply when training; drop them with --checkpoint")
     from .api import Pipeline
 
-    pipeline = Pipeline.load(
-        args.checkpoint,
-        scale=args.scale,
-        num_shards=args.shards,
-        backend=args.backend,
-        num_workers=args.workers,
-        worker_addrs=args.worker_addr,
-        retrieval=args.retrieval,
-        candidate_factor=args.candidate_factor,
-        num_lists=args.num_lists,
-        nprobe=args.nprobe,
-    )
+    pipeline = Pipeline.load(args.checkpoint, scale=args.scale, options=args.engine_options)
     if args.model is not None and args.model != pipeline.model_name:
         raise ValueError(
             f"checkpoint {args.checkpoint} holds {pipeline.model_name!r}, not {args.model!r}"
@@ -821,8 +673,27 @@ def _parse_model_specs(models):
     return plain, specs
 
 
+def _open_catalog(args, extra_paths=()):
+    """The warmed catalog ``serve``/``batch`` score through, and its ``NAME=PATH`` specs.
+
+    Every checkpoint path (plus ``extra_paths``) is validated first — one
+    clear error before any corpus is built, socket bound or worker pool
+    spawned.  Bad flags raise for the caller to report.
+    """
+    from .io.checkpoint import validate_checkpoint_path
+
+    plain_model, model_specs = _parse_model_specs(args.model)
+    if model_specs and args.checkpoint:
+        raise ValueError("--checkpoint conflicts with --model NAME=checkpoint.npz entries")
+    paths = [path for _, path in model_specs] + list(extra_paths)
+    for path in paths + ([args.checkpoint] if args.checkpoint else []):
+        validate_checkpoint_path(path)
+    args.model = plain_model  # _load_or_none/_build_pipeline take one plain name
+    return _build_catalog(args, model_specs), model_specs
+
+
 def _build_catalog(args, model_specs):
-    """A warmed :class:`~repro.io.catalog.ModelCatalog` for the serve command."""
+    """A warmed :class:`~repro.io.catalog.ModelCatalog` for ``args``' engine flags."""
     from .api import Pipeline
     from .io.catalog import ModelCatalog
     from .models.base import GraphHerbRecommender
@@ -831,7 +702,8 @@ def _build_catalog(args, model_specs):
         if isinstance(pipeline.model, GraphHerbRecommender):
             pipeline.engine  # noqa: B018 — warm the propagation before traffic
 
-    catalog = ModelCatalog()
+    # ``reload <new-name>`` publishes with the same scale and engine flags
+    catalog = ModelCatalog(serving_defaults=(args.scale, args.engine_options))
     if not model_specs:
         pipeline = _load_or_none(args)
         if pipeline is None:
@@ -840,25 +712,14 @@ def _build_catalog(args, model_specs):
         catalog.add(pipeline.model_name, pipeline, checkpoint_path=args.checkpoint)
         return catalog
     for name, path in model_specs:
-        pipeline = Pipeline.load(
-            path,
-            scale=args.scale,
-            num_shards=args.shards,
-            backend=args.backend,
-            num_workers=args.workers,
-            worker_addrs=args.worker_addr,
-            retrieval=args.retrieval,
-            candidate_factor=args.candidate_factor,
-            num_lists=args.num_lists,
-            nprobe=args.nprobe,
-        )
+        pipeline = Pipeline.load(path, scale=args.scale, options=args.engine_options)
         warm(pipeline)
         catalog.add(name, pipeline, checkpoint_path=path)
     return catalog
 
 
 def _run_serve(args) -> int:
-    error = _check_k(args)
+    error = _check_serving(args)
     if error is not None:
         return error
     if args.max_batch <= 0:
@@ -876,17 +737,6 @@ def _run_serve(args) -> int:
     if not 0.0 < args.canary_fraction <= 1.0:
         print("error: --canary-fraction must lie in (0, 1]", file=sys.stderr)
         return 2
-    try:
-        plain_model, model_specs = _parse_model_specs(args.model)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if model_specs and args.checkpoint:
-        print(
-            "error: --checkpoint conflicts with --model NAME=checkpoint.npz entries",
-            file=sys.stderr,
-        )
-        return 2
     canary_spec = None
     if args.canary is not None:
         name, separator, path = args.canary.partition("=")
@@ -894,32 +744,27 @@ def _run_serve(args) -> int:
             print("error: --canary expects NAME=checkpoint.npz", file=sys.stderr)
             return 2
         canary_spec = (name, path)
-    # fail fast on every checkpoint path — one clear line, before any corpus
-    # is built, socket bound or worker pool spawned
-    from .io.checkpoint import validate_checkpoint_path
-
-    try:
-        for paths in (
-            [path for _, path in model_specs],
-            [canary_spec[1]] if canary_spec else [],
-            [args.checkpoint] if args.checkpoint else [],
-        ):
-            for path in paths:
-                validate_checkpoint_path(path)
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     from .io.catalog import CatalogError, CheckpointWatcher
 
-    args.model = plain_model  # _load_or_none/_build_pipeline take one plain name
     try:
-        catalog = _build_catalog(args, model_specs)
+        catalog, model_specs = _open_catalog(args, [canary_spec[1]] if canary_spec else [])
         if canary_spec is not None:
             catalog.set_canary(
                 canary_spec[0], canary_spec[1], fraction=args.canary_fraction
             )
     except (ValueError, KeyError, OSError, CheckpointError, CatalogError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    watch_targets = dict(model_specs)
+    if args.checkpoint:
+        watch_targets[catalog.default_name] = args.checkpoint
+    if args.watch and not watch_targets:
+        print(
+            "error: --watch needs checkpoint-backed entries "
+            "(--checkpoint or --model NAME=checkpoint.npz)",
+            file=sys.stderr,
+        )
+        catalog.close()
         return 2
     from .serving import (
         CatalogControl,
@@ -947,19 +792,6 @@ def _run_serve(args) -> int:
     )
     watcher = None
     if args.watch:
-        watch_targets = dict(model_specs)
-        if args.checkpoint:
-            watch_targets[catalog.default_name] = args.checkpoint
-        if not watch_targets:
-            print(
-                "error: --watch needs checkpoint-backed entries "
-                "(--checkpoint or --model NAME=checkpoint.npz)",
-                file=sys.stderr,
-            )
-            batcher.close(drain=False)
-            stats.set_backend_info(None)
-            catalog.close()
-            return 2
         watcher = CheckpointWatcher(catalog, interval_s=args.watch_interval)
         for name, path in watch_targets.items():
             watcher.watch(name, path)
@@ -1002,7 +834,7 @@ def _run_serve(args) -> int:
 
 
 def _run_batch(args) -> int:
-    error = _check_k(args)
+    error = _check_serving(args)
     if error is not None:
         return error
     if args.window <= 0:
@@ -1047,29 +879,7 @@ def _run_batch(args) -> int:
                 return 2
     try:
         tasks = _batch_tasks(args, inputs, use_stdin)
-        plain_model, model_specs = _parse_model_specs(args.model)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if model_specs and args.checkpoint:
-        print(
-            "error: --checkpoint conflicts with --model NAME=checkpoint.npz entries",
-            file=sys.stderr,
-        )
-        return 2
-    from .io.checkpoint import validate_checkpoint_path
-
-    try:
-        for path in [path for _, path in model_specs] + (
-            [args.checkpoint] if args.checkpoint else []
-        ):
-            validate_checkpoint_path(path)
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    args.model = plain_model  # _load_or_none/_build_pipeline take one plain name
-    try:
-        catalog = _build_catalog(args, model_specs)
+        catalog, _ = _open_catalog(args)
     except (ValueError, KeyError, OSError, CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

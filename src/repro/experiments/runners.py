@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..evaluation.evaluator import EvaluationResult, Evaluator
-from ..inference.engine import InferenceEngine
 from ..models import MODEL_REGISTRY
 from ..models.registry import ModelEntry
 from ..training import Trainer, TrainerConfig, TrainingHistory
@@ -28,7 +27,6 @@ __all__ = [
     "train_neural_model",
     "train_hc_kgetm",
     "train_and_evaluate",
-    "build_inference_engine",
 ]
 
 
@@ -120,50 +118,6 @@ def train_hc_kgetm(scale: str = "default", seed: int = 0, **config_overrides):
     """Fit the HC-KGETM topic-model baseline on the profile's training split."""
     model, _ = train_registered_model("HC-KGETM", scale=scale, seed=seed, **config_overrides)
     return model
-
-
-def build_inference_engine(
-    name: str = "SMGCN",
-    scale: str = "default",
-    trainer_config: Optional[TrainerConfig] = None,
-    batch_size: int = 1024,
-    seed: int = 0,
-    num_shards: int = 1,
-    backend=None,
-    num_workers: Optional[int] = None,
-    worker_addrs=None,
-    retrieval: str = "exact",
-    candidate_factor: int = 4,
-    num_lists: int = 0,
-    nprobe: int = 1,
-    **model_overrides,
-) -> InferenceEngine:
-    """Train a neural model on the profile's split and wrap it for serving.
-
-    The returned engine is warmed up: the full-graph propagation has already
-    run, so the first request is as fast as every other one.
-    ``num_shards``/``backend``/``num_workers``/``worker_addrs`` select
-    column-sharded scoring and its compute backend — in-process, process
-    pool, or remote shard workers (see :mod:`repro.inference.backends`);
-    answers are bit-identical across those settings.  ``retrieval="approx"``
-    (with ``candidate_factor``/``num_lists``/``nprobe``) serves top-k through
-    the two-stage approximate tier of :mod:`repro.inference.retrieval`.
-    """
-    model, _ = train_neural_model(
-        name, scale=scale, trainer_config=trainer_config, seed=seed, **model_overrides
-    )
-    return InferenceEngine(
-        model,
-        batch_size=batch_size,
-        num_shards=num_shards,
-        backend=backend,
-        num_workers=num_workers,
-        worker_addrs=worker_addrs,
-        retrieval=retrieval,
-        candidate_factor=candidate_factor,
-        num_lists=num_lists,
-        nprobe=nprobe,
-    ).warm_up()
 
 
 def train_and_evaluate(

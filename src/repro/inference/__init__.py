@@ -43,11 +43,13 @@ from .distributed import (
     ShardWorkerHandler,
     ShardWorkerServer,
 )
-from .engine import MAX_CACHED_INDEX_VERSIONS, RETRIEVAL_MODES, InferenceEngine, Recommendation
+from .engine import MAX_CACHED_INDEX_VERSIONS, InferenceEngine, Recommendation
+from .options import RETRIEVAL_MODES, EngineOptions
 from .retrieval import ApproxHerbIndex, RetrievalReport, kmeans_partition
 from .sharding import HerbShard, ShardedHerbIndex, merge_topk
 
 __all__ = [
+    "EngineOptions",
     "InferenceEngine",
     "MAX_CACHED_INDEX_VERSIONS",
     "RETRIEVAL_MODES",

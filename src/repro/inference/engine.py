@@ -27,6 +27,7 @@ placement are purely operational knobs.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -37,18 +38,12 @@ import numpy as np
 
 from ..evaluation.metrics import top_k_indices
 from ..models.base import GraphHerbRecommender
-from .backends import ComputeBackend, get_backend
+from .backends import get_backend
+from .options import EngineOptions
 from .retrieval import ApproxHerbIndex, RetrievalReport
 from .sharding import ShardedHerbIndex
 
-__all__ = ["InferenceEngine", "Recommendation", "MAX_CACHED_INDEX_VERSIONS", "RETRIEVAL_MODES"]
-
-#: Valid values for ``InferenceEngine(retrieval=...)``: ``"exact"`` scans the
-#: full vocabulary per request (the default, and the oracle); ``"approx"``
-#: serves top-k through the two-stage :class:`~repro.inference.retrieval.
-#: ApproxHerbIndex` (int8 first pass, exact tile re-rank, per-request exact
-#: fallback).
-RETRIEVAL_MODES = ("exact", "approx")
+__all__ = ["InferenceEngine", "Recommendation", "MAX_CACHED_INDEX_VERSIONS"]
 
 #: How many parameter versions of the shard index the engine keeps.  Serving
 #: only ever scores against the latest version; one predecessor is kept so
@@ -92,62 +87,31 @@ def ranked_prefixes(
 class InferenceEngine:
     """Serve herb scores and top-k recommendations from cached embeddings.
 
-    ``num_shards``/``backend`` select the sharded scoring path: ``backend``
-    accepts a registered name (``"numpy"``, ``"threads"``, ``"processes"``,
-    ``"remote"``) or a :class:`~repro.inference.backends.ComputeBackend`
-    instance; ``num_workers`` sizes the pooled backends and ``worker_addrs``
-    lists the ``host:port`` shard workers for ``"remote"``.  With the default
-    ``num_shards=1`` everything flows through ``model.score_sets`` unchanged.
-
-    ``retrieval="approx"`` serves top-k through the two-stage
-    :class:`~repro.inference.retrieval.ApproxHerbIndex` (int8-quantized first
-    pass keeping ``candidate_factor * k`` survivors, exact fixed-tile
-    re-rank, optional IVF partition via ``num_lists``/``nprobe``) — sub-linear
-    in vocabulary size, with per-request fallback to the exact index whenever
-    the candidate pool cannot certify ``k`` results.  The default
-    ``retrieval="exact"`` is the oracle and stays bit-identical regardless of
-    any of these knobs.
+    Every serving knob lives in one :class:`~repro.inference.options.
+    EngineOptions`, kept as :attr:`options`: pass ``options=``, or its field
+    names as keywords (``InferenceEngine(model, num_shards=4)``), which are
+    folded in and validated once.  With the defaults everything flows through
+    ``model.score_sets`` unchanged; ``retrieval="approx"`` serves top-k
+    through the two-stage :class:`~repro.inference.retrieval.ApproxHerbIndex`,
+    with per-request fallback to the exact index whenever the candidate pool
+    cannot certify ``k`` results.  ``retrieval="exact"`` is the oracle and
+    stays bit-identical whatever the other knobs say.
     """
 
     def __init__(
-        self,
-        model: GraphHerbRecommender,
-        batch_size: int = 1024,
-        num_shards: int = 1,
-        backend: Union[str, ComputeBackend, None] = None,
-        num_workers: Optional[int] = None,
-        worker_addrs: Optional[Sequence[str]] = None,
-        retrieval: str = "exact",
-        candidate_factor: int = 4,
-        num_lists: int = 0,
-        nprobe: int = 1,
-        retrieval_seed: int = 0,
+        self, model: GraphHerbRecommender, options: Optional[EngineOptions] = None, **knobs: Any
     ) -> None:
         if not isinstance(model, GraphHerbRecommender):
             raise TypeError(
                 f"InferenceEngine requires a GraphHerbRecommender, got {type(model).__name__}"
             )
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        if retrieval not in RETRIEVAL_MODES:
-            raise ValueError(f"retrieval must be one of {RETRIEVAL_MODES}, got {retrieval!r}")
-        if candidate_factor < 1:
-            raise ValueError("candidate_factor must be >= 1")
-        if num_lists < 0:
-            raise ValueError("num_lists must be >= 0")
-        if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
         self.model = model
-        self.batch_size = batch_size
-        self.num_shards = num_shards
-        self.retrieval = retrieval
-        self.candidate_factor = int(candidate_factor)
-        self.num_lists = int(num_lists)
-        self.nprobe = int(nprobe)
-        self.retrieval_seed = int(retrieval_seed)
-        self.backend = get_backend(backend, num_workers=num_workers, worker_addrs=worker_addrs)
+        self.options = dataclasses.replace(options or EngineOptions(), **knobs)
+        self.backend = get_backend(
+            self.options.backend,
+            num_workers=self.options.num_workers,
+            worker_addrs=self.options.worker_addrs,
+        )
         # The sharded fast path re-implements only the *base* scoring recipe
         # (encode_syndrome + tile matmuls).  A subclass that overrides
         # score_sets defines its own notion of a score, so sharding must
@@ -188,7 +152,7 @@ class InferenceEngine:
         recipe, so a custom ``score_sets`` must keep answering (bit-identity
         with the model's own answers beats fanning out the wrong formula).
         """
-        return self.num_shards > 1 and self._base_scoring
+        return self.options.num_shards > 1 and self._base_scoring
 
     @property
     def retrieval_active(self) -> bool:
@@ -199,7 +163,7 @@ class InferenceEngine:
         the base scoring recipe, so a custom score definition keeps answering
         exactly rather than being pruned by the wrong formula.
         """
-        return self.retrieval == "approx" and self._base_scoring
+        return self.options.retrieval == "approx" and self._base_scoring
 
     def warm_up(self) -> "InferenceEngine":
         """Force the propagation (and index builds) now, before taking traffic."""
@@ -257,7 +221,7 @@ class InferenceEngine:
         version = self.model.parameter_version()
         index = self._index_cache.get(version)
         if index is None:
-            index = ShardedHerbIndex.from_model(self.model, num_shards=self.num_shards)
+            index = ShardedHerbIndex.from_model(self.model, num_shards=self.options.num_shards)
             self._index_cache[version] = index
             while len(self._index_cache) > MAX_CACHED_INDEX_VERSIONS:
                 _, stale = self._index_cache.popitem(last=False)
@@ -273,10 +237,9 @@ class InferenceEngine:
         if approx is None:
             approx = ApproxHerbIndex(
                 index.snapshot,
-                candidate_factor=self.candidate_factor,
-                num_lists=self.num_lists,
-                nprobe=self.nprobe,
-                seed=self.retrieval_seed,
+                candidate_factor=self.options.candidate_factor,
+                num_lists=self.options.num_lists,
+                nprobe=self.options.nprobe,
             )
             self._approx_cache[key] = approx
         return approx
@@ -338,16 +301,16 @@ class InferenceEngine:
             elif self._index_cache:
                 status["shards"] = next(reversed(self._index_cache.values())).num_shards
             else:
-                status["shards"] = self.num_shards
+                status["shards"] = self.options.num_shards
             status["cached_index_versions"] = len(self._index_cache)
             if self._retired:
                 status["draining_index_versions"] = len(self._retired)
             status["retrieval"] = "approx" if self.retrieval_active else "exact"
             if self.retrieval_active:
-                status["candidate_factor"] = self.candidate_factor
-                if self.num_lists >= 2:
-                    status["num_lists"] = self.num_lists
-                    status["nprobe"] = self.nprobe
+                status["candidate_factor"] = self.options.candidate_factor
+                if self.options.num_lists >= 2:
+                    status["num_lists"] = self.options.num_lists
+                    status["nprobe"] = self.options.nprobe
                 counters = self._retrieval_counters
                 status["approx_requests"] = counters.rows
                 status["approx_fallbacks"] = counters.fallback_rows
@@ -385,14 +348,14 @@ class InferenceEngine:
         self.model.cached_encode()
         if not self.sharding_active:
             rows: List[np.ndarray] = [
-                self.model.score_sets(symptom_sets[start : start + self.batch_size])
-                for start in range(0, len(symptom_sets), self.batch_size)
+                self.model.score_sets(symptom_sets[start : start + self.options.batch_size])
+                for start in range(0, len(symptom_sets), self.options.batch_size)
             ]
             return np.vstack(rows)
         rows = []
         with self._lease_index() as index:
-            for start in range(0, len(symptom_sets), self.batch_size):
-                chunk = symptom_sets[start : start + self.batch_size]
+            for start in range(0, len(symptom_sets), self.options.batch_size):
+                chunk = symptom_sets[start : start + self.options.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
                 rows.append(index.score(syndrome, backend=self.backend)[: len(chunk)])
         return np.asarray(np.vstack(rows), dtype=np.float64)
@@ -437,8 +400,8 @@ class InferenceEngine:
         k_max = min(max(ks), self.model.num_herbs)
         results: List[Recommendation] = []
         with self._lease_index() as index:
-            for start in range(0, len(symptom_sets), self.batch_size):
-                chunk = symptom_sets[start : start + self.batch_size]
+            for start in range(0, len(symptom_sets), self.options.batch_size):
+                chunk = symptom_sets[start : start + self.options.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
                 ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
                 results.extend(ranked_prefixes(ids, scores, ks[start : start + len(chunk)]))
@@ -460,8 +423,8 @@ class InferenceEngine:
         results: List[Recommendation] = []
         report = RetrievalReport()
         with self._lease_index(with_approx=True) as (index, approx):
-            for start in range(0, len(symptom_sets), self.batch_size):
-                chunk = symptom_sets[start : start + self.batch_size]
+            for start in range(0, len(symptom_sets), self.options.batch_size):
+                chunk = symptom_sets[start : start + self.options.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
                 rows, chunk_report = approx.topk(
                     syndrome,

@@ -36,8 +36,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..inference.options import EngineOptions
 from .checkpoint import (
     CheckpointError,
     checkpoint_fingerprint,
@@ -55,6 +56,10 @@ __all__ = [
     "ModelVersion",
     "answer",
 ]
+
+#: What an entry is served with: ``(scale, EngineOptions)``.  A ``None``
+#: scale loads each checkpoint at the scale recorded in its header.
+Serving = Tuple[Optional[str], EngineOptions]
 
 #: How many :class:`ModelVersion` records an entry keeps.  Rollout tooling
 #: wants recent history (what rolled, when, from which file); unbounded
@@ -198,21 +203,15 @@ class CanaryState:
 class CatalogEntry:
     """One named model slot: current pipeline, draining predecessors, history."""
 
-    def __init__(
-        self,
-        name: str,
-        pipeline,
-        version: ModelVersion,
-        serving_options: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def __init__(self, name: str, pipeline, version: ModelVersion, serving: Serving) -> None:
         self.name = name
         self._lock = threading.Lock()
         self._current = _Generation(pipeline)
         self._draining: List[_Generation] = []
         self.versions: List[ModelVersion] = [version]
-        #: keyword arguments a rollout re-applies to ``Pipeline.load`` so the
-        #: new generation serves with the same shards/backend/scale knobs.
-        self.serving_options: Dict[str, Any] = dict(serving_options or {})
+        #: ``(scale, EngineOptions)`` a rollout re-applies to ``Pipeline.load``
+        #: so the new generation serves at the same scale with the same knobs.
+        self.serving = serving
         self.canary: Optional[CanaryState] = None
         self.last_error: Optional[str] = None
 
@@ -310,13 +309,14 @@ class CatalogEntry:
 class ModelCatalog:
     """N named, versioned, hot-swappable serving entries behind one surface."""
 
-    def __init__(self, serving_defaults: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, serving_defaults: Serving = (None, EngineOptions())) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, CatalogEntry] = {}
         self._order: List[str] = []
         self._default_name: Optional[str] = None
-        #: options applied when ``publish`` creates a brand-new entry.
-        self.serving_defaults: Dict[str, Any] = dict(serving_defaults or {})
+        #: ``(scale, EngineOptions)`` for entries ``publish`` creates; a
+        #: ``None`` scale means the checkpoint's own.
+        self.serving_defaults = serving_defaults
         #: serializes rollouts: two concurrent publishes must not both build
         #: engines for the same entry and race the swap.
         self._publish_lock = threading.Lock()
@@ -355,12 +355,7 @@ class ModelCatalog:
             fingerprint=fingerprint,
             published_at=time.time(),
         )
-        entry = CatalogEntry(
-            name,
-            pipeline,
-            version,
-            serving_options=self._options_from_pipeline(pipeline),
-        )
+        entry = CatalogEntry(name, pipeline, version, (pipeline.scale, pipeline.options))
         with self._lock:
             if name in self._entries:
                 raise CatalogError(f"model {name!r} is already in the catalog")
@@ -369,20 +364,6 @@ class ModelCatalog:
             if default or self._default_name is None:
                 self._default_name = name
         return entry
-
-    @staticmethod
-    def _options_from_pipeline(pipeline) -> Dict[str, Any]:
-        return {
-            "scale": pipeline.scale,
-            "num_shards": pipeline.num_shards,
-            "backend": pipeline.backend,
-            "num_workers": pipeline.num_workers,
-            "worker_addrs": pipeline.worker_addrs,
-            "retrieval": pipeline.retrieval,
-            "candidate_factor": pipeline.candidate_factor,
-            "num_lists": pipeline.num_lists,
-            "nprobe": pipeline.nprobe,
-        }
 
     # -- reads ----------------------------------------------------------
     def names(self) -> List[str]:
@@ -444,20 +425,20 @@ class ModelCatalog:
         snapshots through the engine LRU), requests leased after it score on
         the new one.  Nothing is ever answered by a half-built engine.
 
-        Publishing an unknown ``name`` adds a new entry built with the
-        catalog's ``serving_defaults``.  Failures (missing/corrupt/mismatched
-        checkpoint) raise :class:`~repro.io.checkpoint.CheckpointError` /
-        :class:`CatalogError` and leave the entry serving exactly what it
-        served before.
+        Publishing an unknown ``name`` adds a new entry served with the
+        catalog's ``serving_defaults`` ``(scale, EngineOptions)``.  Failures
+        (missing/corrupt/mismatched checkpoint) raise
+        :class:`~repro.io.checkpoint.CheckpointError` / :class:`CatalogError`
+        and leave the entry serving exactly what it served before.
         """
         with self._publish_lock:
             path = validate_checkpoint_path(checkpoint_path)
             fingerprint = checkpoint_fingerprint(path)
             with self._lock:
                 entry = self._entries.get(name)
-            options = entry.serving_options if entry is not None else self.serving_defaults
+            serving = entry.serving if entry is not None else self.serving_defaults
             try:
-                pipeline = self._build_pipeline(path, options)
+                pipeline = self._build_pipeline(path, serving)
             except Exception as error:
                 if entry is not None:
                     entry.last_error = f"{type(error).__name__}: {error}"
@@ -469,7 +450,7 @@ class ModelCatalog:
                 published_at=time.time(),
             )
             if entry is None:
-                entry = CatalogEntry(name, pipeline, version, serving_options=options)
+                entry = CatalogEntry(name, pipeline, version, serving)
                 with self._lock:
                     self._entries[name] = entry
                     self._order.append(name)
@@ -480,24 +461,14 @@ class ModelCatalog:
             return version
 
     @staticmethod
-    def _build_pipeline(path: Path, options: Dict[str, Any]):
+    def _build_pipeline(path: Path, serving: Serving):
         # lazy import: repro.api imports repro.io.checkpoint, so a module-level
         # import here would be circular through the package __init__
         from ..api import Pipeline
         from ..models.base import GraphHerbRecommender
 
-        pipeline = Pipeline.load(
-            path,
-            scale=options.get("scale"),
-            num_shards=options.get("num_shards", 1),
-            backend=options.get("backend"),
-            num_workers=options.get("num_workers"),
-            worker_addrs=options.get("worker_addrs"),
-            retrieval=options.get("retrieval", "exact"),
-            candidate_factor=options.get("candidate_factor", 4),
-            num_lists=options.get("num_lists", 0),
-            nprobe=options.get("nprobe", 1),
-        )
+        scale, options = serving
+        pipeline = Pipeline.load(path, scale=scale, options=options)
         if isinstance(pipeline.model, GraphHerbRecommender):
             pipeline.engine  # noqa: B018 — warm propagation + shard index pre-swap
         return pipeline
@@ -511,7 +482,7 @@ class ModelCatalog:
         with self._publish_lock:
             path = validate_checkpoint_path(checkpoint_path)
             fingerprint = checkpoint_fingerprint(path)
-            pipeline = self._build_pipeline(path, entry.serving_options)
+            pipeline = self._build_pipeline(path, entry.serving)
             canary = CanaryState(
                 pipeline, fraction, checkpoint_path=str(path), fingerprint=fingerprint
             )

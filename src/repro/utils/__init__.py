@@ -1,6 +1,5 @@
-"""Small shared utilities (seeding, timing, console logging)."""
+"""Small shared utilities (seeding)."""
 
 from .seeding import SeedSequenceFactory, new_rng, seed_everything
-from .timing import Timer
 
-__all__ = ["new_rng", "seed_everything", "SeedSequenceFactory", "Timer"]
+__all__ = ["new_rng", "seed_everything", "SeedSequenceFactory"]

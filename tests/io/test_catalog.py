@@ -174,8 +174,8 @@ class TestPublish:
             )
             catalog.publish("sharded", checkpoints["b"])
             rolled = catalog.entry("sharded").pipeline
-            assert rolled.num_shards == 2
-            assert rolled.backend == "threads"
+            assert rolled.options.num_shards == 2
+            assert rolled.options.backend == "threads"
         finally:
             catalog.close()
 
@@ -331,8 +331,8 @@ class TestApproxRetrievalRollout:
                 assert answer(old_pipeline) == answer(fresh_a)
             assert old_engine._approx_cache == {}, "drained engine kept a quantized index"
             rolled = catalog.entry("approx").pipeline
-            assert rolled.retrieval == "approx"
-            assert rolled.candidate_factor == 2
+            assert rolled.options.retrieval == "approx"
+            assert rolled.options.candidate_factor == 2
             assert catalog_answer(catalog, "approx") == answer(fresh_b)
             status = rolled.engine.backend_status()
             assert status["retrieval"] == "approx"

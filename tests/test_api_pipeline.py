@@ -89,7 +89,7 @@ class TestShardedPipeline:
         sharded._model = fitted.model  # share the fitted model; knobs are serving-only
         engine = sharded.engine
         try:
-            assert engine.num_shards == 4
+            assert engine.options.num_shards == 4
             assert engine.backend.name == "threads"
             queries = ["0 3", [1], "2 4 5"]
             assert sharded.recommend_many(queries, k=6) == fitted.recommend_many(queries, k=6)
@@ -196,9 +196,9 @@ class TestSaveLoad:
     def test_load_accepts_sharding_knobs(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "m.npz")
         loaded = Pipeline.load(path, num_shards=3, backend="threads", num_workers=2)
-        assert loaded.num_shards == 3
+        assert loaded.options.num_shards == 3
         engine = loaded.engine
-        assert engine.num_shards == 3
+        assert engine.options.num_shards == 3
         assert engine.backend.name == "threads"
         assert loaded.recommend("0 3", k=5) == fitted.recommend("0 3", k=5)
         engine.close()

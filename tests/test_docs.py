@@ -41,3 +41,18 @@ def test_docs_carry_runnable_python_quickstarts():
         if line.startswith("docs/") and line.endswith(": python")
     ]
     assert len(runnable) >= 2, f"expected runnable docs snippets, saw:\n{result.stdout}"
+
+
+def test_serving_flag_table_lists_every_engine_option():
+    import dataclasses
+
+    from repro.inference import EngineOptions
+
+    serving = (ROOT / "docs" / "SERVING.md").read_text(encoding="utf-8")
+    table_flags = {
+        line.split("`")[1].split()[0]
+        for line in serving.splitlines()
+        if line.startswith("| `--")
+    }
+    for knob in dataclasses.fields(EngineOptions):
+        assert knob.metadata["flag"] in table_flags, knob.metadata["flag"]

@@ -1,11 +1,9 @@
-"""Tests for the shared utilities (seeding and timing)."""
-
-import time
+"""Tests for the shared utilities (seeding)."""
 
 import numpy as np
 import pytest
 
-from repro.utils import SeedSequenceFactory, Timer, new_rng, seed_everything
+from repro.utils import SeedSequenceFactory, new_rng, seed_everything
 
 
 class TestSeeding:
@@ -35,20 +33,3 @@ class TestSeeding:
         first = SeedSequenceFactory(3).spawn().random(4)
         second = SeedSequenceFactory(3).spawn().random(4)
         np.testing.assert_array_equal(first, second)
-
-
-class TestTimer:
-    def test_context_manager_measures_time(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_manual_start_stop(self):
-        timer = Timer().start()
-        elapsed = timer.stop()
-        assert elapsed >= 0.0
-        assert timer.elapsed == elapsed
