@@ -41,11 +41,11 @@ through a pluggable compute backend: serial ``numpy``, a ``threads`` pool, a
 ``processes`` pool (weights in shared memory), or ``remote`` shard workers
 (``--worker-addr host:port``, one per running ``repro shard-worker``);
 answers are bit-identical whatever the placement — see docs/SERVING.md.
-``--retrieval approx`` (tuned by the candidate-factor and IVF flags) swaps
-the exhaustive top-k scan for the two-stage int8-first-pass +
-exact-re-rank tier: sub-linear in vocabulary size, returned scores still
-bit-exact, per-request fallback to exact when the candidate pool cannot
-certify ``k`` results.
+``--retrieval approx`` (with ``--candidate-factor``/``--num-lists``/
+``--nprobe``) swaps the exhaustive top-k scan for the two-stage
+int8-first-pass + exact-re-rank tier: sub-linear in vocabulary size,
+returned scores still bit-exact, per-request fallback to exact when the
+candidate pool cannot certify ``k`` results.
 
 ``shard-worker`` runs one such worker: a model-free scoring server that
 receives weight snapshots and shard tasks over TCP.
@@ -92,7 +92,7 @@ examples:
   repro serve --checkpoint smgcn.npz --port 7654 --frontend threads
   repro serve --checkpoint smgcn.npz --shards 4 --backend processes --workers 4
   repro serve --checkpoint smgcn.npz --retrieval approx --candidate-factor 4
-  repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64   # IVF lists
+  repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64 --nprobe 8
   repro shard-worker --port 7801      # one model-free scoring worker
   repro serve --checkpoint smgcn.npz --shards 4 --backend remote \\
       --worker-addr 127.0.0.1:7801 --worker-addr 127.0.0.1:7802
@@ -680,6 +680,7 @@ def _open_catalog(args, extra_paths=()):
     clear error before any corpus is built, socket bound or worker pool
     spawned.  Bad flags raise for the caller to report.
     """
+    from .io.catalog import ModelCatalog, warm_pipeline
     from .io.checkpoint import validate_checkpoint_path
 
     plain_model, model_specs = _parse_model_specs(args.model)
@@ -689,33 +690,14 @@ def _open_catalog(args, extra_paths=()):
     for path in paths + ([args.checkpoint] if args.checkpoint else []):
         validate_checkpoint_path(path)
     args.model = plain_model  # _load_or_none/_build_pipeline take one plain name
-    return _build_catalog(args, model_specs), model_specs
-
-
-def _build_catalog(args, model_specs):
-    """A warmed :class:`~repro.io.catalog.ModelCatalog` for ``args``' engine flags."""
-    from .api import Pipeline
-    from .io.catalog import ModelCatalog
-    from .models.base import GraphHerbRecommender
-
-    def warm(pipeline) -> None:
-        if isinstance(pipeline.model, GraphHerbRecommender):
-            pipeline.engine  # noqa: B018 — warm the propagation before traffic
-
     # ``reload <new-name>`` publishes with the same scale and engine flags
     catalog = ModelCatalog(serving_defaults=(args.scale, args.engine_options))
-    if not model_specs:
-        pipeline = _load_or_none(args)
-        if pipeline is None:
-            pipeline = _build_pipeline(args)
-        warm(pipeline)
-        catalog.add(pipeline.model_name, pipeline, checkpoint_path=args.checkpoint)
-        return catalog
     for name, path in model_specs:
-        pipeline = Pipeline.load(path, scale=args.scale, options=args.engine_options)
-        warm(pipeline)
-        catalog.add(name, pipeline, checkpoint_path=path)
-    return catalog
+        catalog.add(name, catalog.load_pipeline(path), checkpoint_path=path)
+    if not model_specs:
+        pipeline = warm_pipeline(_load_or_none(args) or _build_pipeline(args))
+        catalog.add(pipeline.model_name, pipeline, checkpoint_path=args.checkpoint)
+    return catalog, model_specs
 
 
 def _run_serve(args) -> int:
@@ -755,17 +737,6 @@ def _run_serve(args) -> int:
     except (ValueError, KeyError, OSError, CheckpointError, CatalogError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    watch_targets = dict(model_specs)
-    if args.checkpoint:
-        watch_targets[catalog.default_name] = args.checkpoint
-    if args.watch and not watch_targets:
-        print(
-            "error: --watch needs checkpoint-backed entries "
-            "(--checkpoint or --model NAME=checkpoint.npz)",
-            file=sys.stderr,
-        )
-        catalog.close()
-        return 2
     from .serving import (
         CatalogControl,
         MicroBatcher,
@@ -792,6 +763,19 @@ def _run_serve(args) -> int:
     )
     watcher = None
     if args.watch:
+        watch_targets = dict(model_specs)
+        if args.checkpoint:
+            watch_targets[catalog.default_name] = args.checkpoint
+        if not watch_targets:
+            print(
+                "error: --watch needs checkpoint-backed entries "
+                "(--checkpoint or --model NAME=checkpoint.npz)",
+                file=sys.stderr,
+            )
+            batcher.close(drain=False)
+            stats.set_backend_info(None)
+            catalog.close()
+            return 2
         watcher = CheckpointWatcher(catalog, interval_s=args.watch_interval)
         for name, path in watch_targets.items():
             watcher.watch(name, path)

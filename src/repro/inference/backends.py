@@ -58,6 +58,7 @@ __all__ = [
     "ShardTask",
     "ThreadPoolBackend",
     "available_backends",
+    "check_backend_spec",
     "default_worker_count",
     "execute_shard_task",
     "get_backend",
@@ -223,8 +224,8 @@ def register_backend(name: str):
     """Class decorator: make a :class:`ComputeBackend` selectable by ``name``.
 
     The decorated class must accept ``num_workers`` and ``worker_addrs`` as
-    optional keywords (backends ignore — or refuse — the ones that do not
-    apply to them).  Registering an already-taken name raises, so built-ins
+    optional keywords; :func:`get_backend` checks them with
+    :func:`check_backend_spec` first.  Registering an already-taken name raises, so built-ins
     cannot be shadowed silently.
     """
 
@@ -263,24 +264,61 @@ def get_backend(
     backends; ``worker_addrs`` lists ``host:port`` shard workers for the
     ``"remote"`` backend (and is refused by the others).
     """
-    _ensure_builtin_backends()
-    if backend is None:
-        backend = "numpy"
     if isinstance(backend, ComputeBackend):
         return backend
-    try:
-        factory = _BACKEND_FACTORIES[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown compute backend {backend!r}; available: {', '.join(available_backends())}"
-        ) from None
-    return factory(num_workers=num_workers, worker_addrs=worker_addrs)
+    check_backend_spec(backend, num_workers, worker_addrs)
+    return _BACKEND_FACTORIES[backend or "numpy"](
+        num_workers=num_workers, worker_addrs=worker_addrs
+    )
 
 
-def _refuse_worker_addrs(name: str, worker_addrs) -> None:
-    if worker_addrs:
+def check_backend_spec(
+    backend: Union[str, ComputeBackend, None],
+    num_workers: Optional[int] = None,
+    worker_addrs: Optional[Sequence[Any]] = None,
+    label: Optional[Callable[..., str]] = None,
+) -> None:
+    """Refuse a backend spec that cannot be built: the one home of these rules.
+
+    A name must be registered (``None`` is ``"numpy"``), ``num_workers``
+    positive, and ``worker_addrs`` (valid ``host:port`` entries, one per
+    worker) goes with ``"remote"`` and nothing else.  An instance passes.
+    ``label(knob)``/``label(knob, value)`` names a knob in the messages.
+    """
+    label = label or (lambda knob, value=None: knob if value is None else f"{knob}={value!r}")
+    if isinstance(backend, ComputeBackend):
+        return
+    name = "numpy" if backend is None else backend
+    if name not in available_backends():
         raise ValueError(
-            f"worker_addrs only applies to the 'remote' backend, not {name!r}"
+            f"{label('backend')}: unknown backend {name!r}; "
+            f"available: {', '.join(available_backends())}"
+        )
+    if num_workers is not None and num_workers <= 0:
+        raise ValueError(f"{label('num_workers')} must be a positive integer")
+    if name != "remote":
+        if worker_addrs:
+            raise ValueError(
+                f"{label('worker_addrs')} only applies to {label('backend', 'remote')}, "
+                f"not {name!r}"
+            )
+        return
+    if not worker_addrs:
+        raise ValueError(
+            f"{label('backend', 'remote')} needs at least one {label('worker_addrs')} "
+            "entry: the host:port of a running `repro shard-worker`"
+        )
+    from .distributed import parse_worker_addr
+
+    for addr in worker_addrs:
+        try:
+            parse_worker_addr(addr)
+        except ValueError as error:
+            raise ValueError(f"{label('worker_addrs')}: {error}") from None
+    if num_workers is not None and num_workers != len(worker_addrs):
+        raise ValueError(
+            f"{label('num_workers', num_workers)} conflicts with {len(worker_addrs)} "
+            f"{label('worker_addrs')} entries; omit it for the remote backend"
         )
 
 
@@ -290,8 +328,7 @@ class NumpyBackend(ComputeBackend):
 
     def __init__(self, num_workers: Optional[int] = None, worker_addrs=None) -> None:
         # ``num_workers`` is accepted for factory uniformity; serial by design.
-        del num_workers
-        _refuse_worker_addrs("numpy", worker_addrs)
+        check_backend_spec(self.name, num_workers, worker_addrs)
 
     def run_tasks(
         self, snapshot: WeightSnapshot, tasks: Sequence[ShardTask]
@@ -312,9 +349,7 @@ class ThreadPoolBackend(ComputeBackend):
     """
 
     def __init__(self, num_workers: Optional[int] = None, worker_addrs=None) -> None:
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        _refuse_worker_addrs("threads", worker_addrs)
+        check_backend_spec(self.name, num_workers, worker_addrs)
         self.num_workers = num_workers if num_workers is not None else default_worker_count()
         self._executor: Optional[ThreadPoolExecutor] = None
 

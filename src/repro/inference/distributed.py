@@ -67,7 +67,7 @@ from .backends import (
     ComputeBackend,
     ShardTask,
     _check_task_keys,
-    _refuse_worker_addrs,
+    check_backend_spec,
     default_worker_count,
     execute_shard_task,
     register_backend,
@@ -314,9 +314,7 @@ class ProcessPoolBackend(ComputeBackend):
         worker_addrs=None,
         start_method: Optional[str] = None,
     ) -> None:
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        _refuse_worker_addrs("processes", worker_addrs)
+        check_backend_spec(self.name, num_workers, worker_addrs)
         self.num_workers = num_workers if num_workers is not None else default_worker_count()
         self._start_method = (
             start_method if start_method is not None else _default_start_method()
@@ -543,19 +541,10 @@ class RemoteBackend(ComputeBackend):
         worker_addrs: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
         timeout_s: float = 30.0,
     ) -> None:
-        if not worker_addrs:
-            raise ValueError(
-                "remote backend needs worker_addrs — the host:port of at least one "
-                "running `repro shard-worker`"
-            )
+        check_backend_spec(self.name, num_workers, worker_addrs)
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         addresses = [parse_worker_addr(addr) for addr in worker_addrs]
-        if num_workers is not None and num_workers != len(addresses):
-            raise ValueError(
-                f"num_workers={num_workers} conflicts with {len(addresses)} worker_addrs; "
-                "omit num_workers for the remote backend"
-            )
         self.num_workers = len(addresses)
         self.timeout_s = float(timeout_s)
         self._workers = [_RemoteWorker(host, port, self.timeout_s) for host, port in addresses]

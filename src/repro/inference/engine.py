@@ -106,12 +106,8 @@ class InferenceEngine:
                 f"InferenceEngine requires a GraphHerbRecommender, got {type(model).__name__}"
             )
         self.model = model
-        self.options = dataclasses.replace(options or EngineOptions(), **knobs)
-        self.backend = get_backend(
-            self.options.backend,
-            num_workers=self.options.num_workers,
-            worker_addrs=self.options.worker_addrs,
-        )
+        options = self.options = dataclasses.replace(options or EngineOptions(), **knobs)
+        self.backend = get_backend(options.backend, options.num_workers, options.worker_addrs)
         # The sharded fast path re-implements only the *base* scoring recipe
         # (encode_syndrome + tile matmuls).  A subclass that overrides
         # score_sets defines its own notion of a score, so sharding must

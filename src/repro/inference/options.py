@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
-from .backends import ComputeBackend, available_backends
+from .backends import ComputeBackend, check_backend_spec
 
 __all__ = ["EngineOptions", "FIELD_NAMES", "RETRIEVAL_MODES"]
 
@@ -26,91 +26,103 @@ RETRIEVAL_MODES = ("exact", "approx")
 
 
 def _knob(
-    default: Any, flag: str, help_text: str, minimum: Optional[int] = None, **argparse_kwargs: Any
+    field_default: Any,
+    flag: Optional[str] = None,
+    help_text: Optional[str] = None,
+    minimum: Optional[int] = None,
+    **argparse_kwargs: Any,
 ) -> Any:
-    """A dataclass field that also knows its flag; ``minimum`` makes it an integer knob."""
+    """A dataclass field that also knows its flag; ``minimum`` makes it an integer knob.
+
+    A field without a flag is library-only: no command takes it.
+    """
     if minimum is not None:
         argparse_kwargs.setdefault("type", int)
     metadata = {"flag": flag, "help": help_text, "minimum": minimum, "argparse": argparse_kwargs}
-    return field(default=default, metadata=metadata)
+    return field(default=field_default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class EngineOptions:
     """The inference engine's serving knobs, validated on construction.
 
-    ``num_shards``/``backend`` select the sharded scoring path: ``backend``
-    is a registered name (``"numpy"``, ``"threads"``, ``"processes"``,
-    ``"remote"``) or a :class:`~repro.inference.backends.ComputeBackend`
-    instance; ``num_workers`` sizes the pooled backends and ``worker_addrs``
-    lists the ``host:port`` shard workers for ``"remote"``.
-    ``retrieval="approx"`` serves top-k through the two-stage approximate
-    tier, keeping ``candidate_factor * k`` first-pass survivors and, with
-    ``num_lists >= 2``, probing ``nprobe`` IVF lists per request.
+    Each field's help text (its flag's ``--help``) says what it does;
+    ``backend`` also takes a :class:`~repro.inference.backends.ComputeBackend`
+    instance.  ``batch_size`` (symptom sets per scoring chunk: it bounds
+    memory, never answers) is library-only, so it has no flag.
 
-    Every error message names the field and its flag.  The library accepts
-    knobs that the chosen path ignores (an exact engine with approx knobs
-    stays the exact oracle); only :meth:`from_args` refuses such flags.
-    Callers taking both ``options`` and field-name keywords fold them in
-    with ``dataclasses.replace(options or EngineOptions(), **knobs)``, which
+    Every error message names the field and its flag.  The backend rules are
+    :func:`~repro.inference.backends.check_backend_spec`'s, which every
+    backend constructor runs too.  The library accepts knobs that the chosen
+    path ignores (an exact engine with approx knobs stays the exact oracle);
+    only :meth:`from_args` refuses such flags.  Callers taking both
+    ``options`` and field-name keywords fold them in with
+    ``dataclasses.replace(options or EngineOptions(), **knobs)``, which
     validates the result once; an unknown name raises ``TypeError``.
     """
 
-    batch_size: int = _knob(
-        1024,
-        "--batch-size",
-        "symptom sets scored per engine chunk; bounds memory, never answers (default: 1024)",
-        minimum=1,
-    )
+    batch_size: int = _knob(1024, minimum=1)
     num_shards: int = _knob(
         1,
         "--shards",
-        "split the herb embeddings into N column shards; answers stay bit-identical (default: 1)",
+        "split the herb embeddings into this many column shards for "
+        "scoring/top-k; answers stay bit-identical (default: 1)",
         minimum=1,
     )
     backend: Union[str, ComputeBackend, None] = _knob(
         None,
         "--backend",
-        "shard compute backend: numpy (serial, the default), threads, processes "
-        "(shared memory), remote (--worker-addr workers) or any registered name",
+        "compute backend for shard scoring: 'numpy' (serial BLAS, the "
+        "default), 'threads' (thread pool), 'processes' (process pool over "
+        "shared memory), 'remote' (shard-worker servers via --worker-addr), "
+        "or any registered backend name",
     )
     num_workers: Optional[int] = _knob(
         None,
         "--workers",
-        "worker count for --backend threads/processes (default: the schedulable CPU count)",
-        minimum=1,
+        "worker count for --backend threads/processes (default: the "
+        "schedulable CPU count)",
+        type=int,
     )
     worker_addrs: Tuple[str, ...] = _knob(
         (),
         "--worker-addr",
-        "a running `repro shard-worker` (repeat per worker; requires --backend remote)",
+        "address of a running `repro shard-worker` (repeat once per "
+        "worker; requires --backend remote)",
         action="append",
+        default=None,  # an append action must not start from a shared default
         metavar="HOST:PORT",
     )
     retrieval: str = _knob(
         "exact",
         "--retrieval",
-        "top-k path: exact (full scan, the default oracle) or approx (int8 first "
-        "pass, exact re-rank of its survivors, exact fallback per request)",
+        "top-k retrieval mode: 'exact' scans every herb per request "
+        "(default, the bit-exact oracle); 'approx' runs an int8-quantized "
+        "first pass keeping candidate_factor*k survivors and re-scores them "
+        "with the exact fixed-tile arithmetic, falling back to exact per "
+        "request whenever the pool cannot certify k results",
         choices=RETRIEVAL_MODES,
     )
     candidate_factor: int = _knob(
         4,
         "--candidate-factor",
-        "approx: the first pass keeps candidate-factor*k herbs per request (default: 4)",
+        "survivor-pool multiplier for --retrieval approx: the first "
+        "pass keeps candidate-factor*k herbs per request (default: 4)",
         minimum=1,
     )
     num_lists: int = _knob(
         0,
         "--num-lists",
-        "approx: k-means the herbs into N IVF lists and scan only the --nprobe "
-        "closest (default: 0 = full int8 scan)",
+        "IVF coarse-partition size for --retrieval approx: k-means the "
+        "herb embeddings into this many lists so each query scans only the "
+        "--nprobe closest ones (default: 0 = full int8 scan)",
         minimum=0,
     )
     nprobe: int = _knob(
         1,
         "--nprobe",
-        "approx: IVF lists probed per request (default: 1; at most --num-lists)",
+        "how many IVF lists to probe per request with --num-lists "
+        "(default: 1; clamped to the number of lists)",
         minimum=1,
     )
 
@@ -120,50 +132,25 @@ class EngineOptions:
         object.__setattr__(self, "worker_addrs", tuple(self.worker_addrs or ()))
         for knob in dataclasses.fields(self):
             least, value = knob.metadata["minimum"], getattr(self, knob.name)
-            # a None num_workers means "the default count"
-            if least is not None and value is not None and value < least:
+            if least is not None and value < least:
                 bound = "a positive integer" if least == 1 else f">= {least}"
                 raise ValueError(f"{_label(knob.name)} must be {bound}")
         if self.retrieval not in RETRIEVAL_MODES:
             raise ValueError(
                 f"{_label('retrieval')} must be one of {RETRIEVAL_MODES}, got {self.retrieval!r}"
             )
-        if isinstance(self.backend, str) and self.backend not in available_backends():
-            raise ValueError(
-                f"{_label('backend')}: unknown backend {self.backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
-        if self.backend == "remote" and not self.worker_addrs:
-            raise ValueError(
-                "backend='remote' (--backend remote) needs at least one "
-                f"{_label('worker_addrs')} entry (start workers with `repro shard-worker`)"
-            )
-        if self.worker_addrs:
-            if self.backend != "remote":
-                raise ValueError(
-                    f"{_label('worker_addrs')} requires backend='remote' (--backend remote)"
-                )
-            from .distributed import parse_worker_addr  # lazy: it imports repro.io
-
-            for addr in self.worker_addrs:
-                try:
-                    parse_worker_addr(addr)
-                except ValueError as error:
-                    raise ValueError(f"{_label('worker_addrs')}: {error}") from None
+        check_backend_spec(self.backend, self.num_workers, self.worker_addrs, label=_label)
 
     # ------------------------------------------------------------------
     # Command-line adapter
     # ------------------------------------------------------------------
     @classmethod
     def add_arguments(cls, parser: argparse.ArgumentParser) -> None:
-        """Register one flag per field on ``parser``."""
+        """Register one flag per field that has one on ``parser``."""
         for knob in dataclasses.fields(cls):
-            extra = dict(knob.metadata["argparse"])
-            # an append action must start from None, never a shared default
-            default = None if extra.get("action") == "append" else knob.default
-            parser.add_argument(
-                knob.metadata["flag"], default=default, help=knob.metadata["help"], **extra
-            )
+            if knob.metadata["flag"] is not None:
+                extra = {"default": knob.default, "help": knob.metadata["help"]}
+                parser.add_argument(knob.metadata["flag"], **{**extra, **knob.metadata["argparse"]})
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "EngineOptions":
@@ -175,7 +162,7 @@ class EngineOptions:
         (one worker per address), and the approx knobs need
         ``--retrieval approx``.
         """
-        options = cls(**{name: getattr(args, _dest(name)) for name in FIELD_NAMES})
+        options = cls(**{name: getattr(args, _dest(flag)) for name, flag in _FLAGS.items() if flag})
         # approx retrieval runs its exact re-rank through the backend even
         # with one shard, so the backend knobs stay meaningful there
         uses_backend = options.num_shards > 1 or options.retrieval == "approx"
@@ -203,11 +190,14 @@ FIELD_NAMES = tuple(knob.name for knob in dataclasses.fields(EngineOptions))
 _FLAGS = {knob.name: knob.metadata["flag"] for knob in dataclasses.fields(EngineOptions)}
 
 
-def _label(name: str) -> str:
-    """``"num_shards (--shards)"``: how a message names one option."""
-    return f"{name} ({_FLAGS[name]})"
+def _label(name: str, value: Any = None) -> str:
+    """``num_shards (--shards)``; with a value, ``backend='remote' (--backend remote)``."""
+    flag = _FLAGS[name]
+    if value is not None:
+        return f"{name}={value!r} ({flag} {value})"
+    return f"{name} ({flag})" if flag else name
 
 
-def _dest(name: str) -> str:
-    """The argparse attribute a field's flag parses into."""
-    return _FLAGS[name].lstrip("-").replace("-", "_")
+def _dest(flag: str) -> str:
+    """The argparse attribute a flag parses into."""
+    return flag.lstrip("-").replace("-", "_")

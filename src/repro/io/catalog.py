@@ -55,6 +55,7 @@ __all__ = [
     "ModelCatalog",
     "ModelVersion",
     "answer",
+    "warm_pipeline",
 ]
 
 #: What an entry is served with: ``(scale, EngineOptions)``.  A ``None``
@@ -306,6 +307,16 @@ class CatalogEntry:
             canary.pipeline.close()
 
 
+def warm_pipeline(pipeline):
+    """``pipeline``, with a neural model's propagation and shard index built
+    so it never warms up on live traffic."""
+    from ..models.base import GraphHerbRecommender
+
+    if isinstance(pipeline.model, GraphHerbRecommender):
+        pipeline.engine  # noqa: B018 — building the engine warms it
+    return pipeline
+
+
 class ModelCatalog:
     """N named, versioned, hot-swappable serving entries behind one surface."""
 
@@ -438,7 +449,7 @@ class ModelCatalog:
                 entry = self._entries.get(name)
             serving = entry.serving if entry is not None else self.serving_defaults
             try:
-                pipeline = self._build_pipeline(path, serving)
+                pipeline = self.load_pipeline(path, serving)
             except Exception as error:
                 if entry is not None:
                     entry.last_error = f"{type(error).__name__}: {error}"
@@ -460,18 +471,15 @@ class ModelCatalog:
                 entry._swap(pipeline, version)
             return version
 
-    @staticmethod
-    def _build_pipeline(path: Path, serving: Serving):
+    def load_pipeline(self, path: Union[str, Path], serving: Optional[Serving] = None):
+        """A warmed pipeline for checkpoint ``path``, served with ``serving``
+        ``(scale, EngineOptions)`` or else the catalog's ``serving_defaults``."""
         # lazy import: repro.api imports repro.io.checkpoint, so a module-level
         # import here would be circular through the package __init__
         from ..api import Pipeline
-        from ..models.base import GraphHerbRecommender
 
-        scale, options = serving
-        pipeline = Pipeline.load(path, scale=scale, options=options)
-        if isinstance(pipeline.model, GraphHerbRecommender):
-            pipeline.engine  # noqa: B018 — warm propagation + shard index pre-swap
-        return pipeline
+        scale, options = serving or self.serving_defaults
+        return warm_pipeline(Pipeline.load(path, scale=scale, options=options))
 
     # -- canary ---------------------------------------------------------
     def set_canary(
@@ -482,7 +490,7 @@ class ModelCatalog:
         with self._publish_lock:
             path = validate_checkpoint_path(checkpoint_path)
             fingerprint = checkpoint_fingerprint(path)
-            pipeline = self._build_pipeline(path, entry.serving)
+            pipeline = self.load_pipeline(path, entry.serving)
             canary = CanaryState(
                 pipeline, fraction, checkpoint_path=str(path), fingerprint=fingerprint
             )

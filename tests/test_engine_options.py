@@ -1,7 +1,7 @@
 """``EngineOptions``: every engine knob declared, validated and passed once.
 
-The option table below is the contract: each field has one flag on every
-scoring command, a non-default value given as that flag reaches the live
+The option table below is the contract: each field with a flag has it on
+every scoring command, a non-default value given as that flag reaches the live
 engine, and it survives a rollout.  The reload regression pins the catalog's
 defaults to the server's own flags.
 """
@@ -19,6 +19,8 @@ from repro.serving import CatalogControl
 
 FIELDS = [knob.name for knob in dataclasses.fields(EngineOptions)]
 FLAGS = {knob.name: knob.metadata["flag"] for knob in dataclasses.fields(EngineOptions)}
+#: the fields a command line can set; the rest (batch_size) are library-only
+FLAGGED = [name for name in FIELDS if FLAGS[name]]
 COMMANDS = ("predict", "serve", "batch")
 
 
@@ -42,7 +44,6 @@ def option_cases(worker_addr):
     """field -> (flags giving it a non-default value, the value the engine sees)."""
     approx = ["--retrieval", "approx"]
     return {
-        "batch_size": (["--batch-size", "7"], 7),
         "num_shards": (["--shards", "2"], 2),
         "backend": (["--shards", "2", "--backend", "threads"], "threads"),
         "num_workers": (["--shards", "2", "--backend", "threads", "--workers", "2"], 2),
@@ -77,15 +78,18 @@ def subparser(command):
 
 class TestOptionTable:
     def test_cases_cover_every_field(self):
-        assert sorted(option_cases("h:1")) == sorted(FIELDS)
+        assert sorted(option_cases("h:1")) == sorted(FLAGGED)
+
+    def test_library_only_fields(self):
+        assert [name for name in FIELDS if name not in FLAGGED] == ["batch_size"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_field_has_a_flag(self, command):
         options = subparser(command)._option_string_actions
-        for name in FIELDS:
+        for name in FLAGGED:
             assert FLAGS[name] in options, f"{command} lacks {FLAGS[name]}"
 
-    @pytest.mark.parametrize("field_name", FIELDS)
+    @pytest.mark.parametrize("field_name", FLAGGED)
     def test_flag_value_reaches_the_engine_and_survives_publish(
         self, field_name, checkpoint, worker_addr
     ):
@@ -136,7 +140,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "knobs, message",
         [
-            ({"batch_size": 0}, "batch_size (--batch-size)"),
+            ({"batch_size": 0}, "batch_size must be a positive integer"),
             ({"num_shards": 0}, "num_shards (--shards) must be a positive integer"),
             ({"num_workers": 0}, "num_workers (--workers)"),
             ({"retrieval": "fuzzy"}, "retrieval (--retrieval)"),
@@ -146,6 +150,7 @@ class TestValidation:
             ({"backend": "cuda"}, "backend (--backend): unknown backend 'cuda'"),
             ({"backend": "remote"}, "worker_addrs (--worker-addr)"),
             ({"worker_addrs": ["h:1"]}, "(--backend remote)"),
+            ({"backend": "remote", "worker_addrs": ["h:1"], "num_workers": 2}, "conflicts"),
             ({"backend": "remote", "worker_addrs": ["nowhere"]}, "host:port"),
         ],
     )
