@@ -1,12 +1,12 @@
-"""Benchmark — C10K-style concurrency: event-loop vs thread-per-connection.
+"""Benchmark — C10K-style concurrency on the event-loop TCP front-end.
 
-Drives >= 1000 *simultaneously open* TCP connections against both serving
-front-ends from a single-threaded ``selectors`` client driver, measuring
+Drives >= 1000 *simultaneously open* TCP connections against the serving
+front-end from a single-threaded ``selectors`` client driver, measuring
 end-to-end throughput and client-observed p99 latency, and asserting every
 response is bit-identical to the sequential ``Pipeline.recommend`` oracle —
 concurrency must never change an answer.
 
-A second phase floods the async front-end far past a deliberately small
+A second phase floods the front-end far past a deliberately small
 ``max_pending`` budget (~2x the offered load the budget can hold) with
 shedding on, and asserts the overload contract: excess requests are refused
 with a fast ``error: overloaded``, while the p99 latency of the *accepted*
@@ -30,7 +30,6 @@ from repro.serving import (
     MicroBatcher,
     RecommendationHandler,
     ServerStats,
-    SocketServer,
 )
 
 NUM_CONNECTIONS = {"smoke": 1000, "default": 1500}
@@ -55,20 +54,17 @@ def _build():
     ).fit()
 
 
-def _serving_stack(pipeline, frontend, admission=None):
+def _serving_stack(pipeline, admission=None):
     stats = ServerStats()
     handler = RecommendationHandler(pipeline, k=K, stats=stats)
     batcher = MicroBatcher(
         handler, max_batch_size=MAX_BATCH, max_wait_ms=MAX_WAIT_MS, stats=stats
     )
-    if frontend == "threads":
-        server = SocketServer(batcher, stats=stats).start()
-    else:
-        server = AsyncSocketServer(
-            batcher,
-            stats=stats,
-            admission=admission or AdmissionController(max_connections=1 << 14),
-        ).start()
+    server = AsyncSocketServer(
+        batcher,
+        stats=stats,
+        admission=admission or AdmissionController(max_connections=1 << 14),
+    ).start()
     return server, batcher, stats
 
 
@@ -135,12 +131,12 @@ def _drive(address, plans, pipelined=False, deadline_s=300.0):
     return answers, latencies
 
 
-def _concurrency_phase(pipeline, frontend, oracle, num_connections):
+def _concurrency_phase(pipeline, oracle, num_connections):
     plans = [
         [QUERIES[(conn + r) % len(QUERIES)] for r in range(REQUESTS_PER_CONNECTION)]
         for conn in range(num_connections)
     ]
-    server, batcher, stats = _serving_stack(pipeline, frontend)
+    server, batcher, stats = _serving_stack(pipeline)
     try:
         started = time.perf_counter()
         answers, latencies = _drive(server.address, plans)
@@ -169,7 +165,7 @@ def _flood_phase(pipeline, oracle, num_connections):
         max_pending=FLOOD_MAX_PENDING,
         client_quota=FLOOD_PIPELINED,
     )
-    server, batcher, stats = _serving_stack(pipeline, "async", admission=admission)
+    server, batcher, stats = _serving_stack(pipeline, admission=admission)
     plans = [
         [QUERIES[(conn + r) % len(QUERIES)] for r in range(FLOOD_PIPELINED)]
         for conn in range(num_connections)
@@ -213,10 +209,7 @@ def measure(scale="smoke"):
     pipeline.engine  # warm the propagation outside the timed region
 
     results = {"scale": scale}
-    for frontend in ("async", "threads"):
-        results[frontend] = _concurrency_phase(
-            pipeline, frontend, oracle, NUM_CONNECTIONS[scale]
-        )
+    results["async"] = _concurrency_phase(pipeline, oracle, NUM_CONNECTIONS[scale])
     results["flood"] = _flood_phase(pipeline, oracle, FLOOD_CONNECTIONS[scale])
     return results
 
@@ -226,15 +219,14 @@ def _report(results):
         f"scale={results['scale']} "
         f"requests/conn={REQUESTS_PER_CONNECTION} max_batch={MAX_BATCH}"
     ]
-    for frontend in ("async", "threads"):
-        phase = results[frontend]
-        lines.append(
-            f"{frontend:>7}: {phase['connections']} concurrent connections, "
-            f"{phase['requests']} requests in {phase['seconds']:.2f}s "
-            f"({phase['rps']:.0f} req/s, p99 {phase['p99_ms']:.1f} ms, "
-            f"mean batch {phase['mean_batch_size']:.1f}) "
-            f"identical: {phase['identical']}"
-        )
+    phase = results["async"]
+    lines.append(
+        f"  async: {phase['connections']} concurrent connections, "
+        f"{phase['requests']} requests in {phase['seconds']:.2f}s "
+        f"({phase['rps']:.0f} req/s, p99 {phase['p99_ms']:.1f} ms, "
+        f"mean batch {phase['mean_batch_size']:.1f}) "
+        f"identical: {phase['identical']}"
+    )
     flood = results["flood"]
     lines.append(
         f"  flood: {flood['offered']} offered over {flood['connections']} connections "
@@ -249,11 +241,8 @@ def test_concurrency_and_overload(benchmark, bench_scale):
     from _bench_utils import record_report, run_once
 
     results = run_once(benchmark, lambda: measure(bench_scale))
-    record_report("C10K concurrency — event loop vs threads", _report(results))
-    for frontend in ("async", "threads"):
-        assert results[frontend]["identical"], (
-            f"{frontend} responses diverged from the sequential oracle"
-        )
+    record_report("C10K concurrency — event loop", _report(results))
+    assert results["async"]["identical"], "async responses diverged from the sequential oracle"
     flood = results["flood"]
     assert flood["mismatched"] == 0, "an accepted answer diverged under overload"
     assert flood["shed"] > 0, "the flood never exceeded the pending budget"
@@ -273,9 +262,8 @@ if __name__ == "__main__":
     # so a noisy shared CI runner cannot fail an unrelated PR (the pytest
     # harness above still asserts the bound).
     failures = []
-    for frontend in ("async", "threads"):
-        if not results[frontend]["identical"]:
-            failures.append(f"{frontend} responses diverged from the sequential oracle")
+    if not results["async"]["identical"]:
+        failures.append("async responses diverged from the sequential oracle")
     if results["flood"]["mismatched"]:
         failures.append("an accepted answer diverged under overload")
     if not results["flood"]["shed"]:

@@ -1,7 +1,7 @@
-"""CI smoke test for admission control: flood the async front-end past its
+"""CI smoke test for admission control: flood the TCP front-end past its
 pending budget and hard-gate the overload contract.
 
-Starts ``repro serve --frontend async`` as a real subprocess with a small
+Starts ``repro serve --port 0`` as a real subprocess with a small
 ``--max-pending``, then drives a single-threaded ``selectors`` client swarm
 that floods it with far more pipelined requests than the budget admits.
 Gates (any failure exits non-zero):
@@ -37,7 +37,6 @@ def _start_server(checkpoint: str, k: int, max_pending: int, client_quota: int):
             sys.executable, "-m", "repro", "serve",
             "--checkpoint", checkpoint,
             "--port", "0", "--k", str(k),
-            "--frontend", "async",
             "--max-pending", str(max_pending),
             "--client-quota", str(client_quota),
             "--max-wait-ms", "5",

@@ -19,14 +19,13 @@ import sys
 import threading
 
 
-def _start_server(checkpoint: str, k: int, max_wait_ms: float, frontend: str = "async"):
+def _start_server(checkpoint: str, k: int, max_wait_ms: float):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--checkpoint", checkpoint,
             "--port", "0", "--k", str(k),
             "--max-wait-ms", str(max_wait_ms),
-            "--frontend", frontend,
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -67,12 +66,6 @@ def main() -> int:
     parser.add_argument("--clients", type=int, default=10)
     parser.add_argument("--requests", type=int, default=2, help="requests per client")
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument(
-        "--frontend",
-        choices=("async", "threads"),
-        default="async",
-        help="which TCP front-end the server under test runs (default: async)",
-    )
     args = parser.parse_args()
 
     from repro.api import Pipeline
@@ -84,9 +77,7 @@ def main() -> int:
         for query in queries
     }
 
-    process, host, port = _start_server(
-        args.checkpoint, args.k, max_wait_ms=20.0, frontend=args.frontend
-    )
+    process, host, port = _start_server(args.checkpoint, args.k, max_wait_ms=20.0)
     try:
         plans = [
             [queries[(client + round_) % len(queries)] for round_ in range(args.requests)]

@@ -22,12 +22,10 @@ instead of retraining, otherwise they train first on the chosen scale.
 by default (response N answers input line N, including ``error:`` lines), or
 TCP connections with ``--port`` — through one pooling matmul per flush
 (``--max-batch``/``--max-wait-ms``), reporting stats on shutdown.  TCP
-traffic runs on a single-threaded event loop by default
-(``--frontend async``) with explicit admission control —
-``--max-connections``/``--max-pending``/``--client-quota``/``--idle-timeout``
+traffic runs on a single-threaded event loop with explicit admission control
+— ``--max-connections``/``--max-pending``/``--client-quota``/``--idle-timeout``
 — shedding overload with fast ``error: overloaded`` lines instead of
-unbounded queueing; ``--frontend threads`` keeps the legacy
-thread-per-connection server.  Repeating
+unbounded queueing.  Repeating
 ``--model NAME=checkpoint.npz`` serves a catalog of models side by side
 (requests route with a ``model=NAME`` prefix); ``--watch`` hot-reloads an
 entry when its checkpoint file changes, the ``reload``/``models`` control
@@ -88,8 +86,7 @@ examples:
   echo "symptom_003 17" | repro serve --checkpoint smgcn.npz --k 10
   repro serve --checkpoint smgcn.npz --port 7654 --max-batch 64 --max-wait-ms 5
   repro serve --checkpoint smgcn.npz --port 7654 --max-connections 2000 \\
-      --max-pending 256 --client-quota 16 --idle-timeout 60   # event loop
-  repro serve --checkpoint smgcn.npz --port 7654 --frontend threads
+      --max-pending 256 --client-quota 16 --idle-timeout 60
   repro serve --checkpoint smgcn.npz --shards 4 --backend processes --workers 4
   repro serve --checkpoint smgcn.npz --retrieval approx --candidate-factor 4
   repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64 --nprobe 8
@@ -228,46 +225,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address for --port (default: 127.0.0.1)"
     )
     serve_parser.add_argument(
-        "--frontend",
-        choices=("async", "threads"),
-        default="async",
-        help="TCP front-end: 'async' (default) multiplexes every connection "
-        "onto one event loop with admission control; 'threads' is the "
-        "legacy thread-per-connection server",
-    )
-    serve_parser.add_argument(
         "--max-connections",
         type=int,
         default=None,
         metavar="N",
-        help="async front-end: admit at most N concurrent connections; past "
-        "it a new client is answered 'error: overloaded' and closed "
-        "(default: 1024)",
+        help="admit at most N concurrent connections; past it a new client is "
+        "answered 'error: overloaded' and closed (default: 1024)",
     )
     serve_parser.add_argument(
         "--max-pending",
         type=int,
         default=None,
         metavar="N",
-        help="async front-end: at most N scoring requests in flight "
-        "server-wide; excess requests shed with a fast 'error: overloaded' "
-        "instead of queueing (default: 1024)",
+        help="at most N scoring requests in flight server-wide; excess requests "
+        "shed with a fast 'error: overloaded' instead of queueing (default: 1024)",
     )
     serve_parser.add_argument(
         "--client-quota",
         type=int,
         default=None,
         metavar="N",
-        help="async front-end: one connection may pipeline at most N "
-        "unanswered requests before shedding (default: 32)",
+        help="one connection may pipeline at most N unanswered requests before "
+        "shedding (default: 32)",
     )
     serve_parser.add_argument(
         "--idle-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="async front-end: close a connection with no outstanding work "
-        "after this long without a read (0 disables; default: 300)",
+        help="close a connection with no outstanding work after this long "
+        "without a read (0 disables; default: 300)",
     )
     serve_parser.add_argument(
         "--max-batch",
@@ -971,7 +958,7 @@ def _drive_batch(args, catalog, tasks) -> int:
 
 
 def _check_admission(args) -> Optional[int]:
-    """Validate the async front-end's admission knobs before any setup."""
+    """Validate the TCP front-end's admission knobs before any setup."""
     knobs = (
         ("--max-connections", args.max_connections),
         ("--max-pending", args.max_pending),
@@ -983,13 +970,6 @@ def _check_admission(args) -> Optional[int]:
     if explicit and args.port is None:
         print(
             f"error: {'/'.join(explicit)} only take effect with --port",
-            file=sys.stderr,
-        )
-        return 2
-    if explicit and args.frontend != "async":
-        print(
-            f"error: {'/'.join(explicit)} require --frontend async "
-            "(the threads front-end has no admission control)",
             file=sys.stderr,
         )
         return 2
@@ -1027,35 +1007,25 @@ def _wait_for_shutdown_signal() -> None:
 
 def _serve_socket(args, catalog, batcher, stats, source, control) -> None:
     """Run the TCP front-end until SIGINT/SIGTERM requests a shutdown."""
-    if args.frontend == "threads":
-        from .serving import SocketServer
+    from .serving import AdmissionController, AsyncSocketServer
 
-        server = SocketServer(
-            batcher, stats=stats, host=args.host, port=args.port, control=control.handle
-        ).start()
-    else:
-        from .serving import AdmissionController, AsyncSocketServer
-
-        admission = AdmissionController(
-            max_connections=(
-                args.max_connections if args.max_connections is not None else 1024
-            ),
-            max_pending=args.max_pending if args.max_pending is not None else 1024,
-            client_quota=args.client_quota if args.client_quota is not None else 32,
-            idle_timeout_s=args.idle_timeout if args.idle_timeout is not None else 300.0,
-        )
-        server = AsyncSocketServer(
-            batcher,
-            stats=stats,
-            host=args.host,
-            port=args.port,
-            control=control.handle,
-            admission=admission,
-        ).start()
+    admission = AdmissionController(
+        max_connections=args.max_connections if args.max_connections is not None else 1024,
+        max_pending=args.max_pending if args.max_pending is not None else 1024,
+        client_quota=args.client_quota if args.client_quota is not None else 32,
+        idle_timeout_s=args.idle_timeout if args.idle_timeout is not None else 300.0,
+    )
+    server = AsyncSocketServer(
+        batcher,
+        stats=stats,
+        host=args.host,
+        port=args.port,
+        control=control.handle,
+        admission=admission,
+    ).start()
     host, port = server.address
     print(
-        f"listening on {host}:{port} (frontend={args.frontend}; "
-        f"{', '.join(catalog.names())}; {source}); "
+        f"listening on {host}:{port} ({', '.join(catalog.names())}; {source}); "
         "one symptom set per line (model=NAME routes), 'stats'/'models'/'reload' "
         "control lines, SIGINT/SIGTERM to stop",
         file=sys.stderr,

@@ -24,8 +24,9 @@ Two backends plus the worker runtime they talk to:
   small frames (a syndrome block out, top-k candidates back).
 * :class:`ShardWorkerHandler` / :class:`ShardWorkerServer` — the worker side:
   a ``submit(line) -> Future`` handler speaking the shard-worker protocol,
-  served over the existing :class:`~repro.serving.server.SocketServer`
-  thread-per-connection front-end (``stats`` control line included).
+  served on the serving stack's event-loop TCP front-end,
+  :class:`~repro.serving.eventloop.AsyncSocketServer` (``stats`` control
+  line included), with scoring on a worker thread pool.
 
 Shard-worker line protocol (UTF-8, one request and one response per line):
 
@@ -38,6 +39,11 @@ Shard-worker line protocol (UTF-8, one request and one response per line):
   attached (the client pushes it and retries), or ``error: <reason>``;
 * ``stats`` → one-line counters (handled by the socket front-end);
 * blank line / EOF → the connection closes; the worker keeps running.
+
+Responses on one connection come back in request order, but ``snapshot``
+and ``tasks`` requests run concurrently on the worker's pool: a client
+waits for ``ok <key>`` before sending tasks that reference the snapshot
+(:class:`RemoteBackend` sends one request at a time per connection).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import os
 import socket
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from multiprocessing import get_context, shared_memory
 from time import perf_counter
@@ -621,17 +627,20 @@ class RemoteBackend(ComputeBackend):
 class ShardWorkerHandler:
     """Speak the shard-worker line protocol; ``submit(line)`` -> ``Future``.
 
-    The ``submit`` signature matches what
-    :class:`~repro.serving.server.SocketServer` drives, so the worker reuses
-    the serving front-end unchanged (thread-per-connection, ``stats`` line,
-    graceful shutdown).  Requests execute synchronously on the connection's
-    thread — parallelism across a fleet comes from running one worker per
-    core/host.  Protocol failures answer in-band as ``error:`` lines; the
-    worker itself never dies from a bad request.
+    The ``submit`` signature is the one
+    :class:`~repro.serving.eventloop.AsyncSocketServer` drives, so the worker
+    reuses the serving front-end unchanged (``stats`` line, graceful
+    shutdown).  ``snapshot`` and ``tasks`` requests run on ``executor`` so a
+    multi-megabyte decode or a scoring batch never stalls the event loop;
+    ``ping`` only reads the attached key and answers inline, so a liveness
+    probe never waits behind a batch.  Without an executor every request
+    runs synchronously in ``submit``.  Protocol failures answer in-band as
+    ``error:`` lines; the worker itself never dies from a bad request.
     """
 
-    def __init__(self, stats=None) -> None:
+    def __init__(self, stats=None, executor: Optional[Executor] = None) -> None:
         self._stats = stats
+        self._executor = executor
         self._lock = threading.Lock()
         #: snapshot key -> herb-embedding matrix; bounded, latest-wins.
         self._snapshots: "OrderedDict[str, np.ndarray]" = OrderedDict()
@@ -667,9 +676,15 @@ class ShardWorkerHandler:
             for key in [k for k in self._snapshots if snapshot_model_tag(k) == stale_tag]:
                 del self._snapshots[key]
 
-    # -- SocketServer contract -----------------------------------------
+    # -- AsyncSocketServer contract ------------------------------------
     def submit(self, line: str) -> "Future[str]":
+        if self._executor is not None and line.startswith(("snapshot ", "tasks ")):
+            return self._executor.submit(self._answer, line)
         future: "Future[str]" = Future()
+        future.set_result(self._answer(line))
+        return future
+
+    def _answer(self, line: str) -> str:
         started = perf_counter()
         try:
             response = self.handle(line)
@@ -679,8 +694,7 @@ class ShardWorkerHandler:
             response = f"error: {error}"
         if self._stats is not None:
             self._stats.record_request(perf_counter() - started)
-        future.set_result(response)
-        return future
+        return response
 
     # -- protocol -------------------------------------------------------
     def handle(self, line: str) -> str:
@@ -715,18 +729,36 @@ class ShardWorkerServer:
 
     Holds no model and trains nothing: weights arrive over the wire as
     snapshots, tasks reference them by key.  Serving reuses
-    :class:`~repro.serving.server.SocketServer`, so the ``stats`` control
-    line reports request counts/latency plus the attached snapshot.
+    :class:`~repro.serving.eventloop.AsyncSocketServer`, so the ``stats``
+    control line reports request counts/latency plus the attached snapshot;
+    ``snapshot``/``tasks`` requests run on a thread pool sized to the host
+    (:func:`~repro.inference.backends.default_worker_count`), which the
+    server owns and shuts down in :meth:`stop`.
+
+    The admission policy differs from ``repro serve``'s on two limits:
+
+    * no idle reaping — :class:`RemoteBackend` keeps one persistent
+      connection per worker and does not retry a dropped one, so reaping it
+      would fail the first request after an idle spell;
+    * no outbound-buffer cap — one ``score`` results frame (rows × shard
+      herbs × 8 bytes) is routinely larger than any fixed cap, which would
+      drop a healthy reader.
+
+    Request lines are unbounded too: a weight snapshot arrives as one
+    multi-megabyte line on this trusted, fleet-internal protocol.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, stats=None) -> None:
         # lazy import: repro.serving pulls in the api/pipeline stack, which
         # inference must not import at module load
-        from ..serving.server import SocketServer
+        from ..serving.eventloop import AdmissionController, AsyncSocketServer
         from ..serving.stats import ServerStats
 
         self.stats = stats if stats is not None else ServerStats()
-        self.handler = ShardWorkerHandler(stats=self.stats)
+        self._pool = ThreadPoolExecutor(
+            max_workers=default_worker_count(), thread_name_prefix="shard-worker"
+        )
+        self.handler = ShardWorkerHandler(stats=self.stats, executor=self._pool)
         self.stats.set_backend_info(
             lambda: {
                 "backend": "shard-worker",
@@ -734,10 +766,13 @@ class ShardWorkerServer:
                 "tasks": self.handler.tasks_executed,
             }
         )
-        # no request-line bound: weight snapshots legitimately arrive as one
-        # multi-megabyte line on this trusted, fleet-internal protocol
-        self._server = SocketServer(
-            self.handler, stats=self.stats, host=host, port=port, max_line_bytes=None
+        self._server = AsyncSocketServer(
+            self.handler,
+            stats=self.stats,
+            host=host,
+            port=port,
+            admission=AdmissionController(idle_timeout_s=None, max_outbuf_bytes=None),
+            max_line_bytes=None,
         )
 
     def start(self) -> "ShardWorkerServer":
@@ -750,6 +785,7 @@ class ShardWorkerServer:
 
     def stop(self, timeout: float = 5.0) -> None:
         self._server.stop(timeout=timeout)
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "ShardWorkerServer":
         return self.start()

@@ -12,14 +12,12 @@ and live stats:
   batched scoring, canary mirroring;
 * :class:`CatalogControl` — ``models`` / ``reload`` / ``canary`` control
   lines (zero-downtime rollout from a client connection);
-* :class:`SocketServer` / :func:`serve_lines` — thread-per-connection TCP
-  and stdin front-ends;
-* :class:`AsyncSocketServer` / :class:`AdmissionController` — the
-  single-threaded event-loop TCP front-end (the ``repro serve`` default):
-  thousands of multiplexed connections with explicit admission control —
-  connection caps, per-client quotas, bounded pending queue with
-  ``error: overloaded`` load shedding, idle timeouts, bounded slow-client
-  write buffers;
+* :class:`AsyncSocketServer` / :class:`AdmissionController` — the TCP
+  front-end, one single-threaded event loop: thousands of multiplexed
+  connections with explicit admission control — connection caps,
+  per-client quotas, bounded pending queue with ``error: overloaded`` load
+  shedding, idle timeouts, bounded slow-client write buffers;
+* :func:`serve_lines` — the stdin front-end;
 * :class:`ServerStats` — requests, batches, mean batch size, latency
   percentiles (p50/p95/p99), live connection gauge, shed/reject counters,
   per-model request/error breakdown.
@@ -37,7 +35,7 @@ from .batcher import MicroBatcher
 from .control import CatalogControl
 from .eventloop import AdmissionController, AsyncSocketServer, OVERLOADED_RESPONSE
 from .handler import RecommendationHandler
-from .server import LINE_TOO_LONG_RESPONSE, MAX_LINE_BYTES, SocketServer, serve_lines
+from .server import LINE_TOO_LONG_RESPONSE, MAX_LINE_BYTES, serve_lines
 from .stats import ServerStats
 
 __all__ = [
@@ -50,6 +48,5 @@ __all__ = [
     "OVERLOADED_RESPONSE",
     "RecommendationHandler",
     "ServerStats",
-    "SocketServer",
     "serve_lines",
 ]

@@ -3,12 +3,12 @@ admission control.
 
 :class:`AsyncSocketServer` multiplexes every client connection onto a single
 ``selectors``-based loop instead of spawning a thread per connection, and
-feeds the same :class:`~repro.serving.batcher.MicroBatcher` /
-:class:`~repro.serving.handler.RecommendationHandler` stack as the threaded
-:class:`~repro.serving.server.SocketServer` — same line protocol, same JSON
-protocol, same ``stats``/``models``/``reload``/``canary`` control lines,
-bit-identical responses.  What it adds is the production-traffic machinery,
-made explicit as an :class:`AdmissionController`:
+feeds a :class:`~repro.serving.batcher.MicroBatcher` /
+:class:`~repro.serving.handler.RecommendationHandler` stack (or any object
+with the same ``submit(line) -> Future`` contract, such as the shard
+worker's handler) — line protocol, JSON protocol, ``stats``/``models``/
+``reload``/``canary`` control lines.  Around it sits the production-traffic
+machinery, made explicit as an :class:`AdmissionController`:
 
 * **connection cap** — past ``max_connections`` a new client is *accepted*,
   answered with one ``error: overloaded`` line and closed, rather than left
@@ -26,7 +26,9 @@ made explicit as an :class:`AdmissionController`:
   is dropped, so one never-draining client can neither wedge the loop nor
   hoard memory.  Size the cap above the largest single response: the bound
   is on the *pile-up* of unread responses, and one response bigger than the
-  cap would drop even a healthy reader.
+  cap would drop even a healthy reader;
+* **bounded request lines** — a line longer than ``max_line_bytes`` is
+  answered ``error: request line too long`` and its connection closed.
 
 Admission errors are always the plain-text line ``error: overloaded`` (even
 for JSON requests): shedding must not pay for parsing.
@@ -35,7 +37,7 @@ Scoring runs on the batcher's worker thread; completed futures cross back
 into the loop through a completion queue plus a ``socketpair`` wakeup, and
 every connection's responses are released strictly in request order (a
 per-connection queue of response slots), so line N of output answers line N
-of input exactly as it does on the threaded front-end.  ``stats`` and
+of input.  ``stats`` and
 catalog control lines (``reload`` builds and warms a whole engine) execute
 on a one-thread side executor so they can never stall the loop.
 """
@@ -73,7 +75,8 @@ class AdmissionController:
 
     Pure single-threaded state — only the loop thread reads or writes the
     ``connections``/``pending`` gauges.  ``idle_timeout_s=None`` (or ``0``)
-    disables idle reaping.
+    disables idle reaping; ``max_outbuf_bytes=None`` leaves write buffering
+    unbounded.
     """
 
     def __init__(
@@ -82,7 +85,7 @@ class AdmissionController:
         max_pending: int = 1024,
         client_quota: int = 32,
         idle_timeout_s: Optional[float] = 300.0,
-        max_outbuf_bytes: int = 1 << 20,
+        max_outbuf_bytes: Optional[int] = 1 << 20,
     ) -> None:
         if max_connections <= 0:
             raise ValueError("max_connections must be positive")
@@ -92,8 +95,8 @@ class AdmissionController:
             raise ValueError("client_quota must be positive")
         if idle_timeout_s is not None and idle_timeout_s < 0:
             raise ValueError("idle_timeout_s must be non-negative (0/None disables)")
-        if max_outbuf_bytes <= 0:
-            raise ValueError("max_outbuf_bytes must be positive")
+        if max_outbuf_bytes is not None and max_outbuf_bytes <= 0:
+            raise ValueError("max_outbuf_bytes must be positive (None disables)")
         self.max_connections = max_connections
         self.max_pending = max_pending
         self.client_quota = client_quota
@@ -129,6 +132,7 @@ class _Connection:
     __slots__ = (
         "sock",
         "inbuf",
+        "scanned",
         "outbuf",
         "responses",
         "inflight",
@@ -143,6 +147,9 @@ class _Connection:
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
         self.inbuf = bytearray()
+        #: bytes of ``inbuf`` already searched for a newline, so reassembling
+        #: a multi-megabyte line stays linear in its length
+        self.scanned = 0
         self.outbuf = bytearray()
         #: response slots in request order; only a ready prefix may be sent
         self.responses: Deque[_Slot] = deque()
@@ -162,10 +169,11 @@ class _Connection:
 class AsyncSocketServer:
     """Single-threaded event-loop TCP front-end over a shared micro-batcher.
 
-    Drop-in lifecycle-compatible with
-    :class:`~repro.serving.server.SocketServer` (``start``/``address``/
-    ``stop``/context manager), protocol-identical on the wire, plus the
+    ``start``/``address``/``stop``/context manager lifecycle, plus the
     admission-control behaviour described in the module docstring.
+    ``max_line_bytes=None`` disables the request-line bound, for trusted
+    internal protocols whose lines are legitimately huge (shard-worker
+    weight snapshots travel as one line).
     """
 
     def __init__(
@@ -177,7 +185,10 @@ class AsyncSocketServer:
         control: Optional[Callable[[str], Optional[str]]] = None,
         admission: Optional[AdmissionController] = None,
         backlog: int = 1024,
+        max_line_bytes: Optional[int] = MAX_LINE_BYTES,
     ) -> None:
+        if max_line_bytes is not None and max_line_bytes <= 0:
+            raise ValueError("max_line_bytes must be positive (None disables)")
         self._batcher = batcher
         self._stats = stats
         self._control = control
@@ -185,6 +196,7 @@ class AsyncSocketServer:
         self._host = host
         self._port = port
         self._backlog = backlog
+        self._max_line_bytes = max_line_bytes
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._thread: Optional[threading.Thread] = None
@@ -371,8 +383,7 @@ class AsyncSocketServer:
             if conn.draining:
                 self._pump_out(conn)  # the half-close dance may now finish
                 return
-            # EOF — a trailing request without a newline still gets answered,
-            # exactly as the threaded front-end's line iteration yields it
+            # EOF — a trailing request without a newline still gets answered
             if conn.inbuf:
                 raw = bytes(conn.inbuf)
                 conn.inbuf.clear()
@@ -386,18 +397,21 @@ class AsyncSocketServer:
         self._split_lines(conn)
 
     def _split_lines(self, conn: _Connection) -> None:
+        bound = self._max_line_bytes
         while not conn.closed and not conn.draining:
-            newline = conn.inbuf.find(b"\n")
+            newline = conn.inbuf.find(b"\n", conn.scanned)
             if newline < 0:
-                if len(conn.inbuf) >= MAX_LINE_BYTES:
+                conn.scanned = len(conn.inbuf)
+                if bound is not None and len(conn.inbuf) >= bound:
                     self._respond_inline(conn, LINE_TOO_LONG_RESPONSE)
                     self._begin_drain(conn)
                 return
-            if newline >= MAX_LINE_BYTES:
+            conn.scanned = 0
+            if bound is not None and newline >= bound:
                 self._respond_inline(conn, LINE_TOO_LONG_RESPONSE)
                 self._begin_drain(conn)
                 return
-            raw = bytes(conn.inbuf[:newline])
+            raw = conn.inbuf[:newline]
             del conn.inbuf[: newline + 1]
             self._handle_line(conn, raw)
 
@@ -443,8 +457,7 @@ class AsyncSocketServer:
 
         The control hook returning ``None`` means the line was not a control
         line after all (e.g. ``models`` with stray operands) — it is then
-        scored through the batcher, still off the loop thread, preserving the
-        threaded front-end's answer exactly.
+        scored through the batcher, still off the loop thread.
         """
         handled = self._control(line)
         if handled is not None:
@@ -498,7 +511,8 @@ class AsyncSocketServer:
     def _flush_ready(self, conn: _Connection) -> None:
         while conn.responses and conn.responses[0].ready:
             slot = conn.responses.popleft()
-            conn.outbuf += (slot.text + "\n").encode("utf-8")
+            conn.outbuf += slot.text.encode("utf-8")
+            conn.outbuf += b"\n"
         self._pump_out(conn)
 
     def _pump_out(self, conn: _Connection) -> None:
@@ -506,7 +520,7 @@ class AsyncSocketServer:
             return
         if conn.outbuf:
             try:
-                sent = conn.sock.send(bytes(conn.outbuf[:_RECV_BYTES]))
+                sent = conn.sock.send(conn.outbuf)
                 if sent:
                     del conn.outbuf[:sent]
             except (BlockingIOError, InterruptedError):
@@ -514,7 +528,8 @@ class AsyncSocketServer:
             except OSError:
                 self._close(conn)
                 return
-        if len(conn.outbuf) > self.admission.max_outbuf_bytes:
+        cap = self.admission.max_outbuf_bytes
+        if cap is not None and len(conn.outbuf) > cap:
             # a reader that never drains: drop it before it hoards memory
             self.slow_clients_closed += 1
             self._close(conn)

@@ -1,31 +1,21 @@
-"""Serving front-ends: a line-protocol TCP server and a stdin burst drain.
+"""The stdin front-end, and the request-line bound every front-end shares.
 
-Both feed the shared :class:`~repro.serving.batcher.MicroBatcher`, so
-concurrent clients (or a piped burst of stdin lines) aggregate into one
-pooling matmul per flush instead of one model call per request.
-
-Socket protocol (one request per line, one response per line, UTF-8):
-
-* ``<symptom tokens...>`` → herb tokens (or ``error: <reason>``);
-* ``stats`` → single-line counters (requests/batches/mean batch/latency);
-* with a ``control`` hook attached (see
-  :class:`~repro.serving.control.CatalogControl`): ``models`` / ``reload`` /
-  ``canary`` lines are answered inline, off the batching path;
-* blank line or EOF → the connection closes; the server keeps running.
+:func:`serve_lines` drains a piped burst of request lines through the shared
+:class:`~repro.serving.batcher.MicroBatcher`, so the burst aggregates into one
+pooling matmul per flush instead of one model call per request.  The TCP
+front-end is :class:`~repro.serving.eventloop.AsyncSocketServer`.
 """
 
 from __future__ import annotations
 
 import queue
-import socket
 import threading
 from concurrent.futures import Future
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable
 
 from .batcher import MicroBatcher
-from .stats import ServerStats
 
-__all__ = ["LINE_TOO_LONG_RESPONSE", "MAX_LINE_BYTES", "SocketServer", "serve_lines"]
+__all__ = ["LINE_TOO_LONG_RESPONSE", "MAX_LINE_BYTES", "serve_lines"]
 
 #: A request line (including its newline) may be at most this many bytes.
 #: Both front-ends enforce it while reading, so a client streaming gigabytes
@@ -86,200 +76,3 @@ def serve_lines(
         answered += 1
     reader.join()
     return answered
-
-
-class SocketServer:
-    """Thread-per-connection TCP front-end over a shared micro-batcher."""
-
-    def __init__(
-        self,
-        batcher: MicroBatcher,
-        stats: Optional[ServerStats] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        control: Optional[Callable[[str], Optional[str]]] = None,
-        max_line_bytes: Optional[int] = MAX_LINE_BYTES,
-    ) -> None:
-        if max_line_bytes is not None and max_line_bytes <= 0:
-            raise ValueError("max_line_bytes must be positive (None disables)")
-        self._batcher = batcher
-        self._stats = stats
-        #: optional control-line hook, consulted before batching: returning a
-        #: string answers the line inline; ``None`` falls through to scoring.
-        self._control = control
-        #: request-line bound; ``None`` disables it for trusted internal
-        #: protocols whose lines are legitimately huge (shard-worker weight
-        #: snapshots travel as one line).
-        self._max_line_bytes = max_line_bytes
-        self._host = host
-        self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._connections: set = set()
-        self._threads: set = set()
-        self._lock = threading.Lock()
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "SocketServer":
-        if self._listener is not None:
-            raise RuntimeError("SocketServer is already running")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(128)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="socket-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — resolves ``port=0`` to the real port."""
-        if self._listener is None:
-            raise RuntimeError("SocketServer is not running")
-        return self._listener.getsockname()[:2]
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Graceful shutdown: stop accepting, unblock and join every client."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            connections = list(self._connections)
-        if self._listener is not None:
-            # shutdown() before close(): on Linux, closing a listening socket
-            # does NOT wake a thread blocked in accept() (the in-flight
-            # syscall pins the kernel socket), so the accept thread would
-            # otherwise sit out the full join timeout below on every
-            # shutdown.  shutdown() aborts the blocked accept immediately;
-            # platforms where it raises (ENOTCONN on the BSDs) wake on
-            # close() alone.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout)
-
-    def __enter__(self) -> "SocketServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while True:
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:  # listener closed — shutting down
-                return
-            with self._lock:
-                if self._closed:
-                    connection.close()
-                    return
-                thread = threading.Thread(
-                    target=self._serve_client,
-                    args=(connection,),
-                    name="socket-client",
-                    daemon=True,
-                )
-                self._connections.add(connection)
-                self._threads.add(thread)
-            thread.start()
-
-    @staticmethod
-    def _half_close(connection: socket.socket, timeout: float = 5.0) -> None:
-        """FIN, then drain the client's leftover bytes before closing.
-
-        Closing with unread data in the receive queue sends an RST, which can
-        destroy the final response in flight (e.g. the ``error: request line
-        too long`` answer to a client that overshot the bound).  The drain is
-        bounded by ``timeout`` so a client that never closes cannot pin the
-        thread.
-        """
-        try:
-            connection.shutdown(socket.SHUT_WR)
-            connection.settimeout(timeout)
-            drained = 0
-            while drained < (1 << 20):  # a firehose client gets the RST it earned
-                chunk = connection.recv(65536)
-                if not chunk:
-                    return
-                drained += len(chunk)
-        except OSError:
-            pass
-
-    def _serve_client(self, connection: socket.socket) -> None:
-        if self._stats is not None:
-            self._stats.record_connection_open()
-        try:
-            with connection, connection.makefile("rb") as reader:
-                bound = self._max_line_bytes
-                while True:
-                    raw = reader.readline(bound) if bound is not None else reader.readline()
-                    if not raw:
-                        break
-                    if bound is not None and len(raw) >= bound and not raw.endswith(b"\n"):
-                        connection.sendall(
-                            (LINE_TOO_LONG_RESPONSE + "\n").encode("utf-8")
-                        )
-                        break
-                    try:
-                        line = raw.decode("utf-8").strip()
-                    except UnicodeDecodeError:
-                        connection.sendall(b"error: request is not valid UTF-8\n")
-                        break
-                    if not line:
-                        break
-                    if line == "stats":
-                        stats_line = (
-                            self._stats.to_line() if self._stats is not None else "no stats"
-                        )
-                        connection.sendall((stats_line + "\n").encode("utf-8"))
-                        continue
-                    if self._control is not None:
-                        handled = self._control(line)
-                        if handled is not None:
-                            connection.sendall((handled + "\n").encode("utf-8"))
-                            continue
-                    try:
-                        future = self._batcher.submit(line)
-                    except RuntimeError:
-                        connection.sendall(b"error: server is shutting down\n")
-                        break
-                    try:
-                        response = future.result()
-                    except Exception as error:  # noqa: BLE001
-                        response = f"error: {error}"
-                    connection.sendall((response + "\n").encode("utf-8"))
-                self._half_close(connection)
-        except OSError:
-            pass  # client went away mid-write; nothing to clean beyond the socket
-        finally:
-            if self._stats is not None:
-                self._stats.record_connection_close()
-            with self._lock:
-                self._connections.discard(connection)
-                self._threads.discard(threading.current_thread())

@@ -383,6 +383,88 @@ class TestRemoteBackend:
         assert "snapshot=" in line
 
 
+class TestShardWorkerOnEventLoop:
+    """What the worker protocol needs from the event-loop front-end."""
+
+    def test_results_frame_over_a_mebibyte_bit_identical(self, remote_backend):
+        # repro serve's outbound-buffer cap (1 MiB) would drop this reader
+        rng = np.random.default_rng(31)
+        wide = ShardedHerbIndex(rng.normal(size=(6_000, DIM)), num_shards=2)
+        rows = _pad_rows(rng.normal(size=(2 * SCORING_BLOCK, DIM)), SCORING_BLOCK)
+        smallest_shard = min(shard.stop - shard.start for shard in wide.shards)
+        assert rows.shape[0] * smallest_shard * 8 > 1 << 20  # one shard per worker
+        np.testing.assert_array_equal(
+            wide.score(rows, backend=remote_backend), wide.score(rows, backend=NumpyBackend())
+        )
+
+    def test_multi_megabyte_snapshot_line_attaches(self):
+        import base64
+        import socket
+
+        from repro.serving import (
+            LINE_TOO_LONG_RESPONSE,
+            MAX_LINE_BYTES,
+            AsyncSocketServer,
+            MicroBatcher,
+        )
+
+        big = WeightSnapshot.from_matrix(np.random.default_rng(32).normal(size=(16_384, 64)))
+        line = b"snapshot " + base64.b64encode(snapshot_to_bytes(big)) + b"\n"
+        assert len(line) >= 8 << 20
+        with ShardWorkerServer() as server:
+            with socket.create_connection(server.address, timeout=30) as connection:
+                connection.sendall(line)
+                answer = connection.makefile("r", encoding="utf-8").readline().strip()
+        assert answer == f"ok {big.key}"
+        # repro serve keeps its request-line bound
+        batcher = MicroBatcher(lambda lines: [f"ok {line}" for line in lines])
+        try:
+            with AsyncSocketServer(batcher) as serve:
+                with socket.create_connection(serve.address, timeout=10) as connection:
+                    connection.sendall(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                    answer = connection.makefile("r", encoding="utf-8").readline().strip()
+            assert answer == LINE_TOO_LONG_RESPONSE
+        finally:
+            batcher.close()
+
+    def test_ping_answers_while_a_batch_is_in_flight(
+        self, index, syndrome, reference, remote_backend, monkeypatch
+    ):
+        import threading
+
+        from repro.inference import distributed
+
+        index.score(syndrome, backend=remote_backend)  # attach: the held frame is `tasks`
+        entered, release = threading.Event(), threading.Event()
+        real_execute = distributed.execute_shard_task
+
+        def held(task, matrix):
+            entered.set()
+            assert release.wait(30), "test never released the batch"
+            return real_execute(task, matrix)
+
+        monkeypatch.setattr(distributed, "execute_shard_task", held)
+        outcome = {}
+        runner = threading.Thread(
+            target=lambda: outcome.update(scores=index.score(syndrome, backend=remote_backend))
+        )
+        runner.start()
+        try:
+            assert entered.wait(10), "the batch never reached a worker"
+            status = remote_backend.status()
+        finally:
+            release.set()
+            runner.join(30)
+        assert status["workers_alive"] == status["workers"] == 2
+        np.testing.assert_array_equal(outcome["scores"], reference[0])
+
+    def test_worker_connections_are_never_reaped_or_capped(self, worker_servers):
+        admission = worker_servers[0]._server.admission
+        assert admission.idle_timeout_s is None
+        assert admission.max_outbuf_bytes is None
+        assert "does not retry" in ShardWorkerServer.__doc__
+
+
 # ----------------------------------------------------------------------
 # Engine-level parity (the acceptance gate)
 # ----------------------------------------------------------------------

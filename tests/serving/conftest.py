@@ -1,9 +1,9 @@
 """Shared serving-test fixtures.
 
-The socket end-to-end tests (threaded and event-loop front-ends) all score
-against one smoke-scale pipeline; training it once per session keeps the
-suite fast without weakening any bit-identity assertion — determinism is
-asserted against the *same* weights everywhere.
+The socket end-to-end tests all score against one smoke-scale pipeline;
+training it once per session keeps the suite fast without weakening any
+bit-identity assertion — determinism is asserted against the *same*
+weights everywhere.
 """
 
 import pytest

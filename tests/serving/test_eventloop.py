@@ -1,9 +1,9 @@
-"""Event-loop front-end tests: wire parity with the threaded server, and the
-admission-control behaviour that only exists on the async path.
+"""Event-loop front-end tests: line reassembly on the wire, bit-identity with
+the scoring stack, and admission control.
 
-The parity tests run the same byte streams through both front-ends (trickled
-one byte at a time, split across TCP segments, EOF mid-line, oversized lines,
-invalid UTF-8) and assert identical answers — the event loop's reassembly
+The wire tests send awkward byte streams (trickled one byte at a time, split
+across TCP segments, EOF mid-line, oversized lines, invalid UTF-8) and assert
+the answers a line-at-a-time reader would give — the event loop's reassembly
 buffer must be invisible on the wire.  The admission tests use stub handlers
 (echo, or gated on a ``threading.Event``) so shedding, quotas, idle reaping
 and slow-client drops are exercised deterministically and fast.
@@ -25,7 +25,6 @@ from repro.serving import (
     MicroBatcher,
     RecommendationHandler,
     ServerStats,
-    SocketServer,
 )
 
 # ----------------------------------------------------------------------
@@ -62,15 +61,11 @@ class GatedHandler:
 
 
 @pytest.fixture()
-def echo_stack(request):
-    """An echo server behind either front-end (used by parametrized tests)."""
-    frontend = getattr(request, "param", "async")
+def echo_stack():
+    """An echo server on the event-loop front-end."""
     stats = ServerStats()
     batcher = MicroBatcher(echo_handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
-    if frontend == "threads":
-        server = SocketServer(batcher, stats=stats).start()
-    else:
-        server = AsyncSocketServer(batcher, stats=stats).start()
+    server = AsyncSocketServer(batcher, stats=stats).start()
     yield server, stats
     server.stop()
     batcher.close()
@@ -88,17 +83,11 @@ def make_async(handler, admission=None, control=None, **batcher_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Wire parity: both front-ends must reassemble and answer identically
+# Wire behaviour: reassembly must be invisible to the client
 # ----------------------------------------------------------------------
 
 
-BOTH_FRONTENDS = pytest.mark.parametrize(
-    "echo_stack", ["async", "threads"], indirect=True, ids=["async", "threads"]
-)
-
-
-@BOTH_FRONTENDS
-class TestWireParity:
+class TestLineReassembly:
     def test_request_trickled_one_byte_at_a_time(self, echo_stack):
         server, _ = echo_stack
         with socket.create_connection(server.address, timeout=10) as connection:
@@ -196,23 +185,10 @@ class TestAsyncScoringParity:
             connection.sendall(("".join(line + "\n" for line in lines)).encode("utf-8"))
             return [reader.readline().strip() for _ in lines]
 
-    def test_responses_bit_identical_to_threaded_front_end(self, pipeline, async_stack):
+    def test_responses_bit_identical_to_the_handler(self, pipeline, async_stack):
         async_server, _ = async_stack
-        threaded_stats = ServerStats()
-        threaded_batcher = MicroBatcher(
-            RecommendationHandler(pipeline, k=5, stats=threaded_stats),
-            max_batch_size=64,
-            max_wait_ms=10.0,
-            stats=threaded_stats,
-        )
-        threaded_server = SocketServer(threaded_batcher, stats=threaded_stats).start()
-        try:
-            async_answers = self._ask(async_server.address, self.QUERIES)
-            threaded_answers = self._ask(threaded_server.address, self.QUERIES)
-        finally:
-            threaded_server.stop()
-            threaded_batcher.close()
-        assert async_answers == threaded_answers
+        async_answers = self._ask(async_server.address, self.QUERIES)
+        assert async_answers == RecommendationHandler(pipeline, k=5)(self.QUERIES)
         assert async_answers[0] == sequential_answer(pipeline, "0 3", k=5)
         assert async_answers[2] == sequential_answer(pipeline, "0 3", k=2)
         assert async_answers[5].startswith("error: unknown symptom token")
@@ -268,9 +244,9 @@ class TestAsyncScoringParity:
             reader = connection.makefile("r", encoding="utf-8")
             connection.sendall(b"0 3\n")
             assert reader.readline().strip().startswith("herb_")
-            # unlike the threaded front-end, a pipelined stats probe races the
-            # scoring it follows (it runs on the side executor): ask after the
-            # answer arrives so the counters are settled
+            # a pipelined stats probe races the scoring it follows (it runs
+            # on the side executor): ask after the answer arrives so the
+            # counters are settled
             connection.sendall(b"stats\n")
             stats_line = reader.readline().strip()
         assert stats_line.startswith("requests=1 ")
@@ -487,7 +463,7 @@ class TestControlAndLifecycle:
                 connection.sendall(b"first\nmodels\n")
                 connection.settimeout(0.5)
                 # the control answer is ready, but slot order holds it behind
-                # the gated scoring answer — same as the threaded front-end
+                # the gated scoring answer
                 with pytest.raises(socket.timeout):
                     connection.recv(1)
                 handler.gate.set()
@@ -536,3 +512,13 @@ class TestControlAndLifecycle:
             with pytest.raises(ValueError):
                 AdmissionController(**bad)
         assert AdmissionController(idle_timeout_s=0).idle_timeout_s is None
+        assert AdmissionController(max_outbuf_bytes=None).max_outbuf_bytes is None
+
+    def test_max_line_bytes_validated(self):
+        batcher = MicroBatcher(echo_handler)
+        try:
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match="max_line_bytes"):
+                    AsyncSocketServer(batcher, max_line_bytes=bad)
+        finally:
+            batcher.close()

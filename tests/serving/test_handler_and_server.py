@@ -1,7 +1,7 @@
 """Serving stack tests: protocol handler isolation and socket end-to-end.
 
 The socket test drives N concurrent client threads against a real
-:class:`~repro.serving.SocketServer` and asserts every response is
+:class:`~repro.serving.AsyncSocketServer` and asserts every response is
 bit-identical to the sequential ``pipeline.recommend`` baseline — the
 determinism guarantee the fixed-block scoring path provides — and that burst
 load actually aggregated (``mean_batch_size > 1``).
@@ -15,10 +15,10 @@ import pytest
 from repro.serving import (
     LINE_TOO_LONG_RESPONSE,
     MAX_LINE_BYTES,
+    AsyncSocketServer,
     MicroBatcher,
     RecommendationHandler,
     ServerStats,
-    SocketServer,
     serve_lines,
 )
 
@@ -113,7 +113,7 @@ class TestSocketServer:
         stats = ServerStats()
         handler = RecommendationHandler(serving_pipeline, k=5, stats=stats)
         batcher = MicroBatcher(handler, max_batch_size=64, max_wait_ms=25.0, stats=stats)
-        server = SocketServer(batcher, stats=stats).start()
+        server = AsyncSocketServer(batcher, stats=stats).start()
         stats.set_backend_info(serving_pipeline.engine.backend_status)
         yield server, stats
         stats.set_backend_info(None)
@@ -166,8 +166,12 @@ class TestSocketServer:
         server, _ = serving_stack
         with socket.create_connection(server.address, timeout=10) as connection:
             reader = connection.makefile("r", encoding="utf-8")
-            connection.sendall(b"0 3\nstats\n")
+            connection.sendall(b"0 3\n")
             assert reader.readline().strip().startswith("herb_")
+            # stats runs on the server's side executor, so a probe pipelined
+            # behind a request may read the counters before that request
+            # lands: ask once the answer is in
+            connection.sendall(b"stats\n")
             stats_line = reader.readline().strip()
         assert stats_line.startswith("requests=1 ")
         assert "mean_batch=" in stats_line
@@ -221,30 +225,25 @@ class TestSocketServer:
             assert reader.readline().strip().startswith("error: unknown symptom token")
             assert reader.readline().strip().startswith("herb_")
 
-    def test_stop_is_prompt_and_joins_accept_thread(self, pipeline):
-        """Shutdown must wake the blocked accept(), not sit out the join timeout.
-
-        Regression: on Linux, closing the listener does not unblock a thread
-        already parked in accept(), so stop() used to stall for its full
-        5-second join timeout on every server shutdown (and leave the accept
-        thread behind, still blocked).
-        """
+    def test_stop_is_prompt_and_joins_loop_thread(self, pipeline):
+        """Shutdown must wake the loop parked in select(), not sit out the
+        join timeout, and leave no loop thread behind."""
         import time
 
         batcher = MicroBatcher(RecommendationHandler(pipeline, k=5), max_wait_ms=1.0)
-        server = SocketServer(batcher).start()
-        time.sleep(0.05)  # let the accept thread park in accept()
+        server = AsyncSocketServer(batcher).start()
+        time.sleep(0.05)  # let the loop thread park in select()
         started = time.monotonic()
         server.stop()
         elapsed = time.monotonic() - started
         batcher.close()
-        assert elapsed < 2.0, f"stop() stalled {elapsed:.1f}s joining the accept thread"
-        assert not server._accept_thread.is_alive()
+        assert elapsed < 2.0, f"stop() stalled {elapsed:.1f}s joining the loop thread"
+        assert not server._thread.is_alive()
 
     def test_stop_refuses_new_connections(self, pipeline):
         stats = ServerStats()
         batcher = MicroBatcher(RecommendationHandler(pipeline, k=5), max_wait_ms=1.0)
-        server = SocketServer(batcher).start()
+        server = AsyncSocketServer(batcher).start()
         address = server.address
         server.stop()
         batcher.close()

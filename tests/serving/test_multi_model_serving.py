@@ -16,11 +16,11 @@ from repro.api import Pipeline
 from repro.experiments.datasets import get_profile
 from repro.io import ModelCatalog
 from repro.serving import (
+    AsyncSocketServer,
     CatalogControl,
     MicroBatcher,
     RecommendationHandler,
     ServerStats,
-    SocketServer,
 )
 
 
@@ -202,7 +202,7 @@ class TestSocketIntegration:
         handler = RecommendationHandler(catalog, k=5, stats=stats)
         batcher = MicroBatcher(handler, max_batch_size=16, max_wait_ms=2.0, stats=stats)
         control = CatalogControl(catalog)
-        server = SocketServer(batcher, stats=stats, control=control.handle).start()
+        server = AsyncSocketServer(batcher, stats=stats, control=control.handle).start()
         try:
             with socket.create_connection(server.address, timeout=30) as connection:
                 reader = connection.makefile("r", encoding="utf-8")

@@ -267,12 +267,8 @@ class TestCheckpointServing:
                 assert response == " ".join(pipeline.decode_herbs(expected))
         assert "serving stats:" in captured.err
 
-    @pytest.mark.parametrize("frontend", ["async", "threads"])
-    def test_serve_port_round_trip_both_frontends(
-        self, checkpoint, capsys, monkeypatch, frontend
-    ):
-        """`repro serve --port 0` answers over TCP identically on either
-        front-end; the listening line names the front-end in use."""
+    def test_serve_port_round_trip(self, checkpoint, capsys, monkeypatch):
+        """`repro serve --port 0` answers over TCP like sequential recommend."""
         import re
         import socket
 
@@ -282,7 +278,6 @@ class TestCheckpointServing:
 
         def query_then_shutdown():
             err = capsys.readouterr().err
-            observed["listening"] = err
             match = re.search(r"listening on ([\d.]+):(\d+)", err)
             assert match, f"no listening line in: {err!r}"
             address = (match.group(1), int(match.group(2)))
@@ -294,10 +289,8 @@ class TestCheckpointServing:
                 observed["stats"] = reader.readline().strip()
 
         monkeypatch.setattr("repro.cli._wait_for_shutdown_signal", query_then_shutdown)
-        code = main(["serve", "--checkpoint", str(checkpoint), "--k", "3",
-                     "--port", "0", "--frontend", frontend])
+        code = main(["serve", "--checkpoint", str(checkpoint), "--k", "3", "--port", "0"])
         assert code == 0
-        assert f"frontend={frontend}" in observed["listening"]
         pipeline = Pipeline.load(checkpoint)
         expected = " ".join(pipeline.decode_herbs(pipeline.recommend("0 3", k=3)))
         assert observed["answer"] == expected
@@ -408,7 +401,6 @@ class TestPredictServe:
 class TestAdmissionFlags:
     def test_serve_parser_frontend_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.frontend == "async"
         assert args.max_connections is None
         assert args.max_pending is None
         assert args.client_quota is None
@@ -418,13 +410,6 @@ class TestAdmissionFlags:
         code = main(["serve", "--scale", "smoke", "--max-connections", "10"])
         assert code == 2
         assert "--max-connections" in capsys.readouterr().err
-
-    def test_admission_knobs_require_async_frontend(self, capsys):
-        code = main(["serve", "--scale", "smoke", "--port", "0",
-                     "--frontend", "threads", "--client-quota", "4"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--client-quota" in err and "async" in err
 
     def test_admission_knob_values_validated(self, capsys):
         for flag in ("--max-connections", "--max-pending", "--client-quota"):
@@ -437,7 +422,6 @@ class TestAdmissionFlags:
 
     def test_help_epilog_documents_admission(self):
         help_text = build_parser().format_help()
-        assert "--frontend" in help_text
         assert "--max-connections" in help_text
 
 
@@ -678,7 +662,7 @@ class TestMultiModelServeCLI:
         def no_bind(*args, **kwargs):
             raise AssertionError("no socket may bind when validation fails")
 
-        monkeypatch.setattr("repro.serving.SocketServer.start", no_bind)
+        monkeypatch.setattr("repro.serving.AsyncSocketServer.start", no_bind)
         code = main(["serve", "--port", "0", "--model", "a=/nonexistent/a.npz"])
         assert code == 2
         err = capsys.readouterr().err
