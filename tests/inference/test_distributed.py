@@ -277,6 +277,32 @@ class TestShardWorkerHandler:
         ]
         assert handler.snapshot_keys == keys[-MAX_ATTACHED_MODELS:]
 
+    def test_executor_takes_snapshot_and_tasks_but_ping_answers_inline(
+        self, snapshot, syndrome, index
+    ):
+        from concurrent.futures import ThreadPoolExecutor
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self):
+                super().__init__(max_workers=1)
+                self.lines = []
+
+            def submit(self, fn, line):
+                self.lines.append(line.split(" ", 1)[0])
+                return super().submit(fn, line)
+
+        with Recording() as executor:
+            handler = ShardWorkerHandler(executor=executor)
+            ping = handler.submit("ping")
+            assert ping.done() and ping.result() == "pong -"
+            snapshot_line = f"snapshot {self._encode(snapshot_to_bytes(snapshot))}"
+            assert handler.submit(snapshot_line).result() == f"ok {snapshot.key}"
+            batch = index.tasks(syndrome, "score", num_rows=NUM_ROWS)
+            task_line = f"tasks {self._encode(tasks_to_bytes(batch))}"
+            assert handler.submit(task_line).result().startswith("results ")
+            assert handler.submit("ping").result() == f"pong {snapshot.key}"
+        assert executor.lines == ["snapshot", "tasks"]
+
     def test_bad_requests_answer_in_band(self):
         handler = ShardWorkerHandler()
         assert handler.submit("explode now").result().startswith("error: ")
@@ -457,6 +483,14 @@ class TestShardWorkerOnEventLoop:
             runner.join(30)
         assert status["workers_alive"] == status["workers"] == 2
         np.testing.assert_array_equal(outcome["scores"], reference[0])
+
+    def test_stop_shuts_the_scoring_pool_down(self):
+        server = ShardWorkerServer().start()
+        pool = server._pool
+        assert server.handler.submit("ping").result() == "pong -"
+        server.stop()
+        with pytest.raises(RuntimeError):
+            pool.submit(lambda: None)
 
     def test_worker_connections_are_never_reaped_or_capped(self, worker_servers):
         admission = worker_servers[0]._server.admission

@@ -134,6 +134,41 @@ class TestLineReassembly:
             connection.sendall(content + b"\n")
             assert reader.readline().strip() == "ok q"
 
+    def test_custom_line_bound_is_enforced(self):
+        stats = ServerStats()
+        batcher = MicroBatcher(echo_handler, max_wait_ms=2.0, stats=stats)
+        try:
+            with AsyncSocketServer(batcher, stats=stats, max_line_bytes=64) as server:
+                with socket.create_connection(server.address, timeout=10) as connection:
+                    reader = connection.makefile("r", encoding="utf-8")
+                    connection.sendall(b"q" * 63 + b"\n")
+                    assert reader.readline().strip() == "ok " + "q" * 63
+                    connection.sendall(b"q" * 64 + b"\n")
+                    assert reader.readline().strip() == LINE_TOO_LONG_RESPONSE
+                    assert reader.readline() == ""
+        finally:
+            batcher.close()
+
+    def test_unbounded_line_reassembled_across_segments(self):
+        # the newline search resumes where the last segment ended; a newline
+        # opening a fresh segment and a pipelined line after it must both land
+        sizes = lambda lines: [f"ok {len(line)}" for line in lines]  # noqa: E731
+        stats = ServerStats()
+        batcher = MicroBatcher(sizes, max_wait_ms=2.0, stats=stats)
+        chunk = b"z" * MAX_LINE_BYTES
+        try:
+            with AsyncSocketServer(batcher, stats=stats, max_line_bytes=None) as server:
+                with socket.create_connection(server.address, timeout=10) as connection:
+                    reader = connection.makefile("r", encoding="utf-8")
+                    for _ in range(3):
+                        connection.sendall(chunk)
+                        time.sleep(0.02)  # land each chunk in its own recv()s
+                    connection.sendall(b"\nabc\n")
+                    assert reader.readline().strip() == f"ok {3 * MAX_LINE_BYTES}"
+                    assert reader.readline().strip() == "ok 3"
+        finally:
+            batcher.close()
+
     def test_invalid_utf8_answered_and_closed(self, echo_stack):
         server, _ = echo_stack
         with socket.create_connection(server.address, timeout=10) as connection:
@@ -411,6 +446,28 @@ class TestAdmissionControl:
             server.stop()
             batcher.close()
 
+
+    def test_unbounded_outbuf_keeps_a_late_reader(self):
+        # the same pile-up that drops a client under a cap is delivered in
+        # full, in order, once the cap is disabled
+        big_handler = lambda lines: [line + "y" * 32_000 for line in lines]  # noqa: E731
+        admission = AdmissionController(max_outbuf_bytes=None, client_quota=1000)
+        server, batcher, _ = make_async(big_handler, admission=admission)
+        try:
+            late = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            late.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            late.settimeout(10)
+            late.connect(server.address)
+            late.sendall(b"".join(f"{i}\n".encode() for i in range(256)))
+            time.sleep(0.5)  # let the unread responses pile up server-side
+            reader = late.makefile("r", encoding="utf-8")
+            answers = [reader.readline().strip() for _ in range(256)]
+            assert answers == [f"{i}" + "y" * 32_000 for i in range(256)]
+            assert server.slow_clients_closed == 0
+            late.close()
+        finally:
+            server.stop()
+            batcher.close()
 
 # ----------------------------------------------------------------------
 # Control lines and lifecycle on the event loop

@@ -297,6 +297,41 @@ class TestCheckpointServing:
         assert observed["stats"].startswith("requests=1 ")
         assert "connections=1" in observed["stats"]
 
+    def test_serve_port_applies_admission_knobs(self, checkpoint, capsys, monkeypatch):
+        """Admission flags configure the event-loop server `--port` starts."""
+        import re
+        import socket
+
+        import repro.serving
+
+        built = {}
+        real_server = repro.serving.AsyncSocketServer
+
+        def recording_server(*args, **kwargs):
+            built["admission"] = kwargs["admission"]
+            return real_server(*args, **kwargs)
+
+        def query_then_shutdown():
+            match = re.search(r"listening on ([\d.]+):(\d+)", capsys.readouterr().err)
+            assert match, "no listening line"
+            address = (match.group(1), int(match.group(2)))
+            with socket.create_connection(address, timeout=10) as connection:
+                connection.sendall(b"0 3\n")
+                built["answer"] = connection.makefile("r", encoding="utf-8").readline()
+
+        monkeypatch.setattr(repro.serving, "AsyncSocketServer", recording_server)
+        monkeypatch.setattr("repro.cli._wait_for_shutdown_signal", query_then_shutdown)
+        code = main(["serve", "--checkpoint", str(checkpoint), "--k", "3", "--port", "0",
+                     "--max-connections", "7", "--max-pending", "9",
+                     "--client-quota", "4", "--idle-timeout", "0"])
+        assert code == 0
+        admission = built["admission"]
+        assert admission.max_connections == 7
+        assert admission.max_pending == 9
+        assert admission.client_quota == 4
+        assert admission.idle_timeout_s is None
+        assert built["answer"].strip() and not built["answer"].startswith("error")
+
     def test_predict_missing_checkpoint_errors_cleanly(self, capsys):
         code = main(["predict", "--checkpoint", "/nonexistent/x.npz", "--symptoms", "0"])
         assert code == 2
