@@ -10,13 +10,19 @@ is in flight.  Hard gates:
   the rollout of its neighbour,
 - the rolled entry only ever answers with one of its two published
   versions' exact answers (old until the swap, new after — never garbage),
-- the ``models`` control line reports the rolled entry at v2 and a bounded
-  shard-index cache per entry.
+- the ``models`` control line reports the rolled entry at v2, no
+  generation still draining once the clients stop, and — when the server
+  shards (``--shards >= 2``) — between one and two cached index versions
+  per entry.
+
+Engine flags after ``--`` are passed to ``repro serve``; with
+``--backend processes`` the reload runs over real shared-memory segments.
 
 Usage::
 
     PYTHONPATH=src python scripts/rollout_smoke.py \
-        --checkpoint-a /tmp/a.npz --checkpoint-b /tmp/b.npz
+        --checkpoint-a /tmp/a.npz --checkpoint-b /tmp/b.npz \
+        [-- --shards 2 --backend processes --workers 2]
 """
 
 import argparse
@@ -26,9 +32,10 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 
-def _start_server(checkpoint_a: str, checkpoint_b: str, k: int):
+def _start_server(checkpoint_a: str, checkpoint_b: str, k: int, serve_args):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -36,6 +43,7 @@ def _start_server(checkpoint_a: str, checkpoint_b: str, k: int):
             "--model", f"stable={checkpoint_b}",
             "--port", "0", "--k", str(k),
             "--max-wait-ms", "10",
+            *serve_args,
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -60,9 +68,8 @@ def _start_server(checkpoint_a: str, checkpoint_b: str, k: int):
     raise RuntimeError("server did not report a listening address")
 
 
-def _client(host, port, stop_event, results, index):
-    """Alternate primary/stable requests until told to stop."""
-    answers = []
+def _client(host, port, stop_event, results, index, answers):
+    """Alternate primary/stable requests until told to stop, into ``answers``."""
     try:
         with socket.create_connection((host, port), timeout=30) as connection:
             reader = connection.makefile("r", encoding="utf-8")
@@ -90,7 +97,13 @@ def main() -> int:
     parser.add_argument("--checkpoint-b", required=True, help="stable entry AND primary's v2")
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--k", type=int, default=5)
+    parser.add_argument(
+        "serve_args", nargs="*", help="engine flags for repro serve, given after --"
+    )
     args = parser.parse_args()
+    serve_flags = argparse.ArgumentParser(add_help=False)
+    serve_flags.add_argument("--shards", type=int, default=1)
+    sharded = serve_flags.parse_known_args(args.serve_args)[0].shards >= 2
 
     from repro.api import Pipeline
 
@@ -103,12 +116,17 @@ def main() -> int:
         print("checkpoints answer identically; rollout would be unobservable")
         return 1
 
-    process, host, port = _start_server(args.checkpoint_a, args.checkpoint_b, args.k)
+    process, host, port = _start_server(
+        args.checkpoint_a, args.checkpoint_b, args.k, args.serve_args
+    )
     try:
         stop_event = threading.Event()
         results = [None] * args.clients
+        live = [[] for _ in range(args.clients)]
         threads = [
-            threading.Thread(target=_client, args=(host, port, stop_event, results, i))
+            threading.Thread(
+                target=_client, args=(host, port, stop_event, results, i, live[i])
+            )
             for i in range(args.clients)
         ]
         for thread in threads:
@@ -120,7 +138,13 @@ def main() -> int:
             print(f"reload failed: {reload_answer!r}")
             stop_event.set()
             return 1
-        # let post-rollout traffic accumulate, then stop the clients
+        # let post-rollout traffic accumulate, then stop the clients; a new
+        # generation may first start its backend (a process pool takes seconds)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and not any(
+            ("primary", expected["b"]) in answers for answers in live
+        ):
+            time.sleep(0.05)
         threading.Event().wait(1.0)
         stop_event.set()
         for thread in threads:
@@ -166,9 +190,19 @@ def main() -> int:
             return 1
         for name, record in records.items():
             cached = record.get("cached_index_versions", 0)
-            if cached > 2:
-                print(f"{name} leaks shard indexes: {cached} cached versions")
+            if cached > 2 or (sharded and cached < 1):
+                print(f"{name} caches {cached} shard-index versions; expected 1..2")
                 return 1
+            if record["draining"] or record.get("draining_index_versions", 0):
+                print(f"{name} still drains after the clients stopped: {record}")
+                return 1
+        print(
+            "index cache: "
+            + ", ".join(
+                f"{name}={record.get('cached_index_versions', 0)}"
+                for name, record in sorted(records.items())
+            )
+        )
     finally:
         process.send_signal(signal.SIGTERM)
         try:

@@ -69,6 +69,7 @@ from ..io.checkpoint import (
     unpack_npz_bytes,
 )
 from ..models.base import WeightSnapshot
+from ..utils.cache import MAX_CACHED_VERSIONS, VersionedCache
 from .backends import (
     ComputeBackend,
     ShardTask,
@@ -97,9 +98,10 @@ __all__ = [
 ShardResult = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 
 #: How many distinct snapshot versions a holder keeps attached/published at
-#: once.  Matches the inference engine's shard-index cache bound: the latest
-#: version serves traffic, one predecessor may still be draining.
-MAX_ATTACHED_SNAPSHOTS = 2
+#: once: the shared :data:`~repro.utils.cache.MAX_CACHED_VERSIONS` bound, the
+#: inference engine's too (the latest version serves traffic, one
+#: predecessor may still be draining).
+MAX_ATTACHED_SNAPSHOTS = MAX_CACHED_VERSIONS
 
 #: How many distinct *model tags* a shard worker keeps snapshots for.  A
 #: multi-tenant fleet serves several catalog entries through the same
@@ -263,33 +265,39 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-#: Per-worker-process cache: shared-memory name -> (segment, attached matrix).
-_WORKER_ATTACHMENTS: "OrderedDict[str, Tuple[shared_memory.SharedMemory, np.ndarray]]" = (
-    OrderedDict()
+#: Per-worker-process cache: shared-memory name -> attached segment.  A new
+#: segment name means a parameter-version bump: the bound closes stale
+#: attachments so long-lived workers do not pin old weights.
+_WORKER_ATTACHMENTS: VersionedCache = VersionedCache(
+    MAX_ATTACHED_SNAPSHOTS, on_retire=lambda _, segment: segment.close()
 )
-
-
-def _worker_matrix(name: str, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
-    """Attach (or reuse) the published snapshot matrix inside a pool worker."""
-    cached = _WORKER_ATTACHMENTS.get(name)
-    if cached is None:
-        segment = _attach_segment(name)
-        matrix = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
-        matrix.flags.writeable = False
-        _WORKER_ATTACHMENTS[name] = (segment, matrix)
-        # a new segment name means a parameter-version bump: drop stale
-        # attachments so long-lived workers do not pin old weights
-        while len(_WORKER_ATTACHMENTS) > MAX_ATTACHED_SNAPSHOTS:
-            _, (stale, _) = _WORKER_ATTACHMENTS.popitem(last=False)
-            stale.close()
-        cached = _WORKER_ATTACHMENTS[name]
-    return cached[1]
 
 
 def _run_task_in_worker(payload: Tuple[str, Tuple[int, ...], str, ShardTask]) -> ShardResult:
     """Module-level (hence picklable) task entry point for pool workers."""
     segment_name, shape, dtype, task = payload
-    return execute_shard_task(task, _worker_matrix(segment_name, shape, dtype))
+    segment = _WORKER_ATTACHMENTS.get(segment_name, lambda: _attach_segment(segment_name))
+    # a fresh read-only view per task: no view outlives it, so a retired
+    # attachment always closes cleanly
+    matrix = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
+    matrix.flags.writeable = False
+    return execute_shard_task(task, matrix)
+
+
+def _publish_segment(snapshot: WeightSnapshot):
+    """Copy the snapshot's herb matrix into a new shared-memory segment."""
+    matrix = np.ascontiguousarray(snapshot.herb_embeddings, dtype=np.float64)
+    segment = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
+    np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=segment.buf)[:] = matrix
+    return segment, matrix.shape, str(matrix.dtype)
+
+
+def _unlink_segment(_key: str, published) -> None:
+    published[0].close()
+    try:
+        published[0].unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
 
 
 @register_backend("processes")
@@ -326,9 +334,10 @@ class ProcessPoolBackend(ComputeBackend):
             start_method if start_method is not None else _default_start_method()
         )
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: snapshot key -> (segment, shape, dtype str); insertion-ordered.
-        self._segments: "OrderedDict[str, Tuple[shared_memory.SharedMemory, Tuple[int, ...], str]]" = (
-            OrderedDict()
+        #: snapshot key -> (segment, shape, dtype str); a retired segment is
+        #: closed and unlinked once no ``run_tasks`` call is using it.
+        self.segments: VersionedCache = VersionedCache(
+            MAX_ATTACHED_SNAPSHOTS, on_retire=_unlink_segment
         )
 
     # -- lifecycle ------------------------------------------------------
@@ -346,31 +355,10 @@ class ProcessPoolBackend(ComputeBackend):
 
     def close(self) -> None:
         self._teardown_executor()
-        for key in list(self._segments):
-            self.release_snapshot(key)
+        self.segments.close()
 
     def release_snapshot(self, key: str) -> None:
-        entry = self._segments.pop(key, None)
-        if entry is not None:
-            segment = entry[0]
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    # -- snapshot publication ------------------------------------------
-    def _publish(self, snapshot: WeightSnapshot):
-        entry = self._segments.get(snapshot.key)
-        if entry is None:
-            matrix = np.ascontiguousarray(snapshot.herb_embeddings, dtype=np.float64)
-            segment = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-            np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=segment.buf)[:] = matrix
-            self._segments[snapshot.key] = entry = (segment, matrix.shape, str(matrix.dtype))
-            while len(self._segments) > MAX_ATTACHED_SNAPSHOTS:
-                stale_key = next(iter(self._segments))
-                self.release_snapshot(stale_key)
-        return entry
+        self.segments.discard(key)
 
     # -- execution ------------------------------------------------------
     def run_tasks(
@@ -378,13 +366,14 @@ class ProcessPoolBackend(ComputeBackend):
     ) -> List[ShardResult]:
         _check_task_keys(snapshot, tasks)
         executor = self._ensure_executor()
-        segment, shape, dtype = self._publish(snapshot)
-        futures = [
-            executor.submit(_run_task_in_worker, (segment.name, shape, dtype, task))
-            for task in tasks
-        ]
+        published = self.segments.lease(snapshot.key, lambda: _publish_segment(snapshot))
         try:
-            return [future.result() for future in futures]
+            with published as (segment, shape, dtype):
+                futures = [
+                    executor.submit(_run_task_in_worker, (segment.name, shape, dtype, task))
+                    for task in tasks
+                ]
+                return [future.result() for future in futures]
         except BrokenProcessPool as error:
             # a worker died mid-batch; fail this call cleanly and rebuild the
             # pool lazily so the next call recovers

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -38,6 +37,7 @@ import numpy as np
 
 from ..evaluation.metrics import top_k_indices
 from ..models.base import GraphHerbRecommender
+from ..utils.cache import MAX_CACHED_VERSIONS, VersionedCache
 from .backends import get_backend
 from .options import EngineOptions
 from .retrieval import ApproxHerbIndex, RetrievalReport
@@ -45,15 +45,10 @@ from .sharding import ShardedHerbIndex
 
 __all__ = ["InferenceEngine", "Recommendation", "MAX_CACHED_INDEX_VERSIONS"]
 
-#: How many parameter versions of the shard index the engine keeps.  Serving
-#: only ever scores against the latest version; one predecessor is kept so
-#: requests already in flight against the old index finish against live
-#: arrays while the new version builds.  Anything older is evicted and its
-#: snapshot released from the backend — without the bound, a long-lived
-#: server interleaving training and serving would accumulate one full herb
-#: matrix (plus backend attachments: shared-memory segments, remote pushes)
-#: per optimiser step.
-MAX_CACHED_INDEX_VERSIONS = 2
+#: How many parameter versions of the shard index the engine keeps: the
+#: shared :data:`~repro.utils.cache.MAX_CACHED_VERSIONS` bound.  Anything
+#: older is evicted and its snapshot released from the backend.
+MAX_CACHED_INDEX_VERSIONS = MAX_CACHED_VERSIONS
 
 
 @dataclass(frozen=True)
@@ -113,28 +108,18 @@ class InferenceEngine:
         # score_sets defines its own notion of a score, so sharding must
         # defer to it rather than silently serve different answers.
         self._base_scoring = type(model).score_sets is GraphHerbRecommender.score_sets
-        #: parameter version -> shard index; bounded LRU (see
-        #: :data:`MAX_CACHED_INDEX_VERSIONS`), evictions release the
-        #: snapshot's backend attachments.  Guarded by ``_cache_lock``: the
-        #: serving layer scores from many threads while weight rollouts bump
-        #: parameter versions, so lookups, evictions and the in-flight lease
-        #: counts below must agree on one consistent view.
-        self._index_cache: "OrderedDict[Tuple[int, int], ShardedHerbIndex]" = OrderedDict()
-        self._cache_lock = threading.Lock()
-        #: snapshot key -> number of in-flight scoring calls leased on it.
-        self._leases: Dict[str, int] = {}
-        #: snapshot key -> index evicted from the LRU while still leased; its
-        #: backend attachment is released by the *last* lease holder, so an
-        #: eviction racing an in-flight ``recommend_batch`` can never pull a
-        #: snapshot out from under live scoring.
-        self._retired: Dict[str, ShardedHerbIndex] = {}
-        #: snapshot key -> quantized approx index, built lazily per version
-        #: alongside the shard index and dropped the moment that version
-        #: leaves the LRU — the quantization is version-stamped through the
-        #: snapshot key, so a reload/rollout can never serve stale codes.
-        self._approx_cache: Dict[str, ApproxHerbIndex] = {}
+        backend = self.backend
+        #: parameter version -> ``(shard index, approx index or None)``; the
+        #: approx index is built with its shard index iff
+        #: :attr:`retrieval_active`.  An evicted version's backend snapshot
+        #: is released by the *last* scoring call leased on it.
+        self.index_cache: VersionedCache = VersionedCache(
+            MAX_CACHED_INDEX_VERSIONS,
+            on_retire=lambda _, indexes: backend.release_snapshot(indexes[0].snapshot.key),
+        )
         #: Cumulative approximate-retrieval counters (the ``stats`` line).
         self._retrieval_counters = RetrievalReport()
+        self._counters_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Cache handling
@@ -164,10 +149,7 @@ class InferenceEngine:
     def warm_up(self) -> "InferenceEngine":
         """Force the propagation (and index builds) now, before taking traffic."""
         self.model.cached_encode()
-        if self.retrieval_active:
-            with self._lease_index(with_approx=True):
-                pass
-        elif self.sharding_active:
+        if self.retrieval_active or self.sharding_active:
             self.herb_index()
         return self
 
@@ -185,22 +167,14 @@ class InferenceEngine:
         usable — the next request rebuilds its index and re-opens pooled
         backends lazily.
         """
-        with self._cache_lock:
-            stale_keys = [index.snapshot.key for index in self._index_cache.values()]
-            stale_keys.extend(self._retired)
-            self._index_cache.clear()
-            self._retired.clear()
-            self._leases.clear()
-            self._approx_cache.clear()
-        for key in stale_keys:
-            self.backend.release_snapshot(key)
+        self.index_cache.close()
         self.backend.close()
 
     def herb_index(self) -> ShardedHerbIndex:
         """The column-sharded herb matrix for the model's *current* parameters.
 
         Cached per parameter version (the same staleness fingerprint as the
-        propagation cache) in a bounded LRU: weight updates produce new
+        propagation cache) in :attr:`index_cache`: weight updates produce new
         versions, and entries beyond :data:`MAX_CACHED_INDEX_VERSIONS` are
         evicted with their weight snapshots released from the backend — so
         the cache cannot grow across training/serving cycles.  Scoring paths
@@ -208,79 +182,34 @@ class InferenceEngine:
         which defers the release of an evicted snapshot until the last
         in-flight call on it finishes.
         """
-        with self._cache_lock:
-            return self._herb_index_locked()
+        return self.index_cache.get(self.model.parameter_version(), self._build_indexes)[0]
 
-    def _herb_index_locked(self) -> ShardedHerbIndex:
-        # keyed by the pre-build version: a parameter bump landing mid-build
-        # must leave the new index looking stale, not fresh
-        version = self.model.parameter_version()
-        index = self._index_cache.get(version)
-        if index is None:
-            index = ShardedHerbIndex.from_model(self.model, num_shards=self.options.num_shards)
-            self._index_cache[version] = index
-            while len(self._index_cache) > MAX_CACHED_INDEX_VERSIONS:
-                _, stale = self._index_cache.popitem(last=False)
-                self._retire_locked(stale)
-        else:
-            self._index_cache.move_to_end(version)
-        return index
-
-    def _approx_index_locked(self, index: ShardedHerbIndex) -> ApproxHerbIndex:
-        """The quantized approx index for ``index``'s snapshot, built once."""
-        key = index.snapshot.key
-        approx = self._approx_cache.get(key)
-        if approx is None:
-            approx = ApproxHerbIndex(
-                index.snapshot,
-                candidate_factor=self.options.candidate_factor,
-                num_lists=self.options.num_lists,
-                nprobe=self.options.nprobe,
-            )
-            self._approx_cache[key] = approx
-        return approx
-
-    def _retire_locked(self, stale: ShardedHerbIndex) -> None:
-        """Release an evicted index now, or park it until its leases drain."""
-        key = stale.snapshot.key
-        # the quantization dies with its LRU slot: in-flight calls hold their
-        # own reference, so dropping the cache entry is always safe
-        self._approx_cache.pop(key, None)
-        if self._leases.get(key, 0) > 0:
-            self._retired[key] = stale
-        else:
-            self._retired.pop(key, None)
-            self.backend.release_snapshot(key)
+    def _build_indexes(self) -> Tuple[ShardedHerbIndex, Optional[ApproxHerbIndex]]:
+        index = ShardedHerbIndex.from_model(self.model, num_shards=self.options.num_shards)
+        if not self.retrieval_active:
+            return index, None
+        return index, ApproxHerbIndex(
+            index.snapshot,
+            candidate_factor=self.options.candidate_factor,
+            num_lists=self.options.num_lists,
+            nprobe=self.options.nprobe,
+        )
 
     @contextmanager
     def _lease_index(self, with_approx: bool = False):
         """The current shard index, pinned for the duration of one scoring call.
 
-        While leased, an LRU eviction of this index defers the backend
+        While leased, an eviction of this version defers the backend
         ``release_snapshot`` to the last checkin — so concurrent weight
         rollouts can never release a snapshot that live requests still score
-        against.  With ``with_approx`` the matching quantized index is built
-        (or fetched) under the same lock and yielded alongside, pinned by the
-        same lease — the pair is guaranteed to wrap one snapshot.
+        against.  With ``with_approx`` the ``(index, approx index)`` pair is
+        yielded, both wrapping one snapshot.
         """
-        with self._cache_lock:
-            index = self._herb_index_locked()
-            key = index.snapshot.key
-            approx = self._approx_index_locked(index) if with_approx else None
-            self._leases[key] = self._leases.get(key, 0) + 1
-        try:
-            yield (index, approx) if with_approx else index
-        finally:
-            release = False
-            with self._cache_lock:
-                remaining = self._leases.get(key, 1) - 1
-                if remaining <= 0:
-                    self._leases.pop(key, None)
-                    release = self._retired.pop(key, None) is not None
-                else:
-                    self._leases[key] = remaining
-            if release:
-                self.backend.release_snapshot(key)
+        # keyed by the pre-build version: a parameter bump landing mid-build
+        # must leave the new index looking stale, not fresh
+        version = self.model.parameter_version()
+        with self.index_cache.lease(version, self._build_indexes) as indexes:
+            yield indexes if with_approx else indexes[0]
 
     def backend_status(self) -> Dict[str, Any]:
         """Topology/liveness for the serving ``stats`` line.
@@ -291,22 +220,24 @@ class InferenceEngine:
         request, or 1 when sharding is inactive for this model.
         """
         status = dict(self.backend.status())
-        with self._cache_lock:
-            if not self.sharding_active:
-                status["shards"] = 1
-            elif self._index_cache:
-                status["shards"] = next(reversed(self._index_cache.values())).num_shards
-            else:
-                status["shards"] = self.options.num_shards
-            status["cached_index_versions"] = len(self._index_cache)
-            if self._retired:
-                status["draining_index_versions"] = len(self._retired)
-            status["retrieval"] = "approx" if self.retrieval_active else "exact"
-            if self.retrieval_active:
-                status["candidate_factor"] = self.options.candidate_factor
-                if self.options.num_lists >= 2:
-                    status["num_lists"] = self.options.num_lists
-                    status["nprobe"] = self.options.nprobe
+        newest = self.index_cache.peek()
+        if not self.sharding_active:
+            status["shards"] = 1
+        elif newest is not None:
+            status["shards"] = newest[0].num_shards
+        else:
+            status["shards"] = self.options.num_shards
+        status["cached_index_versions"] = len(self.index_cache)
+        draining = self.index_cache.draining
+        if draining:
+            status["draining_index_versions"] = draining
+        status["retrieval"] = "approx" if self.retrieval_active else "exact"
+        if self.retrieval_active:
+            status["candidate_factor"] = self.options.candidate_factor
+            if self.options.num_lists >= 2:
+                status["num_lists"] = self.options.num_lists
+                status["nprobe"] = self.options.nprobe
+            with self._counters_lock:
                 counters = self._retrieval_counters
                 status["approx_requests"] = counters.rows
                 status["approx_fallbacks"] = counters.fallback_rows
@@ -436,7 +367,7 @@ class InferenceEngine:
                             scores=tuple(float(s) for s in scores),
                         )
                     )
-        with self._cache_lock:
+        with self._counters_lock:
             self._retrieval_counters.merge(report)
         return results
 

@@ -143,8 +143,8 @@ class ApproxHerbIndex:
     Built from a :class:`~repro.models.base.WeightSnapshot` (or a bare matrix,
     wrapped like :class:`~repro.inference.sharding.ShardedHerbIndex` does) and
     therefore parameter-version-stamped: the engine caches one instance per
-    snapshot key and drops it with the shard-index LRU, so a stale
-    quantization can never outlive its weights.
+    parameter version, in the same cache entry as its shard index, so a
+    stale quantization can never outlive its weights.
 
     ``candidate_factor`` sizes the survivor pool (``candidate_factor * k``
     per request).  ``num_lists >= 2`` enables the IVF partition with

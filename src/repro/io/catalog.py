@@ -12,8 +12,8 @@ gives every layer above it one contract:
   checkpoint, warms its propagation/shard index *off to the side*, then
   swaps the entry atomically.  In-flight requests drain on the old
   generation; the last lease out closes it, releasing old weight snapshots
-  through the engine's bounded LRU / ``release_snapshot`` path — so rollouts
-  never grow memory and never drop or corrupt a request;
+  through the engine's index cache / ``release_snapshot`` path — so
+  rollouts never grow memory and never drop or corrupt a request;
 * **answering** — :func:`answer` is the one request-scoring path behind
   ``repro serve`` and ``repro batch``: route each query to an entry, lease
   it, parse, score each entry's queries in one pooled call, retry per query
@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..inference.options import EngineOptions
+from ..utils.cache import VersionedCache
 from .checkpoint import (
     CheckpointError,
     checkpoint_fingerprint,
@@ -88,17 +88,6 @@ class ModelVersion:
             "fingerprint": self.fingerprint,
             "published_at": self.published_at,
         }
-
-
-class _Generation:
-    """One pipeline generation plus the leases currently scoring on it."""
-
-    __slots__ = ("pipeline", "leases", "retired")
-
-    def __init__(self, pipeline) -> None:
-        self.pipeline = pipeline
-        self.leases = 0
-        self.retired = False
 
 
 class CanaryState:
@@ -206,22 +195,25 @@ class CatalogEntry:
 
     def __init__(self, name: str, pipeline, version: ModelVersion, serving: Serving) -> None:
         self.name = name
-        self._lock = threading.Lock()
-        self._current = _Generation(pipeline)
-        self._draining: List[_Generation] = []
+        #: version ordinal -> pipeline: the current generation, plus retired
+        #: ones still finishing leased requests, each closed by its last
+        #: lease out.
+        self.generations = VersionedCache(1, on_retire=lambda _, pipeline: pipeline.close())
+        self.generations.put(version.ordinal, pipeline)
         self.versions: List[ModelVersion] = [version]
         #: ``(scale, EngineOptions)`` a rollout re-applies to ``Pipeline.load``
         #: so the new generation serves at the same scale with the same knobs.
         self.serving = serving
-        self.canary: Optional[CanaryState] = None
+        #: the :class:`CanaryState` mirrored to, keyed by itself; a replaced
+        #: or cleared canary closes its candidate after its last mirror.
+        self.canaries = VersionedCache(1, on_retire=lambda _, canary: canary.pipeline.close())
         self.last_error: Optional[str] = None
 
     # -- reads ----------------------------------------------------------
     @property
     def pipeline(self):
         """The current generation's pipeline (peek — no lease taken)."""
-        with self._lock:
-            return self._current.pipeline
+        return self.generations.peek()
 
     @property
     def version(self) -> ModelVersion:
@@ -230,32 +222,20 @@ class CatalogEntry:
     @property
     def draining(self) -> int:
         """Retired generations still finishing in-flight requests."""
-        with self._lock:
-            return len(self._draining)
+        return self.generations.draining
 
-    @contextmanager
-    def lease(self) -> Iterator[Any]:
+    @property
+    def canary(self) -> Optional[CanaryState]:
+        return self.canaries.peek()
+
+    def lease(self) -> ContextManager[Any]:
         """Pin the current pipeline for one scoring call.
 
         A rollout swapping the entry mid-call leaves this lease scoring on
         the old generation; the generation is closed (snapshots released)
         only once its last lease checks back in.
         """
-        with self._lock:
-            generation = self._current
-            generation.leases += 1
-        try:
-            yield generation.pipeline
-        finally:
-            close = False
-            with self._lock:
-                generation.leases -= 1
-                if generation.retired and generation.leases <= 0:
-                    close = True
-                    if generation in self._draining:
-                        self._draining.remove(generation)
-            if close:
-                generation.pipeline.close()
+        return self.generations.lease()
 
     def describe(self) -> Dict[str, Any]:
         """One JSON-able status record (the ``models`` control line's unit)."""
@@ -280,31 +260,16 @@ class CatalogEntry:
 
     # -- swap / teardown ------------------------------------------------
     def _swap(self, pipeline, version: ModelVersion) -> None:
-        """CAS the current generation; retire the old one to drain."""
-        with self._lock:
-            old = self._current
-            self._current = _Generation(pipeline)
-            self.versions.append(version)
-            del self.versions[:-MAX_VERSION_HISTORY]
-            old.retired = True
-            close_now = old.leases <= 0
-            if not close_now:
-                self._draining.append(old)
-            self.last_error = None
-        if close_now:
-            old.pipeline.close()
+        """Make ``pipeline`` the current generation; the old one drains."""
+        self.generations.put(version.ordinal, pipeline)
+        self.versions.append(version)
+        del self.versions[:-MAX_VERSION_HISTORY]
+        self.last_error = None
 
     def close(self) -> None:
-        """Release every generation's serving resources (terminal)."""
-        with self._lock:
-            generations = [self._current] + self._draining
-            self._draining = []
-            canary = self.canary
-            self.canary = None
-        for generation in generations:
-            generation.pipeline.close()
-        if canary is not None:
-            canary.pipeline.close()
+        """Release every generation's and the canary's serving resources (terminal)."""
+        self.generations.close()
+        self.canaries.close()
 
 
 def warm_pipeline(pipeline):
@@ -407,11 +372,9 @@ class ModelCatalog:
             )
         return entry
 
-    @contextmanager
-    def lease(self, name: Optional[str] = None) -> Iterator[Any]:
+    def lease(self, name: Optional[str] = None) -> ContextManager[Any]:
         """Lease the named entry's current pipeline for one scoring call."""
-        with self.entry(name).lease() as pipeline:
-            yield pipeline
+        return self.entry(name).lease()
 
     def describe(self) -> List[Dict[str, Any]]:
         """Status of every entry, default first marked — the ``models`` line."""
@@ -433,7 +396,7 @@ class ModelCatalog:
         Builds and warms the new pipeline *before* touching the entry, then
         swaps it in one step: requests leased before the swap finish on the
         old generation (closed when the last one drains, releasing its
-        snapshots through the engine LRU), requests leased after it score on
+        snapshots through the engine cache), requests leased after it score on
         the new one.  Nothing is ever answered by a half-built engine.
 
         Publishing an unknown ``name`` adds a new entry served with the
@@ -494,19 +457,20 @@ class ModelCatalog:
             canary = CanaryState(
                 pipeline, fraction, checkpoint_path=str(path), fingerprint=fingerprint
             )
-            previous, entry.canary = entry.canary, canary
-        if previous is not None:
-            previous.pipeline.close()
+            entry.canaries.put(canary, canary)
         return canary
 
     def clear_canary(self, name: str) -> Optional[Dict[str, Any]]:
-        """Stop mirroring; returns the canary's final report (or ``None``)."""
+        """Stop mirroring; returns the canary's final report (or ``None``).
+
+        The candidate closes once the mirrors already running on it finish.
+        """
         entry = self.entry(name)
-        canary, entry.canary = entry.canary, None
+        canary = entry.canary
         if canary is None:
             return None
         report = canary.report()
-        canary.pipeline.close()
+        entry.canaries.discard(canary)
         return report
 
     # -- teardown -------------------------------------------------------
@@ -611,9 +575,11 @@ def _answer_entry(
             herbs = [herb_vocab.token_of(h) for h in result.herb_ids]
             answers[index] = Answer(entry.name, herbs, result.herb_ids, result.scores)
             answered.append(index)
-    canary = entry.canary
-    if canary is not None:
-        for index in answered:
+    if entry.canary is None:  # the common case: no lease to take
+        return
+    # leased: a canary cleared or replaced meanwhile closes after this mirror
+    with entry.canaries.lease() as canary:
+        for index in answered if canary is not None else ():
             if canary.take():
                 canary.mirror(queries[index], answers[index], primary_ms / len(answered))
 

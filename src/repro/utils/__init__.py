@@ -1,5 +1,6 @@
-"""Small shared utilities (seeding)."""
+"""Small shared utilities (seeding, the versioned cache)."""
 
+from .cache import MAX_CACHED_VERSIONS, VersionedCache
 from .seeding import SeedSequenceFactory, new_rng, seed_everything
 
-__all__ = ["new_rng", "seed_everything", "SeedSequenceFactory"]
+__all__ = ["MAX_CACHED_VERSIONS", "new_rng", "seed_everything", "SeedSequenceFactory", "VersionedCache"]

@@ -142,6 +142,11 @@ class TestWireCodec:
 # ----------------------------------------------------------------------
 # Process-pool backend
 # ----------------------------------------------------------------------
+def _published(backend):
+    """Snapshot key -> published ``(segment, shape, dtype)`` of a process backend."""
+    return {key: backend.segments.peek(key) for key in backend.segments.keys()}
+
+
 class TestProcessPoolBackend:
     def test_score_and_topk_bit_identical(self, index, syndrome, reference, process_backend):
         ref_scores, ref_ids, ref_topk = reference
@@ -152,19 +157,19 @@ class TestProcessPoolBackend:
 
     def test_snapshot_published_once_per_version(self, index, syndrome, process_backend):
         index.score(syndrome, backend=process_backend)
-        segments = dict(process_backend._segments)
+        segments = _published(process_backend)
         index.score(syndrome, backend=process_backend)
-        assert dict(process_backend._segments) == segments, "re-published an attached snapshot"
+        assert _published(process_backend) == segments, "re-published an attached snapshot"
         assert index.snapshot.key in segments
 
     def test_release_snapshot_is_idempotent(self, index, syndrome):
         backend = ProcessPoolBackend(num_workers=1)
         try:
             backend.run_tasks(index.snapshot, index.tasks(syndrome, "score", num_rows=NUM_ROWS))
-            assert index.snapshot.key in backend._segments
+            assert index.snapshot.key in backend.segments.keys()
             backend.release_snapshot(index.snapshot.key)
             backend.release_snapshot(index.snapshot.key)
-            assert index.snapshot.key not in backend._segments
+            assert index.snapshot.key not in backend.segments.keys()
         finally:
             backend.close()
 
@@ -177,11 +182,40 @@ class TestProcessPoolBackend:
                 index = ShardedHerbIndex(rng.normal(size=(NUM_HERBS, DIM)), num_shards=2)
                 index.score(syndrome, backend=backend)
                 keys.append(index.snapshot.key)
-            assert len(backend._segments) == 2, "published snapshots must stay bounded"
-            assert keys[0] not in backend._segments  # oldest version retired
-            assert keys[-1] in backend._segments
+            assert len(backend.segments) == 2, "published snapshots must stay bounded"
+            assert keys[0] not in backend.segments.keys()  # oldest version retired
+            assert keys[-1] in backend.segments.keys()
         finally:
             backend.close()
+
+    def test_release_during_a_call_waits_for_the_call(self, index, syndrome, reference):
+        """A segment released mid-``run_tasks`` stays attachable until the call ends."""
+        from concurrent.futures import Future
+
+        from repro.inference import distributed
+
+        backend = ProcessPoolBackend(num_workers=1)
+
+        class ReleasingExecutor:
+            """Runs tasks in-process, releasing the snapshot before each one."""
+
+            def submit(self, function, payload):
+                backend.release_snapshot(index.snapshot.key)
+                future = Future()
+                future.set_result(function(payload))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        backend._executor = ReleasingExecutor()
+        try:
+            np.testing.assert_array_equal(index.score(syndrome, backend=backend), reference[0])
+            assert index.snapshot.key not in backend.segments.keys()
+            assert backend.segments.draining == 0
+        finally:
+            backend.close()
+            distributed._WORKER_ATTACHMENTS.close()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_workers"):

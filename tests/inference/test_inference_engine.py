@@ -442,7 +442,7 @@ class TestShardIndexCacheEviction:
         for _ in range(MAX_CACHED_INDEX_VERSIONS + 3):
             seen_keys.append(engine.herb_index().snapshot.key)
             _bump_parameters(model)
-        assert len(engine._index_cache) == MAX_CACHED_INDEX_VERSIONS
+        assert len(engine.index_cache) == MAX_CACHED_INDEX_VERSIONS
         # every key beyond the retained tail was released, oldest first
         assert spy.released == seen_keys[: -MAX_CACHED_INDEX_VERSIONS]
 
@@ -475,10 +475,10 @@ class TestShardIndexCacheEviction:
         engine.herb_index()
         _bump_parameters(model)
         engine.herb_index()
-        assert old_version in engine._index_cache
+        assert old_version in engine.index_cache.keys()
         _bump_parameters(model)
         engine.herb_index()
-        assert old_version not in engine._index_cache
+        assert old_version not in engine.index_cache.keys()
 
     def test_close_releases_every_cached_snapshot(self, wide_split):
         from repro.models import SMGCN, SMGCNConfig
@@ -496,7 +496,7 @@ class TestShardIndexCacheEviction:
         engine.close()
         assert spy.released == [key_a, key_b]
         assert spy.closed == 1
-        assert engine._index_cache == {}
+        assert len(engine.index_cache) == 0
 
 class _UseAfterReleaseGuard(ComputeBackend):
     """A serial backend that refuses to score against a released snapshot.
@@ -620,5 +620,11 @@ class TestIndexCacheConcurrency:
         # with traffic stopped, the drain bookkeeping must be empty again
         with engine._lease_index():
             pass
-        assert engine._retired == {}
-        assert engine._leases == {}
+        assert engine.index_cache.draining == 0
+        # no lease left behind: evicting the cached versions releases each at once
+        cached = [engine.index_cache.peek(key)[0].snapshot.key for key in engine.index_cache.keys()]
+        for _ in range(len(cached)):
+            _bump_parameters(model)
+            engine.herb_index()
+        assert engine.index_cache.draining == 0
+        assert set(cached) <= guard.released

@@ -457,15 +457,16 @@ class TestEngineLifecycle:
     def test_approx_cache_keyed_by_version_and_lru_bounded(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx")
         engine.recommend_batch(SETS[:2], k=5)
-        assert len(engine._approx_cache) == 1
-        first_key = next(iter(engine._approx_cache))
+        assert len(engine.index_cache) == 1
+        assert engine.index_cache.peek()[1] is not None
+        first_key = engine.index_cache.keys()[0]
         engine.recommend_batch(SETS[:2], k=5)
-        assert list(engine._approx_cache) == [first_key], "same version must reuse the cache"
+        assert engine.index_cache.keys() == [first_key], "same version must reuse the cache"
         for _ in range(MAX_CACHED_INDEX_VERSIONS + 2):
             wide_model.load_state_dict(wide_model.state_dict())  # bumps the version
             engine.recommend_batch(SETS[:2], k=5)
-        assert len(engine._approx_cache) <= MAX_CACHED_INDEX_VERSIONS
-        assert first_key not in engine._approx_cache, "stale quantization still cached"
+        assert len(engine.index_cache) <= MAX_CACHED_INDEX_VERSIONS
+        assert first_key not in engine.index_cache.keys(), "stale quantization still cached"
 
     def test_weight_update_never_served_from_stale_quantization(self, wide_split):
         from repro.models import SMGCN, SMGCNConfig
@@ -490,7 +491,7 @@ class TestEngineLifecycle:
         engine = InferenceEngine(wide_model, retrieval="approx")
         engine.recommend_batch(SETS[:2], k=5)
         engine.close()
-        assert engine._approx_cache == {}
+        assert len(engine.index_cache) == 0
         # engine stays usable after close
         assert len(engine.recommend_batch(SETS[:1], k=5)[0]) == 5
 
@@ -514,7 +515,8 @@ class TestEngineLifecycle:
 
     def test_warm_up_builds_the_approx_index(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx").warm_up()
-        assert len(engine._approx_cache) == 1
+        assert len(engine.index_cache) == 1
+        assert engine.index_cache.peek()[1] is not None
 
     def test_exact_engine_ignores_retrieval_knobs(self, wide_split, wide_model):
         """retrieval='exact' stays the oracle no matter the approx knobs."""

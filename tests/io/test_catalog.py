@@ -301,6 +301,52 @@ class TestCanary:
         assert catalog.entry("a").canary is None
         assert catalog.clear_canary("a") is None
 
+    def test_cleared_canary_closes_after_its_last_mirror(self, catalog, checkpoints, monkeypatch):
+        """A mirror in flight keeps its candidate open; the clear returns at once."""
+        from types import SimpleNamespace
+
+        from repro.inference import Recommendation
+        from repro.io.catalog import answer as answer_queries
+
+        mirroring, release = threading.Event(), threading.Event()
+
+        class BlockingCandidate:
+            herb_vocab = catalog.entry("a").pipeline.herb_vocab
+            closes = 0
+
+            def recommend(self, symptoms, k):
+                mirroring.set()
+                assert release.wait(30), "the test never released the mirror"
+                return Recommendation(herb_ids=(0,), scores=(0.0,))
+
+            def close(self):
+                self.closes += 1
+
+        candidate = BlockingCandidate()
+        monkeypatch.setattr(catalog, "load_pipeline", lambda path, serving=None: candidate)
+        catalog.set_canary("a", checkpoints["b"], fraction=1.0)
+        query = SimpleNamespace(symptoms="0 3", k=5, model="a")
+        answers = []
+        worker = threading.Thread(
+            target=lambda: answers.extend(answer_queries(catalog, [query])), daemon=True
+        )
+        worker.start()
+        try:
+            assert mirroring.wait(30), "the query was never mirrored"
+            cleared = threading.Thread(target=catalog.clear_canary, args=("a",), daemon=True)
+            cleared.start()
+            cleared.join(5)
+            assert not cleared.is_alive(), "clear_canary waited for the mirror"
+            assert catalog.entry("a").canary is None
+            assert candidate.closes == 0, "candidate closed under an in-flight mirror"
+        finally:
+            release.set()
+            worker.join(30)
+        assert answers and answers[0].error is None
+        assert candidate.closes == 1
+        catalog.close()
+        assert candidate.closes == 1
+
 
 class TestApproxRetrievalRollout:
     """The approx tier composes with zero-downtime rollout.
@@ -325,11 +371,12 @@ class TestApproxRetrievalRollout:
             assert catalog_answer(catalog, "approx") == answer(fresh_a)
             with catalog.entry("approx").lease() as old_pipeline:
                 old_engine = old_pipeline.engine
-                assert len(old_engine._approx_cache) == 1
+                assert len(old_engine.index_cache) == 1
+                assert old_engine.index_cache.peek()[1] is not None
                 catalog.publish("approx", checkpoints["b"])
                 # the drained generation still answers from its own quantization
                 assert answer(old_pipeline) == answer(fresh_a)
-            assert old_engine._approx_cache == {}, "drained engine kept a quantized index"
+            assert len(old_engine.index_cache) == 0, "drained engine kept a quantized index"
             rolled = catalog.entry("approx").pipeline
             assert rolled.options.retrieval == "approx"
             assert rolled.options.candidate_factor == 2
