@@ -90,27 +90,32 @@ def score_herb_tiles(
     unsharded and the sharded scoring paths are built on.
 
     Returns the ``(num_rows, num_herbs)`` score matrix (the caller owns the
-    row trim).
+    row trim).  Each gemm writes straight into its window of that matrix,
+    so a call allocates nothing else of its size: separate tiles plus
+    their concatenation would double the peak, and freeing both at the
+    heap top makes glibc return the pages to the OS in some runs and not
+    others, so the next call's page faults, and its time, vary by run.
     """
     if syndrome.shape[0] % row_block:
         raise ValueError(
             f"syndrome rows ({syndrome.shape[0]}) must be a multiple of row_block ({row_block})"
         )
     herb_matrix = np.ascontiguousarray(herb_matrix)
-    column_tiles = []
+    if herb_matrix.shape[0] == 0:
+        return np.zeros((syndrome.shape[0], 0), dtype=np.float64)
+    scores = np.empty(
+        (syndrome.shape[0], herb_matrix.shape[0]),
+        dtype=np.result_type(syndrome.dtype, herb_matrix.dtype),
+    )
     for tile_start in range(0, herb_matrix.shape[0], herb_block):
         tile = herb_matrix[tile_start : tile_start + herb_block].T  # (dim, <= herb_block)
-        blocks = [
-            syndrome[row_start : row_start + row_block] @ tile
-            for row_start in range(0, syndrome.shape[0], row_block)
-        ]
-        if not blocks:
-            column_tiles.append(np.zeros((0, tile.shape[1])))
-        else:
-            column_tiles.append(blocks[0] if len(blocks) == 1 else np.vstack(blocks))
-    if not column_tiles:
-        return np.zeros((syndrome.shape[0], 0), dtype=np.float64)
-    return column_tiles[0] if len(column_tiles) == 1 else np.hstack(column_tiles)
+        for row_start in range(0, syndrome.shape[0], row_block):
+            np.matmul(
+                syndrome[row_start : row_start + row_block],
+                tile,
+                out=scores[row_start : row_start + row_block, tile_start : tile_start + herb_block],
+            )
+    return scores
 
 
 #: Largest magnitude an int8 code may take.  Symmetric quantization uses the
