@@ -147,10 +147,18 @@ class InferenceEngine:
         return self.options.retrieval == "approx" and self._base_scoring
 
     def warm_up(self) -> "InferenceEngine":
-        """Force the propagation (and index builds) now, before taking traffic."""
+        """Force the propagation, index builds and backend start now, before traffic.
+
+        When requests go through the backend, one zero row block is scored
+        through the leased index on it, so a pooled or remote backend starts
+        its workers and attaches the snapshot here rather than on the first
+        request.
+        """
         self.model.cached_encode()
         if self.retrieval_active or self.sharding_active:
-            self.herb_index()
+            with self._lease_index() as index:
+                zeros = np.zeros((index.row_block, index.snapshot.dim), dtype=np.float64)
+                index.score(zeros, backend=self.backend)
         return self
 
     def refresh(self) -> "InferenceEngine":
@@ -233,6 +241,8 @@ class InferenceEngine:
             status["draining_index_versions"] = draining
         status["retrieval"] = "approx" if self.retrieval_active else "exact"
         if self.retrieval_active:
+            if newest is not None:
+                status["approx_rerank"] = newest[1].rerank_mode
             status["candidate_factor"] = self.options.candidate_factor
             if self.options.num_lists >= 2:
                 status["num_lists"] = self.options.num_lists
@@ -337,10 +347,10 @@ class InferenceEngine:
     def _recommend_approx(
         self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
     ) -> List[Recommendation]:
-        """Two-stage top-k: int8 first pass, exact tile re-rank, exact fallback.
+        """Two-stage top-k: int8 first pass, exact re-rank, exact fallback.
 
-        Every returned score comes from the exact fixed-tile arithmetic (the
-        re-rank and the fallback both run it), so approximation only affects
+        Every returned score comes from the exact path's fixed-shape gemms
+        (the re-rank and the fallback both run them), so approximation only affects
         which herbs make the list — never a listed herb's score or the
         relative order of listed herbs.  Requests whose candidate pool cannot
         certify ``k`` results fall back to the exact index individually;

@@ -163,8 +163,9 @@ class EngineOptions:
         ``--retrieval approx``.
         """
         options = cls(**{name: getattr(args, _dest(flag)) for name, flag in _FLAGS.items() if flag})
-        # approx retrieval runs its exact re-rank through the backend even
-        # with one shard, so the backend knobs stay meaningful there
+        # approx retrieval runs its exact fallback (and a "tiles"-mode
+        # re-rank) through the backend even with one shard, so the backend
+        # knobs stay meaningful there
         uses_backend = options.num_shards > 1 or options.retrieval == "approx"
         backend_set = options.backend not in (None, "numpy") or options.num_workers is not None
         if not uses_backend and (backend_set or options.worker_addrs):

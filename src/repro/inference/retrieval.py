@@ -1,53 +1,64 @@
-"""Two-stage approximate top-k retrieval: int8 first pass + exact tile re-rank.
+"""Two-stage approximate top-k retrieval: int8 first pass + exact re-rank.
 
 Exact serving (:class:`~repro.inference.sharding.ShardedHerbIndex`) is linear
 in vocabulary size: every request scores every herb and ranks the full row.
 :class:`ApproxHerbIndex` makes top-k sub-linear with the classic
-retrieve-then-re-rank shape:
+retrieve-then-re-rank shape.  Both stages rest on one BLAS property: a
+fixed-shape ``(rows, dim) @ (dim, HERB_BLOCK)`` gemm gives each output
+element the same bits whatever herbs fill the other columns and whatever
+rows fill the other rows of the block.
 
 1. **First pass (approximate, cheap).**  Herb embeddings are stored as
    symmetric per-herb int8 quantizations
-   (:meth:`~repro.models.base.WeightSnapshot.quantize`); queries score them
-   in float32 through the same fixed ``(row_block, HERB_BLOCK)`` tile grid as
-   the exact path and keep a ``candidate_factor * k`` survivor pool per
-   request.  An optional IVF-style coarse partition (seeded k-means over the
-   herb embeddings, ``nprobe`` lists probed per query) restricts the scan to
-   a fraction of the vocabulary.
-2. **Re-rank (exact, bit-faithful).**  Survivors map to their covering
-   :data:`~repro.models.base.HERB_BLOCK` tiles; contiguous tiles merge into
-   interval :class:`~repro.inference.backends.ShardTask`\\ s executed through
-   any registered :class:`~repro.inference.backends.ComputeBackend` (serial,
-   threads, processes, remote).  Those tasks run the *identical* fixed-block
-   arithmetic as ``score_sets(herb_range=...)``, so every returned score is
-   bit-identical to the exact oracle's score for the same ``(request, herb)``
-   pair, and the final ranking applies the canonical tie-break
-   (score descending, id ascending).
+   (:meth:`~repro.models.base.WeightSnapshot.quantize`) and scored in
+   float32.  An IVF-style coarse partition (seeded k-means over the herb
+   embeddings, ``nprobe`` lists probed per query) restricts the scan to a
+   fraction of the vocabulary: each probed list is scored only for the rows
+   that probe it, gathered into zero-padded groups of
+   :data:`PROBE_ROW_BLOCK` rows.  Without a partition the single list is a
+   full scan of every row in ``row_block`` groups.  Each request keeps a
+   ``candidate_factor * k`` survivor pool.
+2. **Re-rank (exact, bit-faithful, float64).**  The survivor union is packed
+   into zero-padded ``HERB_BLOCK``-wide synthetic tiles and scored in the
+   engine process with the same gemm shape as the exact tile grid; survivors
+   in the vocabulary's narrower trailing tile are scored through that real
+   tile.  Every returned score is therefore bit-identical to the exact
+   oracle's score for the same ``(request, herb)`` pair, and the final
+   ranking applies the canonical tie-break (score descending, id
+   ascending).  Whether packing is bit-faithful is a property of the host's
+   BLAS, so each index checks it at build (:func:`gather_invariant`); where
+   the check fails the index re-ranks through ``tiles`` instead: the
+   survivors' covering tiles merge into interval
+   :class:`~repro.inference.backends.ShardTask`\\ s run on the configured
+   :class:`~repro.inference.backends.ComputeBackend`, the arithmetic of
+   ``score_sets(herb_range=...)``.  :attr:`ApproxHerbIndex.rerank_mode` and
+   :class:`RetrievalReport` name the mode in use.
 
 Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
 
 * A request's candidate pool is a function of that request alone — first-pass
-  matmuls run per fixed row block over per-list matrices whose shapes are
-  frozen at build time, and pool-boundary ties resolve canonically (keep ids
-  scoring strictly above the boundary value, fill with boundary-tied ids in
-  ascending order) — so batching never changes an answer.
-* Re-ranked scores are produced by the same tile grid as the exact path:
+  matmuls run over fixed row groups against per-list matrices whose shapes
+  are frozen at build time, and pool-boundary ties resolve canonically (keep
+  ids scoring strictly above the boundary value, fill with boundary-tied ids
+  in ascending order) — so batching never changes an answer.
+* Re-ranked scores come from the same gemm shape as the exact path:
   approximation can only affect *which* herbs survive to the re-rank (the
   recall dimension), never the score or relative order of survivors.
 * Any request whose scanned pool cannot certify ``k`` results (``k`` larger
   than the probed candidate pool, or a pool so large pruning is pointless)
-  falls back to the exact index for that request alone, so answers are
-  always full-length.
+  falls back to the exact index on the configured backend for that request
+  alone, so answers are always full-length.
 
 Recall is certified offline: the test harness and
 ``benchmarks/bench_approx_topk.py`` hard-gate recall@k >= 0.99 against the
-exact oracle; serving surfaces fallback/pool counters through
-``InferenceEngine.backend_status()`` into the ``stats`` control line.
+exact oracle; serving surfaces the re-rank mode and fallback/pool counters
+through ``InferenceEngine.backend_status()`` into the ``stats`` control line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +67,53 @@ from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
 from .backends import ComputeBackend, NumpyBackend, ShardTask
 from .sharding import ShardedHerbIndex
 
-__all__ = ["ApproxHerbIndex", "RetrievalReport", "kmeans_partition"]
+__all__ = [
+    "PROBE_ROW_BLOCK",
+    "ApproxHerbIndex",
+    "RetrievalReport",
+    "gather_invariant",
+    "kmeans_partition",
+]
+
+#: Row group of the IVF first pass: a probed list is scored only for the
+#: rows probing it, packed into zero-padded groups of this many rows.  A
+#: fixed shape keeps each row's scores independent of its group-mates; a
+#: small one keeps the work proportional to the probes, not to the block.
+#: (The single-list full scan keeps ``row_block``: every row probes it, and
+#: small groups slow that scan down.)
+PROBE_ROW_BLOCK = 4
+
+
+def _packed_scores(
+    syndrome: np.ndarray, herb_matrix: np.ndarray, ids: np.ndarray, row_block: int
+) -> np.ndarray:
+    """``(rows, ids.size)`` scores of ``herb_matrix[ids]`` from packed tiles.
+
+    The herb rows are packed into zero-padded ``HERB_BLOCK``-wide synthetic
+    tiles, so every score comes out of the same fixed-shape gemm as the
+    exact tile grid.
+    """
+    width = -(-ids.size // HERB_BLOCK) * HERB_BLOCK
+    packed = np.zeros((width, herb_matrix.shape[1]), dtype=herb_matrix.dtype)
+    np.take(herb_matrix, ids, axis=0, out=packed[: ids.size])
+    return score_herb_tiles(syndrome, packed, row_block=row_block)[:, : ids.size]
+
+
+def gather_invariant(dim: int, row_block: int) -> bool:
+    """Whether packed herb tiles score bit-identically to the real tile grid.
+
+    The gathered re-rank relies on the host BLAS computing each element of a
+    fixed-shape gemm the same way whatever fills the other columns.  This
+    checks it on seeded random data at the given width and row block: a
+    shuffled full tile plus a zero-padded partial one, drawn from three real
+    tiles, against ``score_herb_tiles`` over the contiguous matrix.
+    """
+    rng = np.random.default_rng(0)
+    herbs = rng.standard_normal((3 * HERB_BLOCK, dim))
+    syndrome = rng.standard_normal((row_block, dim))
+    picked = rng.choice(herbs.shape[0], size=HERB_BLOCK + HERB_BLOCK // 2, replace=False)
+    reference = score_herb_tiles(syndrome, herbs, row_block=row_block)[:, picked]
+    return bool(np.array_equal(_packed_scores(syndrome, herbs, picked, row_block), reference))
 
 
 def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 65536) -> np.ndarray:
@@ -99,8 +156,15 @@ def kmeans_partition(
     centroids = train[np.sort(rng.choice(train.shape[0], k, replace=False))].copy()
     for _ in range(iterations):
         assignments = _nearest_centroids(train, centroids)
-        sums = np.zeros((k, data.shape[1]), dtype=np.float64)
-        np.add.at(sums, assignments, train)
+        # per-column bincount sums each cluster's rows in row order in
+        # float64, exactly as np.add.at does, at a fraction of its cost
+        sums = np.stack(
+            [
+                np.bincount(assignments, weights=train[:, column], minlength=k)
+                for column in range(train.shape[1])
+            ],
+            axis=1,
+        )
         counts = np.bincount(assignments, minlength=k)
         populated = counts > 0
         centroids[populated] = (sums[populated] / counts[populated, None]).astype(np.float32)
@@ -130,15 +194,18 @@ class RetrievalReport:
     fallback_rows: int = 0
     #: Sum of survivor-pool sizes over the approx-answered requests.
     candidates: int = 0
+    #: The index's re-rank mode (:attr:`ApproxHerbIndex.rerank_mode`).
+    rerank_mode: str = ""
 
     def merge(self, other: "RetrievalReport") -> None:
         self.rows += other.rows
         self.fallback_rows += other.fallback_rows
         self.candidates += other.candidates
+        self.rerank_mode = other.rerank_mode or self.rerank_mode
 
 
 class ApproxHerbIndex:
-    """Int8 first pass + exact tile re-rank over one weight snapshot.
+    """Int8 first pass + exact re-rank over one weight snapshot.
 
     Built from a :class:`~repro.models.base.WeightSnapshot` (or a bare matrix,
     wrapped like :class:`~repro.inference.sharding.ShardedHerbIndex` does) and
@@ -150,7 +217,8 @@ class ApproxHerbIndex:
     per request).  ``num_lists >= 2`` enables the IVF partition with
     ``nprobe`` lists probed per query; ``num_lists in (0, 1)`` keeps a single
     list covering the whole vocabulary (the first pass is then a full int8
-    scan).  ``nprobe`` is clamped to the number of non-empty lists.
+    scan).  ``nprobe`` is clamped to the number of non-empty lists.  The
+    re-rank mode is fixed at build by :func:`gather_invariant`.
     """
 
     def __init__(
@@ -224,6 +292,12 @@ class ApproxHerbIndex:
             self.centroids32 = None
         self.num_lists = len(self.lists)
         self.nprobe = min(max(1, int(nprobe)), self.num_lists)
+        #: First-pass row group: every row probes a lone list, so it keeps
+        #: the full block; partitioned lists see only their probing rows.
+        self.probe_row_block = PROBE_ROW_BLOCK if self.num_lists >= 2 else self.row_block
+        #: ``"gathered"`` (packed survivor tiles, in process) or ``"tiles"``
+        #: (covering tile runs on the backend), from the host probe.
+        self.rerank_mode = "gathered" if gather_invariant(self.dim, self.row_block) else "tiles"
         self._exact_index: Optional[ShardedHerbIndex] = None
 
     @classmethod
@@ -293,17 +367,28 @@ class ApproxHerbIndex:
         num_rows = len(ks)
         syndrome32 = np.ascontiguousarray(syndrome, dtype=np.float32)
         probes = self._probed_lists(syndrome32, num_rows)
-        approx_scores: Dict[int, np.ndarray] = {}
-        for list_id in np.unique(probes):
-            inverted = self.lists[int(list_id)]
-            raw = score_herb_tiles(syndrome32, inverted.codes32, row_block=self.row_block)
-            approx_scores[int(list_id)] = raw[:num_rows] * inverted.scales32[None, :]
+        # (row, list) probe pairs grouped by list, rows ascending within a list
+        flat = probes.ravel()
+        order = np.argsort(flat, kind="stable")
+        probe_lists, probe_rows = flat[order], order // probes.shape[1]
+        starts = np.flatnonzero(np.diff(probe_lists, prepend=-1))
+        row_scores: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
+        row_ids: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
+        group = self.probe_row_block
+        for start, stop in zip(starts, [*starts[1:], flat.size]):
+            inverted = self.lists[int(probe_lists[start])]
+            rows = probe_rows[start:stop]
+            block = np.zeros((-(-rows.size // group) * group, self.dim), dtype=np.float32)
+            block[: rows.size] = syndrome32[rows]
+            scores = score_herb_tiles(block, inverted.codes32, row_block=group)[: rows.size]
+            scores *= inverted.scales32
+            for position, row in enumerate(rows):
+                row_scores[row].append(scores[position])
+                row_ids[row].append(inverted.ids)
         survivors: List[Optional[np.ndarray]] = [None] * num_rows
         fallback_rows: List[int] = []
         for row in range(num_rows):
-            row_lists = [int(list_id) for list_id in probes[row]]
-            scores = np.concatenate([approx_scores[list_id][row] for list_id in row_lists])
-            ids = np.concatenate([self.lists[list_id].ids for list_id in row_lists])
+            scores, ids = np.concatenate(row_scores[row]), np.concatenate(row_ids[row])
             pool = self.candidate_factor * int(ks[row])
             if scores.size < min(int(ks[row]), self.num_herbs) or pool >= self.num_herbs:
                 fallback_rows.append(row)
@@ -332,24 +417,15 @@ class ApproxHerbIndex:
         runs.append((run_start * HERB_BLOCK, min(num_herbs, (previous + 1) * HERB_BLOCK)))
         return runs
 
-    def _rerank(
-        self,
-        syndrome: np.ndarray,
-        survivors: List[Optional[np.ndarray]],
-        rows: List[int],
-        ks: Sequence[int],
-        backend: ComputeBackend,
-        results: List[Optional[Tuple[np.ndarray, np.ndarray]]],
-    ) -> None:
-        """Score survivors exactly and rank them canonically.
+    def _tile_run_scores(
+        self, syndrome: np.ndarray, union: np.ndarray, backend: ComputeBackend
+    ) -> np.ndarray:
+        """``(rows, union.size)`` exact scores from the survivors' real tiles.
 
-        The candidate union maps to covering tiles merged into contiguous
-        intervals; each interval becomes one ``op="score"`` ShardTask, so the
-        scores come out of the identical ``(row_block, HERB_BLOCK)`` tile
-        grid as ``score_sets(herb_range=...)`` — bit-identical to the exact
-        oracle wherever the task executes.
+        The covering tiles merge into contiguous intervals; each interval
+        becomes one ``op="score"`` ShardTask on ``backend``, so the scores
+        come out of the identical tile grid as ``score_sets(herb_range=...)``.
         """
-        union = np.unique(np.concatenate([survivors[row] for row in rows]))
         runs = self._tile_runs(union, self.num_herbs)
         tasks = [
             ShardTask(
@@ -366,14 +442,54 @@ class ApproxHerbIndex:
             for index, (start, stop) in enumerate(runs)
         ]
         pieces = backend.run_tasks(self.snapshot, tasks)
-        run_starts = np.array([start for start, _ in runs], dtype=np.int64)
+        return np.hstack(
+            [
+                piece[:, union[(union >= start) & (union < stop)] - start]
+                for piece, (start, stop) in zip(pieces, runs)
+            ]
+        )
+
+    def _gathered_scores(self, syndrome: np.ndarray, union: np.ndarray) -> np.ndarray:
+        """``(rows, union.size)`` exact scores from packed survivor tiles.
+
+        Survivors in full tiles are packed (:func:`_packed_scores`); those in
+        the vocabulary's narrower trailing tile are scored through that real
+        tile, whose width no packed tile has.
+        """
+        herbs = self.snapshot.herb_embeddings
+        full_stop = self.num_herbs // HERB_BLOCK * HERB_BLOCK
+        split = int(np.searchsorted(union, full_stop))
+        pieces = []
+        if split:
+            pieces.append(_packed_scores(syndrome, herbs, union[:split], self.row_block))
+        if split < union.size:
+            tail = score_herb_tiles(syndrome, herbs[full_stop:], row_block=self.row_block)
+            pieces.append(tail[:, union[split:] - full_stop])
+        return np.hstack(pieces)
+
+    def _rerank(
+        self,
+        syndrome: np.ndarray,
+        survivors: List[Optional[np.ndarray]],
+        rows: List[int],
+        ks: Sequence[int],
+        backend: ComputeBackend,
+        results: List[Optional[Tuple[np.ndarray, np.ndarray]]],
+    ) -> None:
+        """Score survivors exactly and rank them canonically.
+
+        The survivor union is scored once, by the mode the host probe chose
+        at build (:attr:`rerank_mode`); both give every survivor the bits the
+        exact oracle gives it.
+        """
+        union = np.unique(np.concatenate([survivors[row] for row in rows]))
+        if self.rerank_mode == "gathered":
+            union_scores = self._gathered_scores(syndrome, union)
+        else:
+            union_scores = self._tile_run_scores(syndrome, union, backend)
         for row in rows:
             ids = survivors[row]
-            piece_index = np.searchsorted(run_starts, ids, side="right") - 1
-            offsets = ids - run_starts[piece_index]
-            exact = np.array(
-                [pieces[p][row, o] for p, o in zip(piece_index, offsets)], dtype=np.float64
-            )
+            exact = union_scores[row, np.searchsorted(union, ids)]
             order = np.lexsort((ids, -exact))[: min(int(ks[row]), ids.size)]
             results[row] = (ids[order], exact[order])
 
@@ -440,6 +556,7 @@ class ApproxHerbIndex:
             rows=len(ks),
             fallback_rows=len(fallback_rows),
             candidates=sum(ids.size for ids in survivors if ids is not None),
+            rerank_mode=self.rerank_mode,
         )
         results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(ks)
         rerank_rows = [row for row in range(len(ks)) if survivors[row] is not None]

@@ -311,7 +311,7 @@ def _parse_header(data) -> CheckpointHeader:
 
 def read_checkpoint_header(path: Union[str, Path]) -> CheckpointHeader:
     """Read only the JSON header of a checkpoint (cheap — no state arrays)."""
-    with np.load(Path(path), allow_pickle=False) as data:
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
         return _parse_header(data)
 
 
@@ -334,7 +334,8 @@ def load_checkpoint(
     """
     if (dataset is None) == (resolve_dataset is None):
         raise ValueError("pass exactly one of dataset or resolve_dataset")
-    with np.load(Path(path), allow_pickle=False) as data:
+    # numpy opens a path itself and leaks it when the bundle fails to parse
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
         header = _parse_header(data)
         if header.model_name not in MODEL_REGISTRY:
             raise CheckpointError(

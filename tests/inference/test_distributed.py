@@ -629,3 +629,25 @@ class TestEngineParity:
             assert remoted.recommend_batch(sets, k=9) == baseline, "approx diverged (remote)"
         finally:
             remote.close()
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(num_shards=2), dict(retrieval="approx", num_lists=2)],
+        ids=["sharded", "approx"],
+    )
+    def test_warm_up_publishes_the_snapshot_to_the_pool(self, wide_split, knobs):
+        """A rollout's warm-up starts the pool, so the first request does not."""
+        from repro.models import SMGCN, SMGCNConfig
+
+        train, _ = wide_split
+        config = SMGCNConfig(
+            embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
+        )
+        backend = ProcessPoolBackend(num_workers=1)
+        try:
+            engine = InferenceEngine(SMGCN.from_dataset(train, config), backend=backend, **knobs)
+            assert backend.segments.keys() == []
+            engine.warm_up()
+            assert backend.segments.keys() == [engine.herb_index().snapshot.key]
+        finally:
+            backend.close()

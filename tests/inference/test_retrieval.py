@@ -30,6 +30,7 @@ from repro.inference import (
     ShardedHerbIndex,
     kmeans_partition,
 )
+from repro.inference.retrieval import PROBE_ROW_BLOCK, gather_invariant
 from repro.models.base import (
     HERB_BLOCK,
     SCORING_BLOCK,
@@ -127,6 +128,29 @@ class TestKMeansPartition:
         assignments, centroids = kmeans_partition(matrix, 64, seed=0)
         assert centroids.shape[0] <= 5
 
+    def test_matches_add_at_reference_byte_for_byte(self):
+        """The bincount centroid update is the np.add.at one, bit for bit."""
+        matrix = clustered_vocab(3000, 16, 20, seed=6)
+        data = matrix.astype(np.float32)
+        rng = np.random.default_rng(4)
+        centroids = data[np.sort(rng.choice(data.shape[0], 24, replace=False))].copy()
+        for _ in range(10):
+            distances = np.einsum("ij,ij->i", centroids, centroids)[None, :] - 2.0 * (
+                data @ centroids.T
+            )
+            assignments = np.argmin(distances, axis=1)
+            sums = np.zeros((24, data.shape[1]), dtype=np.float64)
+            np.add.at(sums, assignments, data)
+            counts = np.bincount(assignments, minlength=24)
+            populated = counts > 0
+            centroids[populated] = (sums[populated] / counts[populated, None]).astype(np.float32)
+        distances = np.einsum("ij,ij->i", centroids, centroids)[None, :] - 2.0 * (
+            data @ centroids.T
+        )
+        got_assignments, got_centroids = kmeans_partition(matrix, 24, seed=4)
+        assert got_assignments.tobytes() == np.argmin(distances, axis=1).tobytes()
+        assert got_centroids.tobytes() == centroids.tobytes()
+
 
 # One wide multi-tile vocabulary (>= 1 wide corpus fixture) and a smaller one.
 MATRIX_CASES = [
@@ -214,6 +238,107 @@ class TestMatrixRecallHarness:
         syndrome = pad_rows(cluster_queries(matrix, 3, seed=5))
         results, _ = ApproxHerbIndex(snapshot).topk(syndrome, [3, 11, 7], exact_index=exact)
         assert [len(ids) for ids, _ in results] == [3, 11, 7]
+
+
+class TestGatheredRerank:
+    """Packed survivor tiles score exactly like the real tile grid."""
+
+    # trailing tiles 197 wide: a width whose gemm bits differ from a packed
+    # 256-wide tile's on common OpenBLAS kernels, so it must take its real tile
+    @pytest.mark.parametrize("num_herbs", [4 * HERB_BLOCK, 4 * HERB_BLOCK + 197, 197])
+    def test_scores_byte_identical_to_exact_grid(self, num_herbs):
+        if not gather_invariant(12, SCORING_BLOCK):
+            pytest.skip("this host's BLAS is not column-gather invariant")
+        rng = np.random.default_rng(num_herbs)
+        snapshot = WeightSnapshot.from_matrix(rng.normal(size=(num_herbs, 12)))
+        syndrome = pad_rows(rng.normal(size=(40, 12)))
+        approx = ApproxHerbIndex(snapshot)
+        assert approx.rerank_mode == "gathered"
+        full_tiles = num_herbs // HERB_BLOCK * HERB_BLOCK
+        ids = np.unique(
+            np.concatenate(
+                [
+                    rng.choice(full_tiles, size=min(full_tiles, 300), replace=False),
+                    np.arange(full_tiles, num_herbs)[::3],  # the trailing partial tile
+                ]
+            )
+        )
+        expected = ShardedHerbIndex(snapshot, num_shards=3).score(syndrome)[:, ids]
+        assert approx._gathered_scores(syndrome, ids).tobytes() == expected.tobytes()
+
+    def test_probe_rejects_a_packer_that_changes_bits(self, monkeypatch):
+        import repro.inference.retrieval as retrieval
+
+        packed = retrieval._packed_scores
+
+        def nudged(*args):
+            scores = packed(*args)
+            scores[0, 0] = np.nextafter(scores[0, 0], np.inf)
+            return scores
+
+        monkeypatch.setattr(retrieval, "_packed_scores", nudged)
+        assert not gather_invariant(16, SCORING_BLOCK)
+
+    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (8, 3)])
+    def test_failed_probe_falls_back_to_tile_runs_with_identical_answers(
+        self, monkeypatch, num_lists, nprobe
+    ):
+        import repro.inference.retrieval as retrieval
+
+        matrix = clustered_vocab(5 * HERB_BLOCK + 21, 12, num_clusters=8, seed=16)
+        snapshot = WeightSnapshot.from_matrix(matrix)
+        exact = ShardedHerbIndex(snapshot, num_shards=2)
+        syndrome = pad_rows(cluster_queries(matrix, 30, seed=16))
+        ks = [6, 11, 3] * 10
+        built = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
+        gathered, report = built.topk(syndrome, ks, exact_index=exact)
+        assert report.rerank_mode == built.rerank_mode
+        monkeypatch.setattr(retrieval, "gather_invariant", lambda *args, **kwargs: False)
+        fallback = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
+        assert fallback.rerank_mode == "tiles"
+        tiled, tiled_report = fallback.topk(syndrome, ks, exact_index=exact)
+        assert tiled_report.rerank_mode == "tiles"
+        full_scores = exact.score(syndrome)
+        for row, ((ids, scores), (tile_ids, tile_scores)) in enumerate(zip(gathered, tiled)):
+            np.testing.assert_array_equal(ids, tile_ids)
+            assert scores.tobytes() == tile_scores.tobytes()
+            assert scores.tobytes() == full_scores[row, ids].tobytes()
+
+
+class TestPerRowFirstPass:
+    """A request's pool depends on that request alone."""
+
+    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (16, 4)])
+    def test_pool_same_alone_shuffled_and_in_a_full_block(
+        self, monkeypatch, num_lists, nprobe
+    ):
+        import repro.inference.retrieval as retrieval
+
+        matrix = clustered_vocab(6 * HERB_BLOCK + 13, 16, num_clusters=12, seed=17)
+        snapshot = WeightSnapshot.from_matrix(matrix)
+        approx = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
+        assert approx.probe_row_block == (PROBE_ROW_BLOCK if num_lists else SCORING_BLOCK)
+        list_blocks = []
+        scorer = retrieval.score_herb_tiles
+
+        def spy(syndrome, herb_matrix, row_block):
+            if any(herb_matrix is inverted.codes32 for inverted in approx.lists):
+                list_blocks.append((syndrome.shape[0] % row_block, row_block))
+            return scorer(syndrome, herb_matrix, row_block=row_block)
+
+        monkeypatch.setattr(retrieval, "score_herb_tiles", spy)
+        queries = cluster_queries(matrix, SCORING_BLOCK, seed=17)
+        ks = [5 + row % 7 for row in range(SCORING_BLOCK)]
+        full_block, _ = approx.candidates(queries, ks)
+        # every list is scored in whole groups of the one fixed shape
+        assert list_blocks and set(list_blocks) == {(0, approx.probe_row_block)}
+        order = np.random.default_rng(17).permutation(SCORING_BLOCK)[:23]
+        shuffled, _ = approx.candidates(pad_rows(queries[order]), [ks[row] for row in order])
+        for position, row in enumerate(order):
+            np.testing.assert_array_equal(shuffled[position], full_block[row])
+        for row in order[:5]:
+            alone, _ = approx.candidates(pad_rows(queries[row : row + 1]), [ks[row]])
+            np.testing.assert_array_equal(alone[0], full_block[row])
 
 
 class TestEveryNeuralModel:
@@ -500,6 +625,7 @@ class TestEngineLifecycle:
         engine.recommend_batch(SETS[:5], k=4)
         status = engine.backend_status()
         assert status["retrieval"] == "approx"
+        assert status["approx_rerank"] == engine.index_cache.peek()[1].rerank_mode
         assert status["approx_requests"] == 5
         assert status["approx_fallbacks"] == 0
         assert status["approx_pool_mean"] == pytest.approx(8.0)

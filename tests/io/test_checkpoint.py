@@ -6,6 +6,9 @@ Trainer ever running during the load; and loading refuses mismatched
 vocabularies or state shapes instead of silently mis-scoring.
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,23 @@ class TestRefusals:
             read_checkpoint_header(bogus)
         with pytest.raises(CheckpointError, match="missing header"):
             load_checkpoint(bogus, train)
+
+    def test_truncated_bundle_closes_its_file(self, saved, tmp_path):
+        """A bundle too torn to parse must not leave its file open."""
+        path, train = saved
+        torn = tmp_path / "torn.npz"
+        torn.write_bytes(path.read_bytes()[:-200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for load in (read_checkpoint_header, lambda p: load_checkpoint(p, train)):
+                try:
+                    load(torn)
+                except Exception:  # whatever the parser raises, the file must close
+                    pass
+                else:
+                    pytest.fail("a truncated bundle loaded")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_wrong_dataset_at_save_time_refused(self, tmp_path):
         train, _ = experiment_split("smoke")
