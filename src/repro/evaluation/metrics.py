@@ -12,6 +12,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..models.base import HERB_BLOCK
+
 __all__ = [
     "top_k_indices",
     "precision_at_k",
@@ -22,12 +24,18 @@ __all__ = [
 
 
 #: Rows are selected in blocks of about this many bytes of scores.  The
-#: block's temporaries (one negated copy, one mask) then stay cache-sized,
-#: and freeing them never returns a large region to the allocator, which
-#: would make the caller's next full-size score matrix fault its pages in
-#: again: on a 2-core x86 host, tile-scoring 64 x 50,000 herbs right after
-#: a whole-matrix selection took ~47 ms instead of ~27 ms.
+#: block's temporaries then stay cache-sized, and freeing them never returns
+#: a large region to the allocator, which would make the caller's next
+#: full-size score matrix fault its pages in again: on a 2-core x86 host,
+#: tile-scoring 64 x 50,000 herbs right after a whole-matrix selection took
+#: ~47 ms instead of ~27 ms.
 SELECT_BLOCK_BYTES = 1 << 21
+
+#: Rows are pruned (see :func:`_select_pruned`) when they hold at least this
+#: many whole :data:`~repro.models.base.HERB_BLOCK` column groups per
+#: requested score; narrower rows gain too little from the group scan and go
+#: straight to :func:`_select_block`.
+PRUNE_GROUPS_PER_K = 4
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -42,10 +50,15 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     exactly from per-shard candidate lists: every prefix of the full ranking
     is well defined even across tied scores at shard boundaries.
 
-    Selection costs O(n + k log k) per row of ``n`` scores, not a full sort
-    (see :func:`_select_block`), and the only temporaries larger than the
-    ``(rows, k)`` result are per block of :data:`SELECT_BLOCK_BYTES`.
-    Scores must be floats or signed integers.
+    Rows at least ``PRUNE_GROUPS_PER_K * k`` groups of ``HERB_BLOCK``
+    columns wide are bounded and pruned (:func:`_select_pruned`): one
+    NaN-ignoring max per group, then only the groups that can hold the top
+    ``k`` are read again, so a 64 x 50,000 call at ``k = 20`` ranks about
+    ``k`` candidates per row instead of partitioning 50,000.  Narrower rows,
+    and rows with fewer than ``k`` numeric groups, use :func:`_select_block`
+    (O(n + k log k) per row of ``n`` scores).  Either way the only
+    temporaries larger than the ``(rows, k)`` result are per block of
+    :data:`SELECT_BLOCK_BYTES`.  Scores must be floats or signed integers.
     """
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
@@ -56,9 +69,56 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     top = np.empty((num_rows, k), dtype=np.intp)
     if k == 0:
         return top
+    select = _select_pruned if width // HERB_BLOCK >= PRUNE_GROUPS_PER_K * k else _select_block
     step = max(1, SELECT_BLOCK_BYTES // (width * scores.itemsize))
     for start in range(0, num_rows, step):
-        top[start : start + step] = _select_block(scores[start : start + step], k)
+        top[start : start + step] = select(scores[start : start + step], k)
+    return top
+
+
+def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
+    """Canonical top-``k`` of a row block, ``1 <= k <= width // HERB_BLOCK``.
+
+    Each row is cut into groups of :data:`~repro.models.base.HERB_BLOCK`
+    columns, and the ``k``-th largest group maximum (``np.fmax``, so NaN is
+    ignored) bounds the row's ``k``-th best score from below: ``k`` distinct
+    groups each hold a score at least that high.  Every member of the
+    canonical top ``k``, ties included, therefore scores at or above the
+    bound, inside a group whose maximum reaches it or in the narrower
+    trailing group; only those columns are read again.  The survivors, which
+    arrive in (row, column) order, are ranked by one stable ``lexsort`` on
+    (row, score desc), and each row keeps its first ``k``.  A row whose
+    bound is NaN (fewer than ``k`` groups hold a number) goes through
+    :func:`_select_block`.  The cost is one pass over the scores plus
+    O(G + c log c) per row of ``G`` groups and ``c`` survivors.
+    """
+    num_rows, width = scores.shape
+    whole = width - width % HERB_BLOCK
+    groups = scores[:, :whole].reshape(num_rows, -1, HERB_BLOCK)
+    group_max = np.fmax.reduce(groups, axis=2)
+    negated = np.negative(group_max)
+    negated.partition(k - 1, axis=1)
+    bound = -negated[:, k - 1 : k]
+    rows, kept_groups = np.nonzero(group_max >= bound)
+    members = groups[rows, kept_groups]
+    hits = np.flatnonzero(members >= bound[rows])
+    tail = scores[:, whole:]
+    tail_rows, tail_columns = np.nonzero(tail >= bound)
+    groups_hit = hits // HERB_BLOCK
+    candidate_rows = np.concatenate([rows[groups_hit], tail_rows])
+    candidate_columns = np.concatenate(
+        [kept_groups[groups_hit] * HERB_BLOCK + hits % HERB_BLOCK, tail_columns + whole]
+    )
+    candidate_values = np.concatenate([members.ravel()[hits], tail[tail_rows, tail_columns]])
+    # stable on (row, score desc): tied scores keep their ascending columns
+    order = np.lexsort((-candidate_values, candidate_rows))
+    short = np.isnan(bound[:, 0])
+    pruned = np.flatnonzero(~short)
+    first = np.searchsorted(candidate_rows[order], pruned)
+    top = np.empty((num_rows, k), dtype=np.intp)
+    top[pruned] = candidate_columns[order[first[:, None] + np.arange(k)]]
+    if short.any():
+        top[short] = _select_block(scores[short], k)
     return top
 
 
@@ -70,7 +130,11 @@ def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
     ``k`` numbers).  Every index scoring at least the boundary survives; on
     rows whose boundary ties overflow ``k``, the highest-index ties are
     dropped.  The ``k`` survivors, already in index order, are then
-    stable-sorted by score.
+    stable-sorted by score.  The cost is O(n + k log k) per row of ``n``
+    scores, with a negated copy and a mask of the block as temporaries.
+    This is the whole path for rows too narrow to prune (training's and
+    batch's herb vocabularies, the IVF centroid probe) and the fallback for
+    rows :func:`_select_pruned` cannot bound.
     """
     negated = np.negative(scores)
     negated.partition(k - 1, axis=1)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from .backends import ComputeBackend, check_backend_spec
 
-__all__ = ["EngineOptions", "FIELD_NAMES", "RETRIEVAL_MODES"]
+__all__ = ["EngineOptions", "FIELD_NAMES", "RETRIEVAL_MODES", "check_minimum"]
 
 #: ``EngineOptions.retrieval`` values: ``"exact"`` scans every herb (the
 #: oracle); ``"approx"`` is the two-stage :class:`~repro.inference.retrieval.
@@ -51,10 +51,12 @@ class EngineOptions:
     instance.  ``batch_size`` (symptom sets per scoring chunk: it bounds
     memory, never answers) is library-only, so it has no flag.
 
-    Every error message names the field and its flag.  The backend rules are
-    :func:`~repro.inference.backends.check_backend_spec`'s, which every
-    backend constructor runs too.  The library accepts knobs that the chosen
-    path ignores (an exact engine with approx knobs stays the exact oracle);
+    Every error message names the field and its flag.  The integer ranges
+    are :func:`check_minimum`'s and the backend rules
+    :func:`~repro.inference.backends.check_backend_spec`'s; the index and
+    backend constructors that take the same knobs run those checks too.
+    The library accepts knobs that the chosen path ignores (an exact engine
+    with approx knobs stays the exact oracle);
     only :meth:`from_args` refuses such flags.  Callers taking both
     ``options`` and field-name keywords fold them in with
     ``dataclasses.replace(options or EngineOptions(), **knobs)``, which
@@ -130,11 +132,8 @@ class EngineOptions:
         # the CLI's append action and library callers pass lists (or None);
         # a tuple keeps the frozen options comparable and hashable by value
         object.__setattr__(self, "worker_addrs", tuple(self.worker_addrs or ()))
-        for knob in dataclasses.fields(self):
-            least, value = knob.metadata["minimum"], getattr(self, knob.name)
-            if least is not None and value < least:
-                bound = "a positive integer" if least == 1 else f">= {least}"
-                raise ValueError(f"{_label(knob.name)} must be {bound}")
+        for name in _MINIMUMS:
+            check_minimum(name, getattr(self, name), label=_label)
         if self.retrieval not in RETRIEVAL_MODES:
             raise ValueError(
                 f"{_label('retrieval')} must be one of {RETRIEVAL_MODES}, got {self.retrieval!r}"
@@ -189,6 +188,26 @@ class EngineOptions:
 #: Every option's field name, in declaration order.
 FIELD_NAMES = tuple(knob.name for knob in dataclasses.fields(EngineOptions))
 _FLAGS = {knob.name: knob.metadata["flag"] for knob in dataclasses.fields(EngineOptions)}
+_MINIMUMS = {
+    knob.name: knob.metadata["minimum"]
+    for knob in dataclasses.fields(EngineOptions)
+    if knob.metadata["minimum"] is not None
+}
+
+
+def check_minimum(name: str, value: int, label: Callable[[str], str] = str) -> None:
+    """Refuse an integer knob below its field's ``minimum``: the one home of these rules.
+
+    :class:`EngineOptions` checks every integer field here, and the index
+    constructors that take the same knob
+    (:class:`~repro.inference.sharding.ShardedHerbIndex`'s ``num_shards``,
+    :class:`~repro.inference.retrieval.ApproxHerbIndex`'s approx knobs) check
+    theirs.  ``label(name)`` names the knob in the message.
+    """
+    least = _MINIMUMS[name]
+    if value < least:
+        bound = "a positive integer" if least == 1 else f">= {least}"
+        raise ValueError(f"{label(name)} must be {bound}")
 
 
 def _label(name: str, value: Any = None) -> str:

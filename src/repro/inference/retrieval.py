@@ -65,6 +65,7 @@ import numpy as np
 from ..evaluation.metrics import top_k_indices
 from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
 from .backends import ComputeBackend, NumpyBackend, ShardTask
+from .options import check_minimum
 from .sharding import ShardedHerbIndex
 
 __all__ = [
@@ -237,12 +238,9 @@ class ApproxHerbIndex:
             if matrix.ndim != 2 or matrix.shape[0] == 0:
                 raise ValueError("herb_embeddings must be a non-empty (num_herbs, dim) matrix")
             snapshot = WeightSnapshot.from_matrix(matrix)
-        if candidate_factor < 1:
-            raise ValueError("candidate_factor must be >= 1")
-        if num_lists < 0:
-            raise ValueError("num_lists must be >= 0")
-        if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
+        check_minimum("candidate_factor", candidate_factor)
+        check_minimum("num_lists", num_lists)
+        check_minimum("nprobe", nprobe)
         if row_block is not None and row_block <= 0:
             raise ValueError("row_block must be positive")
         self.snapshot = snapshot

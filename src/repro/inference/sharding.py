@@ -35,6 +35,7 @@ import numpy as np
 
 from ..models.base import HERB_BLOCK, WeightSnapshot
 from .backends import ComputeBackend, NumpyBackend, ShardTask
+from .options import check_minimum
 
 __all__ = ["HerbShard", "ShardedHerbIndex", "merge_topk"]
 
@@ -118,8 +119,7 @@ class ShardedHerbIndex:
             snapshot = WeightSnapshot.from_matrix(matrix)
         if snapshot.herb_embeddings.ndim != 2 or snapshot.herb_embeddings.shape[0] == 0:
             raise ValueError("herb_embeddings must be a non-empty (num_herbs, dim) matrix")
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
+        check_minimum("num_shards", num_shards)
         if row_block is not None and row_block <= 0:
             raise ValueError("row_block must be positive")
         self.snapshot = snapshot

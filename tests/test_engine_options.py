@@ -9,11 +9,18 @@ defaults to the server's own flags.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro import cli
 from repro.api import Pipeline
-from repro.inference import EngineOptions, InferenceEngine, ShardWorkerServer
+from repro.inference import (
+    ApproxHerbIndex,
+    EngineOptions,
+    InferenceEngine,
+    ShardedHerbIndex,
+    ShardWorkerServer,
+)
 from repro.models import MODEL_REGISTRY
 from repro.serving import CatalogControl
 
@@ -158,6 +165,23 @@ class TestValidation:
         with pytest.raises(ValueError) as error:
             EngineOptions(**knobs)
         assert message in str(error.value)
+
+    @pytest.mark.parametrize(
+        "knob, value, build",
+        [
+            ("num_shards", 0, ShardedHerbIndex),
+            ("candidate_factor", 0, ApproxHerbIndex),
+            ("num_lists", -1, ApproxHerbIndex),
+            ("nprobe", 0, ApproxHerbIndex),
+        ],
+    )
+    def test_index_constructors_share_the_range_rule(self, knob, value, build):
+        with pytest.raises(ValueError) as from_options:
+            EngineOptions(**{knob: value})
+        with pytest.raises(ValueError) as from_index:
+            build(np.ones((4, 2)), **{knob: value})
+        flag = f" ({EngineOptions.__dataclass_fields__[knob].metadata['flag']})"
+        assert str(from_options.value) == str(from_index.value).replace(knob, knob + flag, 1)
 
     def test_worker_addrs_are_frozen(self):
         options = EngineOptions(backend="remote", worker_addrs=["h:1", "h:2"])
