@@ -1,8 +1,8 @@
-"""Benchmark — sub-linear top-k: int8 first pass + exact re-rank at 1M herbs.
+"""Benchmark — sub-linear top-k: float32 first pass + exact re-rank at 1M herbs.
 
 Exact serving scores every herb and ranks full rows, so request cost grows
 linearly with the vocabulary.  :class:`~repro.inference.retrieval.ApproxHerbIndex`
-replaces the full ranking with a cheap int8 first pass (optionally restricted
+replaces the full ranking with a cheap float32 first pass (optionally restricted
 to IVF-probed partitions) and re-scores only the ``candidate_factor * k``
 survivors through the identical fixed-tile arithmetic.  This benchmark builds
 a **synthetic 1M-herb clustered vocabulary** (a mixture of Gaussians — the
@@ -10,7 +10,7 @@ structure real embedding spaces have and the regime IVF exists for) and
 hard-gates the two promises the tier makes:
 
 * **Recall (hard failure):** recall@k against the exact oracle must be
-  >= 0.99 — for the full int8 scan *and* the IVF configuration — and every
+  >= 0.99 — for the full float32 scan *and* the IVF configuration — and every
   herb both paths list must carry a bit-identical score.
 * **Speedup (hard failure):** the IVF configuration must answer >= 3x faster
   than exact ``ShardedHerbIndex.topk`` on the same serial backend.  The gain
@@ -81,7 +81,7 @@ def _recall_and_parity(results, exact_ids, exact_scores):
 
 
 def measure(num_herbs=NUM_HERBS, num_clusters=NUM_CLUSTERS, num_lists=NUM_LISTS, nprobe=NPROBE):
-    """Exact vs full-scan-int8 vs IVF top-k over one clustered vocabulary."""
+    """Exact vs full-scan vs IVF top-k over one clustered vocabulary."""
     snapshot, syndrome = _build(num_herbs, num_clusters)
     exact = ShardedHerbIndex(snapshot, num_shards=1)
     full_scan = ApproxHerbIndex(snapshot, candidate_factor=CANDIDATE_FACTOR)
@@ -128,10 +128,10 @@ def _report(stats):
         f"k={stats['k']} pool={stats['candidate_factor']}x  "
         f"ivf={stats['num_lists']} lists / {stats['nprobe']} probed  "
         f"re-rank={stats['rerank']}\n"
-        f"exact topk (serial):      {stats['exact_seconds']:.3f}s\n"
-        f"int8 full scan + re-rank: {stats['scan_seconds']:.3f}s "
+        f"exact topk (serial):         {stats['exact_seconds']:.3f}s\n"
+        f"float32 full scan + re-rank: {stats['scan_seconds']:.3f}s "
         f"({stats['scan_speedup']:.1f}x, recall@{stats['k']}={stats['scan_recall']:.4f})\n"
-        f"int8 IVF + re-rank:       {stats['ivf_seconds']:.3f}s "
+        f"float32 IVF + re-rank:       {stats['ivf_seconds']:.3f}s "
         f"({stats['ivf_speedup']:.1f}x, recall@{stats['k']}={stats['ivf_recall']:.4f})\n"
         f"listed scores bit-identical to exact: {stats['identical']}  "
         f"fallback rows: {stats['fallbacks']}"

@@ -41,7 +41,7 @@ through a pluggable compute backend: serial ``numpy``, a ``threads`` pool, a
 answers are bit-identical whatever the placement — see docs/SERVING.md.
 ``--retrieval approx`` (with ``--candidate-factor``/``--num-lists``/
 ``--nprobe``) swaps the exhaustive top-k scan for the two-stage
-int8-first-pass + exact-re-rank tier: sub-linear in vocabulary size,
+float32-first-pass + exact-re-rank tier: sub-linear in vocabulary size,
 returned scores still bit-exact, per-request fallback to exact when the
 candidate pool cannot certify ``k`` results.
 

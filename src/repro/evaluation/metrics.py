@@ -58,7 +58,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     and rows with fewer than ``k`` numeric groups, use :func:`_select_block`
     (O(n + k log k) per row of ``n`` scores).  Either way the only
     temporaries larger than the ``(rows, k)`` result are per block of
-    :data:`SELECT_BLOCK_BYTES`.  Scores must be floats or signed integers.
+    :data:`SELECT_BLOCK_BYTES`.  Scores must be floats or signed integers; a
+    signed dtype's minimum ranks last, where ``-scores`` would wrap it first.
     """
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
@@ -74,6 +75,15 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     for start in range(0, num_rows, step):
         top[start : start + step] = select(scores[start : start + step], k)
     return top
+
+
+def _descending(values: np.ndarray) -> np.ndarray:
+    """An order-reversing key of ``values`` that is its own inverse.
+
+    Floats are negated.  Signed integers are bit-inverted (``~x == -x - 1``):
+    negation wraps a dtype's minimum onto itself, so it would rank first.
+    """
+    return np.invert(values) if values.dtype.kind == "i" else np.negative(values)
 
 
 def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
@@ -96,9 +106,9 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
     whole = width - width % HERB_BLOCK
     groups = scores[:, :whole].reshape(num_rows, -1, HERB_BLOCK)
     group_max = np.fmax.reduce(groups, axis=2)
-    negated = np.negative(group_max)
+    negated = _descending(group_max)
     negated.partition(k - 1, axis=1)
-    bound = -negated[:, k - 1 : k]
+    bound = _descending(negated[:, k - 1 : k])
     rows, kept_groups = np.nonzero(group_max >= bound)
     members = groups[rows, kept_groups]
     hits = np.flatnonzero(members >= bound[rows])
@@ -111,7 +121,7 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
     )
     candidate_values = np.concatenate([members.ravel()[hits], tail[tail_rows, tail_columns]])
     # stable on (row, score desc): tied scores keep their ascending columns
-    order = np.lexsort((-candidate_values, candidate_rows))
+    order = np.lexsort((_descending(candidate_values), candidate_rows))
     short = np.isnan(bound[:, 0])
     pruned = np.flatnonzero(~short)
     first = np.searchsorted(candidate_rows[order], pruned)
@@ -125,20 +135,20 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
 def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
     """Canonical top-``k`` of a row block, ``1 <= k <= width``.
 
-    ``np.partition`` on a negated copy finds each row's ``k``-th best score
-    (NaN partitions last, so it is only the boundary on rows with fewer than
-    ``k`` numbers).  Every index scoring at least the boundary survives; on
-    rows whose boundary ties overflow ``k``, the highest-index ties are
-    dropped.  The ``k`` survivors, already in index order, are then
+    ``np.partition`` on a :func:`_descending` copy finds each row's ``k``-th
+    best score (NaN partitions last, so it is only the boundary on rows with
+    fewer than ``k`` numbers).  Every index scoring at least the boundary
+    survives; on rows whose boundary ties overflow ``k``, the highest-index
+    ties are dropped.  The ``k`` survivors, already in index order, are then
     stable-sorted by score.  The cost is O(n + k log k) per row of ``n``
     scores, with a negated copy and a mask of the block as temporaries.
     This is the whole path for rows too narrow to prune (training's and
     batch's herb vocabularies, the IVF centroid probe) and the fallback for
     rows :func:`_select_pruned` cannot bound.
     """
-    negated = np.negative(scores)
+    negated = _descending(scores)
     negated.partition(k - 1, axis=1)
-    boundary = -negated[:, k - 1 : k]
+    boundary = _descending(negated[:, k - 1 : k])
     del negated
     keep = scores >= boundary
     short = np.isnan(boundary[:, 0])
@@ -149,7 +159,7 @@ def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
         keep[row, np.flatnonzero(tied)[-excess[row] :]] = False
     columns = np.nonzero(keep)[1].reshape(scores.shape[0], k)
     values = np.take_along_axis(scores, columns, axis=1)
-    order = np.argsort(-values, axis=1, kind="stable")
+    order = np.argsort(_descending(values), axis=1, kind="stable")
     return np.take_along_axis(columns, order, axis=1)
 
 

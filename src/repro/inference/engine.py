@@ -347,7 +347,7 @@ class InferenceEngine:
     def _recommend_approx(
         self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
     ) -> List[Recommendation]:
-        """Two-stage top-k: int8 first pass, exact re-rank, exact fallback.
+        """Two-stage top-k: float32 first pass, exact re-rank, exact fallback.
 
         Every returned score comes from the exact path's fixed-shape gemms
         (the re-rank and the fallback both run them), so approximation only affects

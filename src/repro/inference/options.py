@@ -21,7 +21,7 @@ __all__ = ["EngineOptions", "FIELD_NAMES", "RETRIEVAL_MODES", "check_minimum"]
 
 #: ``EngineOptions.retrieval`` values: ``"exact"`` scans every herb (the
 #: oracle); ``"approx"`` is the two-stage :class:`~repro.inference.retrieval.
-#: ApproxHerbIndex` (int8 first pass, exact re-rank, per-request fallback).
+#: ApproxHerbIndex` (float32 first pass, exact re-rank, per-request fallback).
 RETRIEVAL_MODES = ("exact", "approx")
 
 
@@ -99,7 +99,7 @@ class EngineOptions:
         "exact",
         "--retrieval",
         "top-k retrieval mode: 'exact' scans every herb per request "
-        "(default, the bit-exact oracle); 'approx' runs an int8-quantized "
+        "(default, the bit-exact oracle); 'approx' runs a float32 "
         "first pass keeping candidate_factor*k survivors and re-scores them "
         "with the exact fixed-tile arithmetic, falling back to exact per "
         "request whenever the pool cannot certify k results",
@@ -117,7 +117,7 @@ class EngineOptions:
         "--num-lists",
         "IVF coarse-partition size for --retrieval approx: k-means the "
         "herb embeddings into this many lists so each query scans only the "
-        "--nprobe closest ones (default: 0 = full int8 scan)",
+        "--nprobe closest ones (default: 0 = full float32 scan)",
         minimum=0,
     )
     nprobe: int = _knob(

@@ -1,4 +1,4 @@
-"""Two-stage approximate top-k retrieval: int8 first pass + exact re-rank.
+"""Two-stage approximate top-k retrieval: float32 first pass + exact re-rank.
 
 Exact serving (:class:`~repro.inference.sharding.ShardedHerbIndex`) is linear
 in vocabulary size: every request scores every herb and ranks the full row.
@@ -8,13 +8,11 @@ fixed-shape ``(rows, dim) @ (dim, HERB_BLOCK)`` gemm gives each output
 element the same bits whatever herbs fill the other columns and whatever
 rows fill the other rows of the block.
 
-1. **First pass (approximate, cheap).**  Herb embeddings are stored as
-   symmetric per-herb int8 quantizations
-   (:meth:`~repro.models.base.WeightSnapshot.quantize`) and scored in
-   float32.  An IVF-style coarse partition (seeded k-means over the herb
-   embeddings, ``nprobe`` lists probed per query) restricts the scan to a
-   fraction of the vocabulary: each probed list is scored only for the rows
-   that probe it, gathered into zero-padded groups of
+1. **First pass (approximate, cheap).**  A float32 copy of the herb
+   embeddings is scored in float32.  An IVF-style coarse partition (seeded
+   k-means over the same copy, ``nprobe`` lists probed per query) restricts
+   the scan to a fraction of the vocabulary: each probed list is scored only
+   for the rows that probe it, gathered into zero-padded groups of
    :data:`PROBE_ROW_BLOCK` rows.  Without a partition the single list is a
    full scan of every row in ``row_block`` groups.  Each request keeps a
    ``candidate_factor * k`` survivor pool.
@@ -117,8 +115,15 @@ def gather_invariant(dim: int, row_block: int) -> bool:
     return bool(np.array_equal(_packed_scores(syndrome, herbs, picked, row_block), reference))
 
 
-def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 65536) -> np.ndarray:
-    """Index of the L2-nearest centroid per row (chunked, deterministic)."""
+def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 8192) -> np.ndarray:
+    """Index of the L2-nearest centroid per row (chunked, deterministic).
+
+    A chunk's ``(chunk, centroids)`` distance matrix is the build's largest
+    temporary, made three times over: 24 MiB at 8192 rows and 256
+    centroids, so the build peaks near the index's settled size.  The
+    assignments do not depend on the chunk size (pinned by
+    ``tests/inference/test_retrieval.py``).
+    """
     centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
     nearest = np.empty(data.shape[0], dtype=np.int64)
     for start in range(0, data.shape[0], chunk):
@@ -174,15 +179,12 @@ def kmeans_partition(
 
 @dataclass(frozen=True, eq=False)
 class _InvertedList:
-    """One coarse partition: quantized member rows plus the global-id mapping."""
+    """One coarse partition: its members' float32 rows plus their global ids."""
 
     #: ``(size,)`` int64 global herb ids, ascending.
     ids: np.ndarray = field(repr=False)
-    #: ``(size, dim)`` float32 copy of the int8 codes — the BLAS-friendly
-    #: first-pass operand (integer matmuls bypass BLAS entirely).
-    codes32: np.ndarray = field(repr=False)
-    #: ``(size,)`` float32 per-herb scale factors.
-    scales32: np.ndarray = field(repr=False)
+    #: ``(size, dim)`` float32 embeddings of those herbs, the first-pass operand.
+    herbs32: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -206,20 +208,21 @@ class RetrievalReport:
 
 
 class ApproxHerbIndex:
-    """Int8 first pass + exact re-rank over one weight snapshot.
+    """Float32 first pass + exact re-rank over one weight snapshot.
 
     Built from a :class:`~repro.models.base.WeightSnapshot` (or a bare matrix,
     wrapped like :class:`~repro.inference.sharding.ShardedHerbIndex` does) and
     therefore parameter-version-stamped: the engine caches one instance per
     parameter version, in the same cache entry as its shard index, so a
-    stale quantization can never outlive its weights.
+    stale float32 copy can never outlive its weights.
 
     ``candidate_factor`` sizes the survivor pool (``candidate_factor * k``
     per request).  ``num_lists >= 2`` enables the IVF partition with
     ``nprobe`` lists probed per query; ``num_lists in (0, 1)`` keeps a single
-    list covering the whole vocabulary (the first pass is then a full int8
-    scan).  ``nprobe`` is clamped to the number of non-empty lists.  The
-    re-rank mode is fixed at build by :func:`gather_invariant`.
+    list covering the whole vocabulary (the first pass is then a full
+    float32 scan).  ``nprobe`` is clamped to the number of non-empty lists.
+    The re-rank mode is fixed at build by :func:`gather_invariant`.  Herb
+    embeddings that are NaN, inf or beyond float32 range are refused.
     """
 
     def __init__(
@@ -249,31 +252,21 @@ class ApproxHerbIndex:
         self.row_block = int(row_block) if row_block is not None else int(snapshot.row_block)
         self.candidate_factor = int(candidate_factor)
         self.seed = int(seed)
-        quantized = snapshot.quantize()
-        #: The int8 codes and float64 scales (introspection/testing; the
-        #: scoring path uses the float32 copies inside the lists).
-        self.codes = quantized.codes
-        self.scales = quantized.scales
-        scales32 = quantized.scales.astype(np.float32)
+        # one float32 copy feeds k-means and the lists; a value float32
+        # cannot hold becomes inf here and is refused with NaN and inf
+        with np.errstate(over="ignore"):
+            herbs32 = np.ascontiguousarray(snapshot.herb_embeddings, dtype=np.float32)
+        if not np.isfinite(herbs32).all():
+            raise ValueError("approx retrieval needs finite herb embeddings (in float32 range)")
         if num_lists >= 2 and self.num_herbs >= 2:
-            assignments, centroids = kmeans_partition(
-                snapshot.herb_embeddings, num_lists, seed=seed
-            )
+            assignments, centroids = kmeans_partition(herbs32, num_lists, seed=seed)
             lists: List[_InvertedList] = []
             kept_centroids: List[np.ndarray] = []
             for list_id in range(centroids.shape[0]):
                 member_ids = np.flatnonzero(assignments == list_id).astype(np.int64)
                 if member_ids.size == 0:
                     continue
-                lists.append(
-                    _InvertedList(
-                        ids=member_ids,
-                        codes32=np.ascontiguousarray(
-                            quantized.codes[member_ids], dtype=np.float32
-                        ),
-                        scales32=scales32[member_ids],
-                    )
-                )
+                lists.append(_InvertedList(ids=member_ids, herbs32=herbs32[member_ids]))
                 kept_centroids.append(centroids[list_id])
             self.lists: Tuple[_InvertedList, ...] = tuple(lists)
             self.centroids32: Optional[np.ndarray] = np.ascontiguousarray(
@@ -281,11 +274,7 @@ class ApproxHerbIndex:
             )
         else:
             self.lists = (
-                _InvertedList(
-                    ids=np.arange(self.num_herbs, dtype=np.int64),
-                    codes32=np.ascontiguousarray(quantized.codes, dtype=np.float32),
-                    scales32=scales32,
-                ),
+                _InvertedList(ids=np.arange(self.num_herbs, dtype=np.int64), herbs32=herbs32),
             )
             self.centroids32 = None
         self.num_lists = len(self.lists)
@@ -341,7 +330,7 @@ class ApproxHerbIndex:
         then resolved canonically — every id scoring strictly above the
         boundary survives, and the remaining slots fill with boundary-tied
         ids in ascending order — so the survivor *set* never depends on the
-        partition's internal (unspecified) ordering, and quantization ties
+        partition's internal (unspecified) ordering, and float32 ties
         across the pool boundary resolve exactly like exact-path score ties.
         """
         boundary_pick = np.argpartition(-scores, pool - 1)[:pool]
@@ -378,8 +367,7 @@ class ApproxHerbIndex:
             rows = probe_rows[start:stop]
             block = np.zeros((-(-rows.size // group) * group, self.dim), dtype=np.float32)
             block[: rows.size] = syndrome32[rows]
-            scores = score_herb_tiles(block, inverted.codes32, row_block=group)[: rows.size]
-            scores *= inverted.scales32
+            scores = score_herb_tiles(block, inverted.herbs32, row_block=group)[: rows.size]
             for position, row in enumerate(rows):
                 row_scores[row].append(scores[position])
                 row_ids[row].append(inverted.ids)
@@ -547,7 +535,8 @@ class ApproxHerbIndex:
         elif exact_index.snapshot.key != self.snapshot.key:
             raise ValueError(
                 f"exact index wraps snapshot {exact_index.snapshot.key!r} but this approx "
-                f"index quantized {self.snapshot.key!r} — stale index after a weight update?"
+                f"index was built from {self.snapshot.key!r} — stale index after a weight "
+                "update?"
             )
         survivors, fallback_rows = self.candidates(syndrome, ks)
         report = RetrievalReport(

@@ -27,11 +27,9 @@ from ..nn import Module, Tensor, no_grad
 __all__ = [
     "HerbRecommender",
     "GraphHerbRecommender",
-    "QuantizedEmbeddings",
     "WeightSnapshot",
     "SCORING_BLOCK",
     "HERB_BLOCK",
-    "quantize_embeddings",
     "score_herb_tiles",
 ]
 
@@ -118,62 +116,6 @@ def score_herb_tiles(
     return scores
 
 
-#: Largest magnitude an int8 code may take.  Symmetric quantization uses the
-#: full ``[-127, 127]`` range (never -128) so every code has an exact negation
-#: and ``code * scale`` round-trips the row peak exactly.
-INT8_CODE_PEAK = 127
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizedEmbeddings:
-    """Symmetric per-herb int8 quantization of a herb-embedding matrix.
-
-    Each row ``i`` of the source matrix is encoded as
-    ``codes[i] * scales[i]`` with ``scales[i] = max(|row|) / 127`` — the
-    compact first-pass representation behind the approximate retrieval tier
-    (:mod:`repro.inference.retrieval`).  The absolute quantization error of
-    any entry is at most ``scales[i] / 2``; an all-zero row gets
-    ``scales[i] == 0`` and all-zero codes, so dequantization is exact there.
-    """
-
-    #: ``(num_herbs, dim)`` int8 codes in ``[-127, 127]``.
-    codes: np.ndarray = field(repr=False)
-    #: ``(num_herbs,)`` float64 per-row scale factors, ``>= 0``.
-    scales: np.ndarray = field(repr=False)
-
-    @property
-    def num_herbs(self) -> int:
-        return int(self.codes.shape[0])
-
-    def dequantized(self) -> np.ndarray:
-        """The float64 reconstruction ``codes * scales`` (test/debug helper)."""
-        return self.codes.astype(np.float64) * self.scales[:, None]
-
-
-def quantize_embeddings(matrix: np.ndarray) -> QuantizedEmbeddings:
-    """Symmetric per-row int8 quantization of ``matrix`` (``(rows, dim)``).
-
-    Deterministic and elementwise: ``scale = max(|row|) / 127`` and
-    ``code = rint(value / scale)``, so two bitwise-equal matrices always
-    quantize to bitwise-equal codes.  Rows with zero peak (all-zero rows)
-    quantize to zero codes with a zero scale; constant rows saturate at
-    ``±127`` and reconstruct exactly.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("quantize_embeddings expects a 2-D (rows, dim) matrix")
-    if not np.isfinite(matrix).all():
-        raise ValueError("cannot quantize non-finite embedding values")
-    peaks = np.abs(matrix).max(axis=1) if matrix.shape[1] else np.zeros(matrix.shape[0])
-    scales = peaks / float(INT8_CODE_PEAK)
-    safe = np.where(scales > 0.0, scales, 1.0)
-    codes = np.rint(matrix / safe[:, None])
-    np.clip(codes, -INT8_CODE_PEAK, INT8_CODE_PEAK, out=codes)
-    codes = codes.astype(np.int8)
-    codes[scales == 0.0] = 0
-    return QuantizedEmbeddings(codes=codes, scales=scales)
-
-
 #: Process-wide counter behind snapshot keys: two snapshots never share a key
 #: unless they genuinely are the same export of the same model state.
 _SNAPSHOT_TAGS = itertools.count(1)
@@ -213,16 +155,6 @@ class WeightSnapshot:
     @property
     def dim(self) -> int:
         return int(self.herb_embeddings.shape[1])
-
-    def quantize(self) -> QuantizedEmbeddings:
-        """Symmetric per-herb int8 export of this snapshot's embeddings.
-
-        The quantization is a pure function of the (immutable) embedding
-        matrix, so the result is as parameter-version-stamped as the snapshot
-        itself: cache it under :attr:`key` and any optimiser step or
-        ``load_state_dict`` invalidates it along with the snapshot.
-        """
-        return quantize_embeddings(self.herb_embeddings)
 
     @classmethod
     def from_matrix(

@@ -96,6 +96,30 @@ def test_integer_scores():
     assert_matches_reference(scores, 3)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_integer_minimum_ranks_last(dtype):
+    """A signed dtype's minimum has no negation in that dtype; it still ranks last."""
+    low = np.iinfo(dtype).min
+    scores = np.array([[low, 1, 2], [2, low, low]], dtype=dtype)
+    np.testing.assert_array_equal(top_k_indices(scores[:1], 1), [[2]])
+    np.testing.assert_array_equal(top_k_indices(scores[:1], 2), [[2, 1]])
+    np.testing.assert_array_equal(top_k_indices(scores, 3), [[2, 1, 0], [0, 1, 2]])
+
+
+def test_integer_minimum_on_the_pruned_path():
+    rng = np.random.default_rng(12)
+    info = np.iinfo(np.int8)
+    scores = rng.integers(info.min, info.max, size=(4, pruned_width(3, 9)), endpoint=True)
+    scores = scores.astype(np.int8)
+    scores[0] = info.min  # every group maximum at the minimum
+    scores[1, ::3] = info.min
+    scores[2] = info.min
+    scores[2, [5, 3 * HERB_BLOCK + 1]] = [3, -4]  # k = 3 bounds at the minimum
+    for k in (1, 3):
+        expected = np.argsort(-scores.astype(np.int64), axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(top_k_indices(scores, k), expected)
+
+
 def test_wide_rows_span_several_row_blocks():
     scores = np.random.default_rng(11).normal(size=(30, 60_000))
     assert scores.nbytes > 4 * SELECT_BLOCK_BYTES

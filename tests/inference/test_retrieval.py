@@ -2,7 +2,7 @@
 
 The contract under test (see :mod:`repro.inference.retrieval`):
 
-* **Recall** — the int8 first pass keeps ``candidate_factor * k`` survivors;
+* **Recall** — the float32 first pass keeps ``candidate_factor * k`` survivors;
   over synthetic vocabularies (full-scan and IVF-partitioned, matrix-level
   and through every registered neural model) recall@k against the exact
   oracle must be >= 0.99.
@@ -14,9 +14,9 @@ The contract under test (see :mod:`repro.inference.retrieval`):
   the shard layout, and the compute backend.
 * **Fallback** — any request whose candidate pool cannot certify ``k``
   results is answered by the exact index, full stop.
-* **Lifecycle** — the quantized index is parameter-version-stamped and dies
+* **Lifecycle** — the approx index is parameter-version-stamped and dies
   with its slot in the engine's ``MAX_CACHED_INDEX_VERSIONS`` LRU; a weight
-  update can never be served from a stale quantization.
+  update can never be served from a stale index.
 """
 
 import numpy as np
@@ -30,13 +30,8 @@ from repro.inference import (
     ShardedHerbIndex,
     kmeans_partition,
 )
-from repro.inference.retrieval import PROBE_ROW_BLOCK, gather_invariant
-from repro.models.base import (
-    HERB_BLOCK,
-    SCORING_BLOCK,
-    WeightSnapshot,
-    quantize_embeddings,
-)
+from repro.inference.retrieval import PROBE_ROW_BLOCK, _nearest_centroids, gather_invariant
+from repro.models.base import HERB_BLOCK, SCORING_BLOCK, WeightSnapshot
 
 SETS = [(0, 3), (1, 2, 4), (2,), (0, 1, 2, 3), (4, 5), (3, 5), (1,), (2, 3, 5)]
 
@@ -70,49 +65,6 @@ def assert_canonical(ids, scores):
         ), "ranking violates the canonical (score desc, id asc) order"
 
 
-class TestQuantization:
-    def test_error_bound_and_code_range(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(300, 24)) * rng.gamma(2.0, size=(300, 1))
-        quantized = quantize_embeddings(matrix)
-        assert quantized.codes.dtype == np.int8
-        assert quantized.codes.min() >= -127 and quantized.codes.max() <= 127
-        assert (quantized.scales >= 0).all()
-        errors = np.abs(matrix - quantized.dequantized())
-        assert (errors <= quantized.scales[:, None] / 2 + 1e-12).all()
-
-    def test_all_zero_row_has_zero_scale_and_codes(self):
-        matrix = np.zeros((3, 8))
-        matrix[1] = np.random.default_rng(1).normal(size=8)
-        quantized = quantize_embeddings(matrix)
-        assert quantized.scales[0] == 0.0 and quantized.scales[2] == 0.0
-        assert not quantized.codes[0].any() and not quantized.codes[2].any()
-        np.testing.assert_array_equal(quantized.dequantized()[0], 0.0)
-
-    def test_constant_row_saturates_and_round_trips_exactly(self):
-        matrix = np.full((2, 16), -0.75)
-        quantized = quantize_embeddings(matrix)
-        assert (np.abs(quantized.codes) == 127).all()
-        np.testing.assert_array_equal(quantized.dequantized(), matrix)
-
-    def test_deterministic(self):
-        matrix = np.random.default_rng(2).normal(size=(64, 12))
-        first, second = quantize_embeddings(matrix), quantize_embeddings(matrix)
-        np.testing.assert_array_equal(first.codes, second.codes)
-        np.testing.assert_array_equal(first.scales, second.scales)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            quantize_embeddings(np.array([[1.0, np.nan]]))
-
-    def test_snapshot_quantize_matches_free_function(self):
-        matrix = np.random.default_rng(3).normal(size=(40, 6))
-        snapshot = WeightSnapshot.from_matrix(matrix)
-        np.testing.assert_array_equal(
-            snapshot.quantize().codes, quantize_embeddings(matrix).codes
-        )
-
-
 class TestKMeansPartition:
     def test_deterministic_and_covering(self):
         matrix = clustered_vocab(500, 8, 6, seed=0)
@@ -127,6 +79,17 @@ class TestKMeansPartition:
         matrix = np.random.default_rng(1).normal(size=(5, 4))
         assignments, centroids = kmeans_partition(matrix, 64, seed=0)
         assert centroids.shape[0] <= 5
+
+    def test_assignments_independent_of_chunk(self):
+        """Chunks change the sgemm's row count (and the ragged tail's) but no assignment."""
+        rng = np.random.default_rng(19)
+        data = clustered_vocab(3 * 8192 + 517, 64, 40, seed=19).astype(np.float32)
+        centroids = data[np.sort(rng.choice(data.shape[0], 256, replace=False))].copy()
+        centroids += rng.normal(scale=0.05, size=centroids.shape).astype(np.float32)
+        chunked = _nearest_centroids(data, centroids, chunk=8192)
+        whole = _nearest_centroids(data, centroids, chunk=data.shape[0])
+        assert chunked.tobytes() == whole.tobytes()
+        assert chunked.tobytes() == _nearest_centroids(data, centroids).tobytes()
 
     def test_matches_add_at_reference_byte_for_byte(self):
         """The bincount centroid update is the np.add.at one, bit for bit."""
@@ -155,7 +118,7 @@ class TestKMeansPartition:
 # One wide multi-tile vocabulary (>= 1 wide corpus fixture) and a smaller one.
 MATRIX_CASES = [
     # (num_herbs, dim, num_lists, nprobe)
-    (2 * HERB_BLOCK + 19, 12, 0, 1),  # full int8 scan
+    (2 * HERB_BLOCK + 19, 12, 0, 1),  # full float32 scan
     (6 * HERB_BLOCK + 13, 16, 0, 1),  # wide vocabulary, full scan
     (6 * HERB_BLOCK + 13, 16, 16, 6),  # wide vocabulary, IVF partition
 ]
@@ -322,7 +285,7 @@ class TestPerRowFirstPass:
         scorer = retrieval.score_herb_tiles
 
         def spy(syndrome, herb_matrix, row_block):
-            if any(herb_matrix is inverted.codes32 for inverted in approx.lists):
+            if any(herb_matrix is inverted.herbs32 for inverted in approx.lists):
                 list_blocks.append((syndrome.shape[0] % row_block, row_block))
             return scorer(syndrome, herb_matrix, row_block=row_block)
 
@@ -477,7 +440,7 @@ class TestEdgeCases:
         assert InferenceEngine(wide_model, retrieval="approx").recommend_batch([], k=5) == []
 
     def test_exact_duplicate_rows_tie_break_preserved(self):
-        """Bitwise-tied scores across the int8 pool boundary resolve like exact."""
+        """Bitwise-tied scores across the first-pass pool boundary resolve like exact."""
         rng = np.random.default_rng(9)
         dim = 8
         matrix = rng.normal(size=(2 * HERB_BLOCK + 30, dim))
@@ -514,7 +477,7 @@ class TestEdgeCases:
             np.testing.assert_array_equal(probe_ids, scan_ids)
             np.testing.assert_array_equal(probe_scores, scan_scores)
 
-    def test_zero_and_constant_rows_survive_quantization(self):
+    def test_zero_and_constant_rows_score_exactly(self):
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(HERB_BLOCK + 50, 6))
         matrix[::7] = 0.0  # all-zero rows sprinkled through every tile
@@ -529,6 +492,20 @@ class TestEdgeCases:
         for row, (ids, scores) in enumerate(results):
             assert np.isfinite(scores).all()
             np.testing.assert_array_equal(scores, full_scores[row, ids])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+    def test_build_rejects_non_finite(self, monkeypatch, bad):
+        """NaN, inf, or a value float32 cannot hold is refused before k-means runs."""
+        import repro.inference.retrieval as retrieval
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("k-means ran on non-finite embeddings")
+
+        monkeypatch.setattr(retrieval, "kmeans_partition", refuse)
+        matrix = clustered_vocab(HERB_BLOCK + 7, 6, num_clusters=4, seed=18)
+        matrix[HERB_BLOCK + 3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ApproxHerbIndex(WeightSnapshot.from_matrix(matrix), num_lists=4)
 
     def test_stale_exact_index_refused(self):
         snapshot = self._snapshot(seed=13)
@@ -591,9 +568,9 @@ class TestEngineLifecycle:
             wide_model.load_state_dict(wide_model.state_dict())  # bumps the version
             engine.recommend_batch(SETS[:2], k=5)
         assert len(engine.index_cache) <= MAX_CACHED_INDEX_VERSIONS
-        assert first_key not in engine.index_cache.keys(), "stale quantization still cached"
+        assert first_key not in engine.index_cache.keys(), "stale approx index still cached"
 
-    def test_weight_update_never_served_from_stale_quantization(self, wide_split):
+    def test_weight_update_never_served_from_stale_index(self, wide_split):
         from repro.models import SMGCN, SMGCNConfig
 
         train, _ = wide_split
@@ -610,7 +587,7 @@ class TestEngineLifecycle:
         after = engine.recommend_batch(SETS[:4], k=6)
         assert before != after
         fresh = InferenceEngine(donor, retrieval="approx").recommend_batch(SETS[:4], k=6)
-        assert after == fresh, "post-update answers must come from the new quantization"
+        assert after == fresh, "post-update answers must come from the new weights' index"
 
     def test_close_clears_approx_cache(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx")

@@ -351,13 +351,13 @@ class TestCanary:
 class TestApproxRetrievalRollout:
     """The approx tier composes with zero-downtime rollout.
 
-    The quantized index is parameter-version-stamped inside the engine, so a
+    The approx index is parameter-version-stamped inside the engine, so a
     publish must (1) keep serving the entry's retrieval knobs and (2) answer
-    from the *new* weights' quantization — never a stale one — while the old
+    from the *new* weights' index — never a stale one — while the old
     generation's approx cache dies with its drained engine.
     """
 
-    def test_publish_preserves_knobs_and_quantization_follows_weights(self, checkpoints):
+    def test_publish_preserves_knobs_and_approx_index_follows_weights(self, checkpoints):
         catalog = ModelCatalog()
         try:
             catalog.add(
@@ -374,9 +374,9 @@ class TestApproxRetrievalRollout:
                 assert len(old_engine.index_cache) == 1
                 assert old_engine.index_cache.peek()[1] is not None
                 catalog.publish("approx", checkpoints["b"])
-                # the drained generation still answers from its own quantization
+                # the drained generation still answers from its own index
                 assert answer(old_pipeline) == answer(fresh_a)
-            assert len(old_engine.index_cache) == 0, "drained engine kept a quantized index"
+            assert len(old_engine.index_cache) == 0, "drained engine kept an approx index"
             rolled = catalog.entry("approx").pipeline
             assert rolled.options.retrieval == "approx"
             assert rolled.options.candidate_factor == 2

@@ -26,7 +26,7 @@ def approx_pipeline(pipeline, tmp_path_factory):
     Round-tripped through a checkpoint (the production shape: train once,
     serve approx from the saved bundle).  ``candidate_factor=2`` with the
     handlers' ``k=5`` keeps a 10-herb survivor pool out of the smoke
-    vocabulary's 50, so the int8 first pass genuinely prunes.
+    vocabulary's 50, so the first pass genuinely prunes.
     """
     path = tmp_path_factory.mktemp("serving-approx") / "smgcn.npz"
     pipeline.save(path)
