@@ -16,6 +16,7 @@ from ..models.base import HERB_BLOCK
 
 __all__ = [
     "top_k_indices",
+    "descending_key",
     "precision_at_k",
     "recall_at_k",
     "ndcg_at_k",
@@ -42,9 +43,10 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the top-``k`` entries per row, ordered by decreasing score.
 
     The order is canonical: (score descending, index ascending), with NaN
-    ranking after every number — exactly ``np.argsort(-scores, axis=1,
-    kind="stable")[:, :k]``, ties, ``±0.0``, ``±inf`` and NaN included, so
-    the ranking is a deterministic function of the score values alone.
+    ranking after every number — exactly ``np.argsort(descending_key(scores),
+    axis=1, kind="stable")[:, :k]``, ties, ``±0.0``, ``±inf`` and NaN
+    included, so the ranking is a deterministic function of the score values
+    alone.  For floats that is ``np.argsort(-scores, ...)``.
     That canonical order is what lets the sharded top-k path
     (:func:`repro.inference.sharding.merge_topk`) reproduce this function
     exactly from per-shard candidate lists: every prefix of the full ranking
@@ -59,7 +61,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     (O(n + k log k) per row of ``n`` scores).  Either way the only
     temporaries larger than the ``(rows, k)`` result are per block of
     :data:`SELECT_BLOCK_BYTES`.  Scores must be floats or signed integers; a
-    signed dtype's minimum ranks last, where ``-scores`` would wrap it first.
+    signed dtype's minimum ranks last, where ``-scores`` would wrap it first
+    (see :func:`descending_key`).
     """
     if scores.ndim != 2:
         raise ValueError("scores must be a 2-D matrix")
@@ -77,11 +80,13 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def _descending(values: np.ndarray) -> np.ndarray:
+def descending_key(values: np.ndarray) -> np.ndarray:
     """An order-reversing key of ``values`` that is its own inverse.
 
     Floats are negated.  Signed integers are bit-inverted (``~x == -x - 1``):
     negation wraps a dtype's minimum onto itself, so it would rank first.
+    :func:`top_k_indices` and :func:`~repro.inference.sharding.merge_topk`
+    both rank ascending on this key, so they agree on every input.
     """
     return np.invert(values) if values.dtype.kind == "i" else np.negative(values)
 
@@ -106,9 +111,9 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
     whole = width - width % HERB_BLOCK
     groups = scores[:, :whole].reshape(num_rows, -1, HERB_BLOCK)
     group_max = np.fmax.reduce(groups, axis=2)
-    negated = _descending(group_max)
+    negated = descending_key(group_max)
     negated.partition(k - 1, axis=1)
-    bound = _descending(negated[:, k - 1 : k])
+    bound = descending_key(negated[:, k - 1 : k])
     rows, kept_groups = np.nonzero(group_max >= bound)
     members = groups[rows, kept_groups]
     hits = np.flatnonzero(members >= bound[rows])
@@ -121,7 +126,7 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
     )
     candidate_values = np.concatenate([members.ravel()[hits], tail[tail_rows, tail_columns]])
     # stable on (row, score desc): tied scores keep their ascending columns
-    order = np.lexsort((_descending(candidate_values), candidate_rows))
+    order = np.lexsort((descending_key(candidate_values), candidate_rows))
     short = np.isnan(bound[:, 0])
     pruned = np.flatnonzero(~short)
     first = np.searchsorted(candidate_rows[order], pruned)
@@ -135,7 +140,7 @@ def _select_pruned(scores: np.ndarray, k: int) -> np.ndarray:
 def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
     """Canonical top-``k`` of a row block, ``1 <= k <= width``.
 
-    ``np.partition`` on a :func:`_descending` copy finds each row's ``k``-th
+    ``np.partition`` on a :func:`descending_key` copy finds each row's ``k``-th
     best score (NaN partitions last, so it is only the boundary on rows with
     fewer than ``k`` numbers).  Every index scoring at least the boundary
     survives; on rows whose boundary ties overflow ``k``, the highest-index
@@ -146,9 +151,9 @@ def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
     batch's herb vocabularies, the IVF centroid probe) and the fallback for
     rows :func:`_select_pruned` cannot bound.
     """
-    negated = _descending(scores)
+    negated = descending_key(scores)
     negated.partition(k - 1, axis=1)
-    boundary = _descending(negated[:, k - 1 : k])
+    boundary = descending_key(negated[:, k - 1 : k])
     del negated
     keep = scores >= boundary
     short = np.isnan(boundary[:, 0])
@@ -159,7 +164,7 @@ def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
         keep[row, np.flatnonzero(tied)[-excess[row] :]] = False
     columns = np.nonzero(keep)[1].reshape(scores.shape[0], k)
     values = np.take_along_axis(scores, columns, axis=1)
-    order = np.argsort(_descending(values), axis=1, kind="stable")
+    order = np.argsort(descending_key(values), axis=1, kind="stable")
     return np.take_along_axis(columns, order, axis=1)
 
 

@@ -82,6 +82,11 @@ __all__ = [
 #: small groups slow that scan down.)
 PROBE_ROW_BLOCK = 4
 
+#: Fewest rows a k-means assignment chunk holds (see
+#: :func:`_nearest_centroids`); well above the row counts at which the host
+#: BLAS takes a small-matrix sgemm path.
+MIN_CHUNK_ROWS = 64
+
 
 def _packed_scores(
     syndrome: np.ndarray, herb_matrix: np.ndarray, ids: np.ndarray, row_block: int
@@ -120,17 +125,22 @@ def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 819
 
     A chunk's ``(chunk, centroids)`` distance matrix is the build's largest
     temporary, made three times over: 24 MiB at 8192 rows and 256
-    centroids, so the build peaks near the index's settled size.  The
-    assignments do not depend on the chunk size (pinned by
-    ``tests/inference/test_retrieval.py``).
+    centroids, so the build peaks near the index's settled size.  A
+    remainder under :data:`MIN_CHUNK_ROWS` joins the chunk before it, so no
+    chunk is a sliver of a few rows: x86 OpenBLAS rounds a 1-4 row sgemm
+    differently from a wider one, which could move a near-tied row to
+    another list.  On the shapes ``tests/inference/test_retrieval.py`` pins,
+    the assignments match one chunk covering every row byte for byte.
     """
     centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
     nearest = np.empty(data.shape[0], dtype=np.int64)
-    for start in range(0, data.shape[0], chunk):
-        block = data[start : start + chunk]
+    edges = list(range(0, data.shape[0], chunk)) + [data.shape[0]]
+    if len(edges) > 2 and edges[-1] - edges[-2] < MIN_CHUNK_ROWS:
+        del edges[-2]
+    for start, stop in zip(edges[:-1], edges[1:]):
         # argmin over ||x - c||^2 == argmin over ||c||^2 - 2 x.c (drop ||x||^2)
-        distances = centroid_norms[None, :] - 2.0 * (block @ centroids.T)
-        nearest[start : start + block.shape[0]] = np.argmin(distances, axis=1)
+        distances = centroid_norms[None, :] - 2.0 * (data[start:stop] @ centroids.T)
+        nearest[start:stop] = np.argmin(distances, axis=1)
     return nearest
 
 

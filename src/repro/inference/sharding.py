@@ -21,9 +21,9 @@ path, not merely close:
    floating-point operations in both paths, wherever the task executes.
 2. **Canonical ranking.**  :func:`~repro.evaluation.metrics.top_k_indices`
    orders by (score descending, herb id ascending).  Per-shard candidates are
-   selected by that same function, so ranking their union on
-   ``(-score, herb_id)`` reconstructs the global ranking exactly — ties at
-   shard boundaries included.
+   selected by that same function, so ranking their union on the same
+   (score descending, herb id ascending) key reconstructs the global ranking
+   exactly — ties at shard boundaries included.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..evaluation.metrics import descending_key
 from ..models.base import HERB_BLOCK, WeightSnapshot
 from .backends import ComputeBackend, NumpyBackend, ShardTask
 from .options import check_minimum
@@ -72,7 +73,8 @@ def merge_topk(
     candidates: ``(rows, k_s)`` arrays whose columns are already sorted by
     (score descending, id ascending).  Any global top-k element is within
     the top-k of its own shard, so ranking the concatenated candidates on
-    ``(-score, id)`` (one row-wise ``np.lexsort``, NaN last) yields exactly
+    ``(descending_key(score), id)`` (one row-wise ``np.lexsort``, NaN last;
+    ``-score`` for floats) yields exactly
     :func:`~repro.evaluation.metrics.top_k_indices` on the concatenated
     score row, ties at shard boundaries included.  A single shard's
     candidates are already that ranking and come back as they are.
@@ -89,7 +91,7 @@ def merge_topk(
         return shard_ids[0][:, :k], shard_scores[0][:, :k]
     ids = np.concatenate(shard_ids, axis=1)
     scores = np.concatenate(shard_scores, axis=1)
-    order = np.lexsort((ids, -scores), axis=-1)[:, :k]
+    order = np.lexsort((ids, descending_key(scores)), axis=-1)[:, :k]
     return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 

@@ -30,7 +30,12 @@ from repro.inference import (
     ShardedHerbIndex,
     kmeans_partition,
 )
-from repro.inference.retrieval import PROBE_ROW_BLOCK, _nearest_centroids, gather_invariant
+from repro.inference.retrieval import (
+    MIN_CHUNK_ROWS,
+    PROBE_ROW_BLOCK,
+    _nearest_centroids,
+    gather_invariant,
+)
 from repro.models.base import HERB_BLOCK, SCORING_BLOCK, WeightSnapshot
 
 SETS = [(0, 3), (1, 2, 4), (2,), (0, 1, 2, 3), (4, 5), (3, 5), (1,), (2, 3, 5)]
@@ -80,16 +85,38 @@ class TestKMeansPartition:
         assignments, centroids = kmeans_partition(matrix, 64, seed=0)
         assert centroids.shape[0] <= 5
 
-    def test_assignments_independent_of_chunk(self):
-        """Chunks change the sgemm's row count (and the ragged tail's) but no assignment."""
+    @pytest.mark.parametrize("num_rows", [3 * 8192 + 517, 2 * 8192 + 3])
+    def test_assignments_independent_of_chunk(self, num_rows):
+        """Chunks change the sgemm's row count but no assignment, short remainder included."""
         rng = np.random.default_rng(19)
-        data = clustered_vocab(3 * 8192 + 517, 64, 40, seed=19).astype(np.float32)
+        data = clustered_vocab(num_rows, 64, 40, seed=19).astype(np.float32)
         centroids = data[np.sort(rng.choice(data.shape[0], 256, replace=False))].copy()
         centroids += rng.normal(scale=0.05, size=centroids.shape).astype(np.float32)
         chunked = _nearest_centroids(data, centroids, chunk=8192)
         whole = _nearest_centroids(data, centroids, chunk=data.shape[0])
         assert chunked.tobytes() == whole.tobytes()
         assert chunked.tobytes() == _nearest_centroids(data, centroids).tobytes()
+
+    @pytest.mark.parametrize(
+        "num_rows, chunk_rows",
+        [
+            (2 * 8192 + 3, [8192, 8195]),
+            (2 * 8192 + MIN_CHUNK_ROWS, [8192, 8192, MIN_CHUNK_ROWS]),
+            (3, [3]),
+        ],
+    )
+    def test_short_remainder_joins_the_chunk_before_it(self, num_rows, chunk_rows):
+        """No sgemm runs on a sliver of rows, where BLAS may take another kernel."""
+        seen = []
+
+        class RecordingRows(np.ndarray):
+            def __matmul__(self, other):
+                seen.append(self.shape[0])
+                return np.asarray(self) @ other
+
+        data = np.zeros((num_rows, 4), dtype=np.float32).view(RecordingRows)
+        _nearest_centroids(data, np.eye(4, dtype=np.float32), chunk=8192)
+        assert seen == chunk_rows
 
     def test_matches_add_at_reference_byte_for_byte(self):
         """The bincount centroid update is the np.add.at one, bit for bit."""

@@ -234,6 +234,17 @@ class TestMergeTopk:
         np.testing.assert_array_equal(ids, [[0, 5, 1, 2]])
         np.testing.assert_array_equal(scores, [[1.0, -np.inf, np.nan, np.nan]])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_integer_minimum_ranks_last_as_in_top_k_indices(self, dtype):
+        low = np.iinfo(dtype).min
+        row = np.array([[low, 1, 2, low]], dtype=dtype)
+        ids, scores = merge_topk(
+            [np.array([[0, 1]]), np.array([[2, 3]])], [row[:, :2], row[:, 2:]], k=4
+        )
+        np.testing.assert_array_equal(ids, top_k_indices(row, 4))
+        np.testing.assert_array_equal(ids, [[2, 1, 0, 3]])
+        np.testing.assert_array_equal(scores, [[2, 1, low, low]])
+
     def test_empty_shard_candidates_are_skipped(self):
         ids, _ = merge_topk(
             [np.zeros((1, 0), dtype=np.int64), np.array([[5]])],
