@@ -162,7 +162,7 @@ def _select_block(scores: np.ndarray, k: int) -> np.ndarray:
     for row in np.flatnonzero(excess):
         tied = np.isnan(scores[row]) if short[row] else scores[row] == boundary[row]
         keep[row, np.flatnonzero(tied)[-excess[row] :]] = False
-    columns = np.nonzero(keep)[1].reshape(scores.shape[0], k)
+    columns = (np.flatnonzero(keep) % scores.shape[1]).reshape(scores.shape[0], k)
     values = np.take_along_axis(scores, columns, axis=1)
     order = np.argsort(descending_key(values), axis=1, kind="stable")
     return np.take_along_axis(columns, order, axis=1)

@@ -18,6 +18,24 @@ tasks execute?*  The contract is built for distribution:
   scoring path, so results are bit-identical across backends by
   construction, not by tolerance.
 
+Exact top-k on a wide shard goes through a float32 screen (see
+:func:`_screened_topk`).  The shard is scored once in float32 against a
+float32 copy of the snapshot's herbs, and every herb within a proven error
+margin of each row's ``k``-th float32 score survives.  Only the survivors
+are scored on the float64 tile grid, through packed tiles
+(:func:`gathered_scores`, the approx re-rank's helper too), and ranked
+canonically, so the answer is the full float64 scan's, bit for bit.  The
+float32 copy costs 4 bytes × dim per herb in each executing process.  It is
+made on the first screened task, once per snapshot per process under a
+lock, and released with the snapshot: in process it sits on the
+:class:`~repro.models.base.WeightSnapshot`, in a pool worker beside its
+shared-memory attachment, and in a shard worker beside its attached matrix.
+The task scans in float64 instead when the shard is narrower than
+``PRUNE_GROUPS_PER_K * k`` tiles, when the host fails the
+:func:`gather_invariant` probe, when herbs or query rows are not finite or
+their norms near float32's range, and when the survivors exceed a quarter
+of the shard.
+
 Built-in backends:
 
 * ``"numpy"`` (:class:`NumpyBackend`) — run tasks sequentially on the
@@ -42,6 +60,7 @@ context-manager form may be entered repeatedly.
 from __future__ import annotations
 
 import abc
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,8 +68,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..evaluation.metrics import top_k_indices
-from ..models.base import WeightSnapshot, score_herb_tiles
+from ..evaluation.metrics import PRUNE_GROUPS_PER_K, top_k_indices
+from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
+from ..utils.cache import LazyValue
 
 __all__ = [
     "ComputeBackend",
@@ -61,8 +81,12 @@ __all__ = [
     "check_backend_spec",
     "default_worker_count",
     "execute_shard_task",
+    "gather_invariant",
+    "gathered_scores",
     "get_backend",
+    "packed_scores",
     "register_backend",
+    "screen_floor",
     "shard_topk",
 ]
 
@@ -131,8 +155,165 @@ def shard_topk(scores: np.ndarray, start: int, k: int) -> Tuple[np.ndarray, np.n
     return local + start, np.take_along_axis(scores, local, axis=1)
 
 
+def packed_scores(
+    syndrome: np.ndarray, herb_matrix: np.ndarray, ids: np.ndarray, row_block: int
+) -> np.ndarray:
+    """``(rows, ids.size)`` scores of ``herb_matrix[ids]`` from packed tiles.
+
+    The herb rows are packed into zero-padded ``HERB_BLOCK``-wide synthetic
+    tiles, so every score comes out of the same fixed-shape gemm as the
+    exact tile grid.
+    """
+    width = -(-ids.size // HERB_BLOCK) * HERB_BLOCK
+    packed = np.zeros((width, herb_matrix.shape[1]), dtype=herb_matrix.dtype)
+    np.take(herb_matrix, ids, axis=0, out=packed[: ids.size])
+    return score_herb_tiles(syndrome, packed, row_block=row_block)[:, : ids.size]
+
+
+@functools.lru_cache(maxsize=64)
+def gather_invariant(dim: int, row_block: int, packer: Callable = packed_scores) -> bool:
+    """Whether packed herb tiles score bit-identically to the real tile grid.
+
+    The gathered re-score (:func:`gathered_scores`) relies on the host BLAS
+    computing each element of a fixed-shape gemm the same way whatever fills
+    the other columns.  This checks it on seeded random data at the given
+    width and row block: a shuffled full tile plus a zero-padded partial
+    one, drawn from three real tiles, against ``score_herb_tiles`` over the
+    contiguous matrix.  The answer is a property of the host, so it is
+    memoized per ``(dim, row_block, packer)`` in the process.
+    """
+    rng = np.random.default_rng(0)
+    herbs = rng.standard_normal((3 * HERB_BLOCK, dim))
+    syndrome = rng.standard_normal((row_block, dim))
+    picked = rng.choice(herbs.shape[0], size=HERB_BLOCK + HERB_BLOCK // 2, replace=False)
+    reference = score_herb_tiles(syndrome, herbs, row_block=row_block)[:, picked]
+    return bool(np.array_equal(packer(syndrome, herbs, picked, row_block), reference))
+
+
+def gathered_scores(
+    syndrome: np.ndarray, herb_matrix: np.ndarray, ids: np.ndarray, row_block: int
+) -> np.ndarray:
+    """``(rows, ids.size)`` tile-grid scores of ascending ``ids`` only.
+
+    Ids in full tiles are packed (:func:`packed_scores`); those in the
+    matrix's narrower trailing tile are scored through that real tile, whose
+    width no packed tile has.  Where :func:`gather_invariant` holds, every
+    score equals ``score_herb_tiles(syndrome, herb_matrix)[:, ids]`` bit for
+    bit, at a cost proportional to ``ids.size``.
+    """
+    full_stop = herb_matrix.shape[0] // HERB_BLOCK * HERB_BLOCK
+    split = int(np.searchsorted(ids, full_stop))
+    pieces = []
+    if split:
+        pieces.append(packed_scores(syndrome, herb_matrix, ids[:split], row_block))
+    if split < ids.size:
+        tail = score_herb_tiles(syndrome, herb_matrix[full_stop:], row_block=row_block)
+        pieces.append(tail[:, ids[split:] - full_stop])
+    return pieces[0] if len(pieces) == 1 else np.hstack(pieces)
+
+
+# ----------------------------------------------------------------------
+# The exact top-k screen
+# ----------------------------------------------------------------------
+#: Unit roundoffs of float32 and float64, float32's smallest normal, and the
+#: largest absolute error of rounding a value below it to float32.
+_U32, _U64 = 2.0**-24, 2.0**-53
+_TINY32, _UNDERFLOW32 = 2.0**-126, 2.0**-150
+
+#: Largest ``‖q‖₂``, ``max‖h‖₂`` and ``‖q‖₂·max‖h‖₂`` the screen accepts.
+#: Every float32 product and partial sum of a screened score is then at
+#: most ``2**100`` in magnitude, far inside float32's range (~``2**128``).
+SCREEN_NORM_LIMIT = 2.0**100
+
+
+def _float32_herbs(herb_embeddings: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """``(float32 copy, max row norm)`` of a snapshot's herb matrix.
+
+    The copy is ``None`` when a row norm is not finite or exceeds
+    :data:`SCREEN_NORM_LIMIT`: the screen could not bound its error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_norm = float(np.sqrt(np.einsum("ij,ij->i", herb_embeddings, herb_embeddings).max()))
+    if not max_norm <= SCREEN_NORM_LIMIT:
+        return None, max_norm
+    return herb_embeddings.astype(np.float32), max_norm
+
+
+def screen_floor(kth32: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """The float32 screen bound per row: at most ``kth32 - 2 * margin``.
+
+    ``kth32`` is each row's ``k``-th best float32 score and ``margin`` its
+    float32-versus-float64 error bound.  Rounding the bound to float32 may
+    round it up, so it is stepped one float32 down.
+    """
+    bound = (kth32.astype(np.float64) - 2.0 * margin).astype(np.float32)
+    return np.nextafter(bound, np.float32(-np.inf))
+
+
+def _screened_topk(
+    task: ShardTask, herb_embeddings: np.ndarray, float32_copy: LazyValue
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`shard_topk` of the task's float64 scores, from a float32 screen.
+
+    Returns ``None`` where the screen does not apply; the caller then runs
+    the full float64 scan.  Otherwise the shard is scored once in float32,
+    and every herb whose float32 score reaches :func:`screen_floor` of its
+    row survives.  With ``d`` the dimension, the margin
+    ``e = 2·[((d+2)·2⁻²⁴ + d·2⁻⁵³)·‖q‖₂·max‖h‖₂ + 2⁻¹⁵⁰·√d·(‖q‖₂ + max‖h‖₂)
+    + d·2⁻¹²⁶]`` bounds the float32 score's distance from the float64 tile
+    score, in any summation order, with a factor of 2 to spare.  The first
+    term is relative rounding: two conversions and ``d`` products and sums.
+    The second covers values below float32's smallest normal, which convert
+    with an absolute error of up to 2⁻¹⁵⁰, and the third products and sums
+    that underflow; so ±0 and subnormal magnitudes need no fallback.
+    ``k`` float32 scores reach ``T32``, the ``k``-th best, so the ``k``-th
+    best float64 score is at least ``T32 - e``, and every member of the
+    canonical top ``k``, ties included, has a float32 score of at least
+    ``T32 - 2e``: it survives.  The survivors' union is re-scored through
+    the float64 tile grid (:func:`gathered_scores`) and ranked canonically,
+    so the answer is bit-identical to the full scan's.
+    """
+    width, k = task.stop - task.start, task.k
+    if width // HERB_BLOCK < PRUNE_GROUPS_PER_K * k or task.num_rows == 0:
+        return None  # the width rule of top_k_indices: too narrow to gain
+    herbs32, herb_norm = float32_copy.get(lambda: _float32_herbs(herb_embeddings))
+    if herbs32 is None or not gather_invariant(herb_embeddings.shape[1], task.row_block):
+        return None
+    queries = task.syndrome[: task.num_rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        query_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    largest = query_norms.max()
+    if not (largest <= SCREEN_NORM_LIMIT and largest * herb_norm <= SCREEN_NORM_LIMIT):
+        return None  # non-finite, or too near float32's range
+    dim = queries.shape[1]
+    screen = score_herb_tiles(
+        queries.astype(np.float32),
+        herbs32[task.start : task.stop],
+        row_block=task.num_rows,
+        herb_block=width,
+    )
+    _, best32 = shard_topk(screen, 0, k)
+    margin = 2.0 * (
+        ((dim + 2) * _U32 + dim * _U64) * query_norms * herb_norm
+        + _UNDERFLOW32 * np.sqrt(dim) * (query_norms + herb_norm)
+        + dim * _TINY32
+    )
+    floor = screen_floor(best32[:, k - 1], margin)
+    union = np.flatnonzero((screen >= floor[:, None]).any(axis=0))
+    del screen
+    if union.size > width // 4:
+        return None  # the screen kept too much to be worth a second pass
+    exact = gathered_scores(
+        task.syndrome, herb_embeddings[task.start : task.stop], union, task.row_block
+    )
+    local, scores = shard_topk(exact[: task.num_rows], 0, k)
+    return union[local] + task.start, scores
+
+
 def execute_shard_task(
-    task: ShardTask, herb_embeddings: np.ndarray
+    task: ShardTask,
+    herb_embeddings: np.ndarray,
+    float32_copy: Optional[LazyValue] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Run one :class:`ShardTask` against an attached herb-embedding matrix.
 
@@ -140,6 +321,12 @@ def execute_shard_task(
     thread, pool process, or remote shard worker — which is what makes the
     numerics backend-independent: the same tile grid
     (:func:`~repro.models.base.score_herb_tiles`) runs everywhere.
+
+    ``float32_copy`` is the executing process's holder of the attached
+    snapshot's float32 herb copy.  With it, a ``"topk"`` task on a wide
+    shard runs the float32 screen (:func:`_screened_topk`), which returns
+    the full scan's answer bit for bit; without it, or where the screen does
+    not apply, the task scores every herb in float64.
     """
     if task.op not in ("score", "topk"):
         raise ValueError(f"unknown shard-task op {task.op!r}")
@@ -148,13 +335,18 @@ def execute_shard_task(
             f"shard task interval [{task.start}, {task.stop}) does not fit the attached "
             f"snapshot ({herb_embeddings.shape[0]} herbs) — stale or mismatched snapshot?"
         )
+    if task.op == "topk":
+        if task.k <= 0:
+            raise ValueError("topk task needs a positive k")
+        if float32_copy is not None:
+            screened = _screened_topk(task, herb_embeddings, float32_copy)
+            if screened is not None:
+                return screened
     scores = score_herb_tiles(
         task.syndrome, herb_embeddings[task.start : task.stop], row_block=task.row_block
     )
     if task.op == "score":
         return scores
-    if task.k <= 0:
-        raise ValueError("topk task needs a positive k")
     return shard_topk(scores[: task.num_rows], task.start, task.k)
 
 
@@ -334,7 +526,8 @@ class NumpyBackend(ComputeBackend):
         self, snapshot: WeightSnapshot, tasks: Sequence[ShardTask]
     ) -> List[Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]]:
         _check_task_keys(snapshot, tasks)
-        return [execute_shard_task(task, snapshot.herb_embeddings) for task in tasks]
+        matrix, copy = snapshot.herb_embeddings, snapshot.float32_copy
+        return [execute_shard_task(task, matrix, copy) for task in tasks]
 
 
 @register_backend("threads")
@@ -361,8 +554,8 @@ class ThreadPoolBackend(ComputeBackend):
             self._executor = ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="repro-shard"
             )
-        matrix = snapshot.herb_embeddings
-        return list(self._executor.map(lambda task: execute_shard_task(task, matrix), tasks))
+        matrix, copy = snapshot.herb_embeddings, snapshot.float32_copy
+        return list(self._executor.map(lambda task: execute_shard_task(task, matrix, copy), tasks))
 
     def close(self) -> None:
         if self._executor is not None:

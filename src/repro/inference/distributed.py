@@ -69,7 +69,7 @@ from ..io.checkpoint import (
     unpack_npz_bytes,
 )
 from ..models.base import WeightSnapshot
-from ..utils.cache import MAX_CACHED_VERSIONS, VersionedCache
+from ..utils.cache import MAX_CACHED_VERSIONS, LazyValue, VersionedCache
 from .backends import (
     ComputeBackend,
     ShardTask,
@@ -265,23 +265,34 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-#: Per-worker-process cache: shared-memory name -> attached segment.  A new
-#: segment name means a parameter-version bump: the bound closes stale
-#: attachments so long-lived workers do not pin old weights.
+def _retire_attachment(
+    _name: str, attachment: Tuple[shared_memory.SharedMemory, LazyValue]
+) -> None:
+    segment, float32_copy = attachment
+    float32_copy.release()
+    segment.close()
+
+
+#: Per-worker-process cache: shared-memory name -> (attached segment, its
+#: float32 herb copy holder).  A new segment name means a parameter-version
+#: bump: the bound closes stale attachments and drops their copies, so
+#: long-lived workers do not pin old weights.
 _WORKER_ATTACHMENTS: VersionedCache = VersionedCache(
-    MAX_ATTACHED_SNAPSHOTS, on_retire=lambda _, segment: segment.close()
+    MAX_ATTACHED_SNAPSHOTS, on_retire=_retire_attachment
 )
 
 
 def _run_task_in_worker(payload: Tuple[str, Tuple[int, ...], str, ShardTask]) -> ShardResult:
     """Module-level (hence picklable) task entry point for pool workers."""
     segment_name, shape, dtype, task = payload
-    segment = _WORKER_ATTACHMENTS.get(segment_name, lambda: _attach_segment(segment_name))
+    segment, float32_copy = _WORKER_ATTACHMENTS.get(
+        segment_name, lambda: (_attach_segment(segment_name), LazyValue())
+    )
     # a fresh read-only view per task: no view outlives it, so a retired
     # attachment always closes cleanly
     matrix = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
     matrix.flags.writeable = False
-    return execute_shard_task(task, matrix)
+    return execute_shard_task(task, matrix, float32_copy)
 
 
 def _publish_segment(snapshot: WeightSnapshot):
@@ -631,8 +642,9 @@ class ShardWorkerHandler:
         self._stats = stats
         self._executor = executor
         self._lock = threading.Lock()
-        #: snapshot key -> herb-embedding matrix; bounded, latest-wins.
-        self._snapshots: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        #: snapshot key -> (herb-embedding matrix, its float32 copy holder);
+        #: bounded, latest-wins.
+        self._snapshots: "OrderedDict[str, Tuple[np.ndarray, LazyValue]]" = OrderedDict()
         self.tasks_executed = 0
 
     @property
@@ -655,7 +667,7 @@ class ShardWorkerHandler:
         """
         same_tag = [key for key in self._snapshots if snapshot_model_tag(key) == tag]
         for stale in same_tag[: max(0, len(same_tag) - MAX_ATTACHED_SNAPSHOTS)]:
-            del self._snapshots[stale]
+            self._snapshots.pop(stale)[1].release()
         tags_seen: List[str] = []
         for key in self._snapshots:  # insertion order ~ push recency
             key_tag = snapshot_model_tag(key)
@@ -663,7 +675,7 @@ class ShardWorkerHandler:
                 tags_seen.append(key_tag)
         for stale_tag in tags_seen[: max(0, len(tags_seen) - MAX_ATTACHED_MODELS)]:
             for key in [k for k in self._snapshots if snapshot_model_tag(k) == stale_tag]:
-                del self._snapshots[key]
+                self._snapshots.pop(key)[1].release()
 
     # -- AsyncSocketServer contract ------------------------------------
     def submit(self, line: str) -> "Future[str]":
@@ -693,7 +705,7 @@ class ShardWorkerHandler:
         if verb == "snapshot":
             snapshot = snapshot_from_bytes(base64.b64decode(payload))
             with self._lock:
-                self._snapshots[snapshot.key] = snapshot.herb_embeddings
+                self._snapshots[snapshot.key] = (snapshot.herb_embeddings, LazyValue())
                 self._snapshots.move_to_end(snapshot.key)
                 self._evict_locked(snapshot_model_tag(snapshot.key))
             return f"ok {snapshot.key}"
@@ -702,10 +714,10 @@ class ShardWorkerHandler:
             results: List[ShardResult] = []
             for task in batch:
                 with self._lock:
-                    matrix = self._snapshots.get(task.snapshot_key)
-                if matrix is None:
+                    attached = self._snapshots.get(task.snapshot_key)
+                if attached is None:
                     return f"error: need-snapshot {task.snapshot_key}"
-                results.append(execute_shard_task(task, matrix))
+                results.append(execute_shard_task(task, *attached))
             with self._lock:
                 self.tasks_executed += len(batch)
             frame = results_to_bytes([task.op for task in batch], results)

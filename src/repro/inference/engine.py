@@ -112,10 +112,15 @@ class InferenceEngine:
         #: parameter version -> ``(shard index, approx index or None)``; the
         #: approx index is built with its shard index iff
         #: :attr:`retrieval_active`.  An evicted version's backend snapshot
-        #: is released by the *last* scoring call leased on it.
+        #: and float32 herb copy are released by the *last* scoring call
+        #: leased on it.
+        def retire(_, indexes) -> None:
+            snapshot = indexes[0].snapshot
+            snapshot.float32_copy.release()
+            backend.release_snapshot(snapshot.key)
+
         self.index_cache: VersionedCache = VersionedCache(
-            MAX_CACHED_INDEX_VERSIONS,
-            on_retire=lambda _, indexes: backend.release_snapshot(indexes[0].snapshot.key),
+            MAX_CACHED_INDEX_VERSIONS, on_retire=retire
         )
         #: Cumulative approximate-retrieval counters (the ``stats`` line).
         self._retrieval_counters = RetrievalReport()
@@ -149,16 +154,22 @@ class InferenceEngine:
     def warm_up(self) -> "InferenceEngine":
         """Force the propagation, index builds and backend start now, before traffic.
 
-        When requests go through the backend, one zero row block is scored
+        When requests go through the backend, one zero row block runs
         through the leased index on it, so a pooled or remote backend starts
         its workers and attaches the snapshot here rather than on the first
-        request.
+        request.  On the sharded exact path the block runs through ``topk``,
+        so each executing process also makes the float32 herb copy the
+        top-k screen needs (:func:`~repro.inference.backends.
+        execute_shard_task`); the approx path scores it.
         """
         self.model.cached_encode()
         if self.retrieval_active or self.sharding_active:
             with self._lease_index() as index:
                 zeros = np.zeros((index.row_block, index.snapshot.dim), dtype=np.float64)
-                index.score(zeros, backend=self.backend)
+                if self.retrieval_active:
+                    index.score(zeros, backend=self.backend)
+                else:
+                    index.topk(zeros, 1, 1, backend=self.backend)
         return self
 
     def refresh(self) -> "InferenceEngine":

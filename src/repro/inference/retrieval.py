@@ -62,7 +62,9 @@ import numpy as np
 
 from ..evaluation.metrics import top_k_indices
 from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
-from .backends import ComputeBackend, NumpyBackend, ShardTask
+from . import backends
+from .backends import ComputeBackend, NumpyBackend, ShardTask, gathered_scores
+from .backends import packed_scores as _packed_scores
 from .options import check_minimum
 from .sharding import ShardedHerbIndex
 
@@ -88,36 +90,9 @@ PROBE_ROW_BLOCK = 4
 MIN_CHUNK_ROWS = 64
 
 
-def _packed_scores(
-    syndrome: np.ndarray, herb_matrix: np.ndarray, ids: np.ndarray, row_block: int
-) -> np.ndarray:
-    """``(rows, ids.size)`` scores of ``herb_matrix[ids]`` from packed tiles.
-
-    The herb rows are packed into zero-padded ``HERB_BLOCK``-wide synthetic
-    tiles, so every score comes out of the same fixed-shape gemm as the
-    exact tile grid.
-    """
-    width = -(-ids.size // HERB_BLOCK) * HERB_BLOCK
-    packed = np.zeros((width, herb_matrix.shape[1]), dtype=herb_matrix.dtype)
-    np.take(herb_matrix, ids, axis=0, out=packed[: ids.size])
-    return score_herb_tiles(syndrome, packed, row_block=row_block)[:, : ids.size]
-
-
 def gather_invariant(dim: int, row_block: int) -> bool:
-    """Whether packed herb tiles score bit-identically to the real tile grid.
-
-    The gathered re-rank relies on the host BLAS computing each element of a
-    fixed-shape gemm the same way whatever fills the other columns.  This
-    checks it on seeded random data at the given width and row block: a
-    shuffled full tile plus a zero-padded partial one, drawn from three real
-    tiles, against ``score_herb_tiles`` over the contiguous matrix.
-    """
-    rng = np.random.default_rng(0)
-    herbs = rng.standard_normal((3 * HERB_BLOCK, dim))
-    syndrome = rng.standard_normal((row_block, dim))
-    picked = rng.choice(herbs.shape[0], size=HERB_BLOCK + HERB_BLOCK // 2, replace=False)
-    reference = score_herb_tiles(syndrome, herbs, row_block=row_block)[:, picked]
-    return bool(np.array_equal(_packed_scores(syndrome, herbs, picked, row_block), reference))
+    """:func:`~repro.inference.backends.gather_invariant` for this module's packer."""
+    return backends.gather_invariant(dim, row_block, _packed_scores)
 
 
 def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 8192) -> np.ndarray:
@@ -446,22 +421,9 @@ class ApproxHerbIndex:
         )
 
     def _gathered_scores(self, syndrome: np.ndarray, union: np.ndarray) -> np.ndarray:
-        """``(rows, union.size)`` exact scores from packed survivor tiles.
-
-        Survivors in full tiles are packed (:func:`_packed_scores`); those in
-        the vocabulary's narrower trailing tile are scored through that real
-        tile, whose width no packed tile has.
-        """
-        herbs = self.snapshot.herb_embeddings
-        full_stop = self.num_herbs // HERB_BLOCK * HERB_BLOCK
-        split = int(np.searchsorted(union, full_stop))
-        pieces = []
-        if split:
-            pieces.append(_packed_scores(syndrome, herbs, union[:split], self.row_block))
-        if split < union.size:
-            tail = score_herb_tiles(syndrome, herbs[full_stop:], row_block=self.row_block)
-            pieces.append(tail[:, union[split:] - full_stop])
-        return np.hstack(pieces)
+        """``(rows, union.size)`` exact scores from packed survivor tiles
+        (:func:`~repro.inference.backends.gathered_scores`)."""
+        return gathered_scores(syndrome, self.snapshot.herb_embeddings, union, self.row_block)
 
     def _rerank(
         self,

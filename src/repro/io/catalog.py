@@ -506,8 +506,9 @@ def answer(catalog: ModelCatalog, queries: Sequence[Any]) -> List[Answer]:
 
     * routing — an unknown model, or an entry removed between routing and
       leasing, fails only its own queries, without touching any model;
-    * parsing — symptoms are parsed against the leased generation's
-      vocabulary, so a rollout can never mix vocabularies within a call;
+    * parsing — symptoms are parsed once, against the leased generation's
+      vocabulary, so a rollout can never mix vocabularies within a call; the
+      ids reach the engine as :class:`~repro.api.SymptomIds`, not re-parsed;
     * scoring — each entry's queries score in one pooled ``recommend_many``;
       if that call fails they are retried one by one, so only the poisoned
       queries answer with an error and other entries are never affected.
@@ -543,13 +544,13 @@ def _answer_entry(
     answers: List[Optional[Answer]],
 ) -> None:
     """Parse, score and decode one entry's queries on one leased generation."""
-    from ..api import parse_symptom_tokens  # lazy: repro.api imports repro.io
+    from ..api import SymptomIds, parse_symptom_tokens  # lazy: repro.api imports repro.io
 
     vocab = pipeline.symptom_vocab
     valid = []
     for index in members:
         try:
-            valid.append((index, tuple(parse_symptom_tokens(queries[index].symptoms, vocab))))
+            valid.append((index, SymptomIds(parse_symptom_tokens(queries[index].symptoms, vocab))))
         except ValueError as error:
             answers[index] = Answer(entry.name, error=str(error))
     if not valid:

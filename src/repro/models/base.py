@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import Module, Tensor, no_grad
+from ..utils.cache import LazyValue
 
 __all__ = [
     "HerbRecommender",
@@ -147,6 +148,10 @@ class WeightSnapshot:
     herb_embeddings: np.ndarray = field(repr=False)
     #: The exporting model's fixed scoring row block (see :data:`SCORING_BLOCK`).
     row_block: int = SCORING_BLOCK
+    #: The float32 herb copy the exact top-k screen scores against in this
+    #: process, made on the first screened ``topk`` task, never at export
+    #: (see :func:`repro.inference.backends.execute_shard_task`).
+    float32_copy: LazyValue = field(default_factory=LazyValue, repr=False, compare=False)
 
     @property
     def num_herbs(self) -> int:

@@ -4,6 +4,8 @@ The engine's indexes per parameter version, a catalog entry's generations and
 canary, and the process backend's shared-memory segments and worker
 attachments share this one policy: keep the newest few versions, and release
 an evicted one (close, unlink, ``release_snapshot``) once nothing uses it.
+:class:`LazyValue` holds a value derived from one such entry (the float32
+herb copy of an attached snapshot), built on first use and released with it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Hashable, Iterator, List, Optional
 
-__all__ = ["MAX_CACHED_VERSIONS", "VersionedCache"]
+__all__ = ["MAX_CACHED_VERSIONS", "LazyValue", "VersionedCache"]
 
 #: How many versions a serving holder keeps: the latest serves traffic, and
 #: one predecessor lets requests in flight on it finish while the new version
@@ -137,3 +139,35 @@ class VersionedCache:
     def _retire(self, slots: List[_Slot]) -> None:
         for slot in slots:
             self._on_retire(slot.key, slot.value)
+
+
+class LazyValue:
+    """A value built on first use, exactly once, under a lock.
+
+    ``get(build)`` returns the value, calling ``build()`` only when none is
+    held; concurrent first callers wait for the one build.  ``release()``
+    drops the value, so the next ``get`` builds it again.
+    """
+
+    __slots__ = ("_lock", "_value")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._value: Any = None
+
+    @property
+    def built(self) -> bool:
+        return self._value is not None
+
+    def get(self, build: Callable[[], Any]) -> Any:
+        value = self._value
+        if value is not None:
+            return value
+        with self._lock:
+            if self._value is None:
+                self._value = build()
+            return self._value
+
+    def release(self) -> None:
+        with self._lock:
+            self._value = None

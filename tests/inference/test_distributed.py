@@ -498,10 +498,10 @@ class TestShardWorkerOnEventLoop:
         entered, release = threading.Event(), threading.Event()
         real_execute = distributed.execute_shard_task
 
-        def held(task, matrix):
+        def held(task, *attached):
             entered.set()
             assert release.wait(30), "test never released the batch"
-            return real_execute(task, matrix)
+            return real_execute(task, *attached)
 
         monkeypatch.setattr(distributed, "execute_shard_task", held)
         outcome = {}

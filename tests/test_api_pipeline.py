@@ -134,6 +134,52 @@ class TestRecommendMany:
         assert many[0] == pipeline.recommend("0 3", k=4)
 
 
+class TestParseOnce:
+    """The serving/batch core parses each query once, not again in recommend_many."""
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        import repro.api as api
+
+        calls = []
+        real = api.parse_symptom_tokens
+
+        def counting(raw, vocab):
+            calls.append(raw)
+            return real(raw, vocab)
+
+        monkeypatch.setattr(api, "parse_symptom_tokens", counting)
+        return calls
+
+    def test_catalog_answers_parse_each_query_once(self, fitted, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.io.catalog import ModelCatalog, answer
+
+        queries = [
+            SimpleNamespace(symptoms=symptoms, k=k, model=None)
+            for symptoms, k in (("0 3", 4), ([1, 2], 2), ("2 4 5", 5), ("bogus", 3))
+        ]
+        expected = [fitted.recommend(query.symptoms, k=query.k) for query in queries[:3]]
+        calls = self._count_parses(monkeypatch)
+        answers = answer(ModelCatalog.for_pipeline(fitted), queries)
+        assert calls == [query.symptoms for query in queries]
+        assert [(a.herb_ids, a.scores) for a in answers[:3]] == [
+            (rec.herb_ids, rec.scores) for rec in expected
+        ]
+        assert "unknown symptom token" in answers[3].error
+
+    def test_symptom_ids_are_not_parsed_again(self, fitted, monkeypatch):
+        from repro.api import SymptomIds
+
+        expected = fitted.recommend_many(["0 3", [1, 2]], k=[4, 2])
+        calls = self._count_parses(monkeypatch)
+        assert fitted.recommend_many([SymptomIds((0, 3)), SymptomIds((1, 2))], k=[4, 2]) == (
+            expected
+        )
+        assert calls == []
+
+
 class TestParseSymptomTokens:
     def test_mixed(self):
         train, _ = experiment_split("smoke")

@@ -232,3 +232,45 @@ class TestConcurrency:
             "every built entry must retire exactly once"
         )
         assert cache.draining == 0 and len(cache) == 0
+
+
+class TestLazyValue:
+    def test_builds_once_until_released(self):
+        from repro.utils.cache import LazyValue
+
+        holder, builds = LazyValue(), []
+        assert not holder.built
+        assert holder.get(lambda: builds.append(1) or "copy") == "copy"
+        assert holder.get(lambda: builds.append(2) or "other") == "copy"
+        assert holder.built and builds == [1]
+        holder.release()
+        assert not holder.built
+        assert holder.get(lambda: "rebuilt") == "rebuilt"
+
+    def test_concurrent_first_callers_share_one_build(self):
+        from repro.utils.cache import LazyValue
+
+        holder, builds, results = LazyValue(), [], []
+        start = threading.Barrier(8)
+
+        def build():
+            builds.append(threading.get_ident())
+            return object()
+
+        def first_use():
+            start.wait(10)
+            results.append(holder.get(build))
+
+        threads = [threading.Thread(target=first_use, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert len(results) == 8 and all(value is results[0] for value in results)
