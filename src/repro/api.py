@@ -39,7 +39,7 @@ from .models import MODEL_REGISTRY
 from .models.base import GraphHerbRecommender
 from .training import TrainerConfig
 
-__all__ = ["Pipeline", "SymptomIds", "parse_symptom_tokens"]
+__all__ = ["Pipeline", "parse_symptom_tokens"]
 
 
 def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> List[int]:
@@ -68,13 +68,15 @@ def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> L
     return ids
 
 
-class SymptomIds(tuple):
+class _SymptomIds(tuple):
     """Symptom ids already parsed against a pipeline's vocabulary.
 
-    The serving and batch scoring core (:func:`repro.io.catalog.answer`)
-    parses each query once, so a bad query fails alone, and hands the ids
-    on in this type; :meth:`Pipeline.recommend_many` passes them to the
-    engine as they are instead of parsing them again.
+    Internal to the serving and batch scoring core
+    (:func:`repro.io.catalog.answer`), which parses each query once, so a
+    bad query fails alone, and hands the ids on in this type;
+    :meth:`Pipeline.recommend_many` passes them to the engine as they are
+    instead of parsing them again.  Not part of the public API: every other
+    query is parsed and checked.
     """
 
     __slots__ = ()
@@ -222,7 +224,6 @@ class Pipeline:
         matmul (per chunk) instead of one model call per query — this is the
         passthrough the micro-batching serving layer drains its queue through.
         Answers are bit-identical to calling :meth:`recommend` per query.
-        A :class:`SymptomIds` query is taken as already parsed.
         """
         queries = list(queries)
         ks = [k] * len(queries) if isinstance(k, (int, np.integer)) else list(k)
@@ -234,7 +235,7 @@ class Pipeline:
             return []
         vocab = self.symptom_vocab
         sets = [
-            query if type(query) is SymptomIds else tuple(parse_symptom_tokens(query, vocab))
+            query if type(query) is _SymptomIds else tuple(parse_symptom_tokens(query, vocab))
             for query in queries
         ]
         model = self._require_model()

@@ -33,8 +33,8 @@ shared-memory attachment, and in a shard worker beside its attached matrix.
 The task scans in float64 instead when the shard is narrower than
 ``PRUNE_GROUPS_PER_K * k`` tiles, when the host fails the
 :func:`gather_invariant` probe, when herbs or query rows are not finite or
-their norms near float32's range, and when the survivors exceed a quarter
-of the shard.
+their norms near float32's range, when a query row is zero (engine
+warm-up's block is), and when the survivors exceed a quarter of the shard.
 
 Built-in backends:
 
@@ -81,6 +81,7 @@ __all__ = [
     "check_backend_spec",
     "default_worker_count",
     "execute_shard_task",
+    "float32_score_error",
     "gather_invariant",
     "gathered_scores",
     "get_backend",
@@ -239,6 +240,21 @@ def _float32_herbs(herb_embeddings: np.ndarray) -> Tuple[Optional[np.ndarray], f
     return herb_embeddings.astype(np.float32), max_norm
 
 
+def float32_score_error(query_norms, herb_norms, dim: int):
+    """``e``: a bound on a float32 score's distance from the float64 tile score.
+
+    For a query of norm ``query_norms`` and a herb of norm at most
+    ``herb_norms`` (both ``‖·‖₂``, broadcasting), in any summation order,
+    with a factor of 2 to spare (see :func:`_screened_topk`).  Valid while
+    ``query_norms * herb_norms`` stays within :data:`SCREEN_NORM_LIMIT`.
+    """
+    return 2.0 * (
+        ((dim + 2) * _U32 + dim * _U64) * query_norms * herb_norms
+        + _UNDERFLOW32 * np.sqrt(dim) * (query_norms + herb_norms)
+        + dim * _TINY32
+    )
+
+
 def screen_floor(kth32: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """The float32 screen bound per row: at most ``kth32 - 2 * margin``.
 
@@ -285,6 +301,8 @@ def _screened_topk(
     largest = query_norms.max()
     if not (largest <= SCREEN_NORM_LIMIT and largest * herb_norm <= SCREEN_NORM_LIMIT):
         return None  # non-finite, or too near float32's range
+    if query_norms.min() == 0.0:
+        return None  # a zero row ties every herb, so all of them would survive
     dim = queries.shape[1]
     screen = score_herb_tiles(
         queries.astype(np.float32),
@@ -293,12 +311,7 @@ def _screened_topk(
         herb_block=width,
     )
     _, best32 = shard_topk(screen, 0, k)
-    margin = 2.0 * (
-        ((dim + 2) * _U32 + dim * _U64) * query_norms * herb_norm
-        + _UNDERFLOW32 * np.sqrt(dim) * (query_norms + herb_norm)
-        + dim * _TINY32
-    )
-    floor = screen_floor(best32[:, k - 1], margin)
+    floor = screen_floor(best32[:, k - 1], float32_score_error(query_norms, herb_norm, dim))
     union = np.flatnonzero((screen >= floor[:, None]).any(axis=0))
     del screen
     if union.size > width // 4:

@@ -265,20 +265,12 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _retire_attachment(
-    _name: str, attachment: Tuple[shared_memory.SharedMemory, LazyValue]
-) -> None:
-    segment, float32_copy = attachment
-    float32_copy.release()
-    segment.close()
-
-
 #: Per-worker-process cache: shared-memory name -> (attached segment, its
 #: float32 herb copy holder).  A new segment name means a parameter-version
-#: bump: the bound closes stale attachments and drops their copies, so
-#: long-lived workers do not pin old weights.
+#: bump: the bound closes stale attachments, and drops their copies with
+#: them, so long-lived workers do not pin old weights.
 _WORKER_ATTACHMENTS: VersionedCache = VersionedCache(
-    MAX_ATTACHED_SNAPSHOTS, on_retire=_retire_attachment
+    MAX_ATTACHED_SNAPSHOTS, on_retire=lambda _, attachment: attachment[0].close()
 )
 
 
@@ -667,7 +659,7 @@ class ShardWorkerHandler:
         """
         same_tag = [key for key in self._snapshots if snapshot_model_tag(key) == tag]
         for stale in same_tag[: max(0, len(same_tag) - MAX_ATTACHED_SNAPSHOTS)]:
-            self._snapshots.pop(stale)[1].release()
+            del self._snapshots[stale]
         tags_seen: List[str] = []
         for key in self._snapshots:  # insertion order ~ push recency
             key_tag = snapshot_model_tag(key)
@@ -675,7 +667,7 @@ class ShardWorkerHandler:
                 tags_seen.append(key_tag)
         for stale_tag in tags_seen[: max(0, len(tags_seen) - MAX_ATTACHED_MODELS)]:
             for key in [k for k in self._snapshots if snapshot_model_tag(k) == stale_tag]:
-                self._snapshots.pop(key)[1].release()
+                del self._snapshots[key]
 
     # -- AsyncSocketServer contract ------------------------------------
     def submit(self, line: str) -> "Future[str]":

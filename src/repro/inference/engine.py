@@ -112,15 +112,11 @@ class InferenceEngine:
         #: parameter version -> ``(shard index, approx index or None)``; the
         #: approx index is built with its shard index iff
         #: :attr:`retrieval_active`.  An evicted version's backend snapshot
-        #: and float32 herb copy are released by the *last* scoring call
-        #: leased on it.
-        def retire(_, indexes) -> None:
-            snapshot = indexes[0].snapshot
-            snapshot.float32_copy.release()
-            backend.release_snapshot(snapshot.key)
-
+        #: is released by the *last* scoring call leased on it; its float32
+        #: herb copy goes with the snapshot.
         self.index_cache: VersionedCache = VersionedCache(
-            MAX_CACHED_INDEX_VERSIONS, on_retire=retire
+            MAX_CACHED_INDEX_VERSIONS,
+            on_retire=lambda _, indexes: backend.release_snapshot(indexes[0].snapshot.key),
         )
         #: Cumulative approximate-retrieval counters (the ``stats`` line).
         self._retrieval_counters = RetrievalReport()

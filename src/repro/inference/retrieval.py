@@ -15,7 +15,11 @@ rows fill the other rows of the block.
    for the rows that probe it, gathered into zero-padded groups of
    :data:`PROBE_ROW_BLOCK` rows.  Without a partition the single list is a
    full scan of every row in ``row_block`` groups.  Each request keeps a
-   ``candidate_factor * k`` survivor pool.
+   ``candidate_factor * k`` survivor pool, selected without gathering every
+   probed score: the request's nearest list sets a floor the pool's
+   boundary cannot be below, each list keeps only the members reaching it,
+   and a probed list whose centroid and radius bound every member below it
+   is not scored at all (see :meth:`ApproxHerbIndex.candidates`).
 2. **Re-rank (exact, bit-faithful, float64).**  The survivor union is packed
    into zero-padded ``HERB_BLOCK``-wide synthetic tiles and scored in the
    engine process with the same gemm shape as the exact tile grid; survivors
@@ -43,9 +47,10 @@ Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
   approximation can only affect *which* herbs survive to the re-rank (the
   recall dimension), never the score or relative order of survivors.
 * Any request whose scanned pool cannot certify ``k`` results (``k`` larger
-  than the probed candidate pool, or a pool so large pruning is pointless)
-  falls back to the exact index on the configured backend for that request
-  alone, so answers are always full-length.
+  than the probed candidate pool, a pool so large pruning is pointless, or
+  a query float32 cannot hold) falls back to the exact index on the
+  configured backend for that request alone, so answers are always
+  full-length.
 
 Recall is certified offline: the test harness and
 ``benchmarks/bench_approx_topk.py`` hard-gate recall@k >= 0.99 against the
@@ -162,6 +167,15 @@ def kmeans_partition(
     return _nearest_centroids(data, centroids), centroids
 
 
+def _by_list(lists: np.ndarray, rows: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """``(list id, rows ascending)`` groups of ``(row, list)`` probe pairs."""
+    order = np.lexsort((rows, lists))
+    lists, rows = lists[order], rows[order]
+    starts = np.flatnonzero(np.diff(lists, prepend=-1))
+    stops = np.append(starts[1:], lists.size)
+    return [(int(lists[start]), rows[start:stop]) for start, stop in zip(starts, stops)]
+
+
 @dataclass(frozen=True, eq=False)
 class _InvertedList:
     """One coarse partition: its members' float32 rows plus their global ids."""
@@ -257,12 +271,20 @@ class ApproxHerbIndex:
             self.centroids32: Optional[np.ndarray] = np.ascontiguousarray(
                 np.vstack(kept_centroids), dtype=np.float32
             )
+            #: Per list, the largest distance of a member from its centroid.
+            self.radii: Optional[np.ndarray] = np.array(
+                [
+                    np.sqrt(np.square(inverted.herbs32 - centroid.astype(np.float64)).sum(1).max())
+                    for inverted, centroid in zip(lists, self.centroids32)
+                ]
+            )
         else:
             self.lists = (
                 _InvertedList(ids=np.arange(self.num_herbs, dtype=np.int64), herbs32=herbs32),
             )
-            self.centroids32 = None
+            self.centroids32 = self.radii = None
         self.num_lists = len(self.lists)
+        self._list_sizes = np.array([inverted.ids.size for inverted in self.lists], dtype=np.int64)
         self.nprobe = min(max(1, int(nprobe)), self.num_lists)
         #: First-pass row group: every row probes a lone list, so it keeps
         #: the full block; partitioned lists see only their probing rows.
@@ -324,6 +346,19 @@ class ApproxHerbIndex:
         tied = np.sort(ids[scores == boundary])
         return np.concatenate([above, tied[: pool - above.size]])
 
+    def _list_scores(self, syndrome32: np.ndarray, list_id: int, rows: np.ndarray) -> np.ndarray:
+        """``(rows.size, list size)`` first-pass scores of one list, for ``rows``.
+
+        The rows are packed into zero-padded groups of
+        :attr:`probe_row_block`, so each row's scores come from the same
+        gemm shape whichever rows share its group.
+        """
+        group = self.probe_row_block
+        block = np.zeros((-(-rows.size // group) * group, self.dim), dtype=np.float32)
+        block[: rows.size] = syndrome32[rows]
+        herbs32 = self.lists[list_id].herbs32
+        return score_herb_tiles(block, herbs32, row_block=group)[: rows.size]
+
     def candidates(
         self, syndrome: np.ndarray, ks: Sequence[int]
     ) -> Tuple[List[Optional[np.ndarray]], List[int]]:
@@ -332,43 +367,115 @@ class ApproxHerbIndex:
         ``syndrome`` is the float64 row-padded block from
         ``encode_syndrome``; ``ks`` holds one requested k per real row.  A
         row's entry is ``None`` (and its index appears in the fallback list)
-        when the scanned pool cannot certify ``min(k, num_herbs)`` results or
+        when the scanned pool cannot certify ``min(k, num_herbs)`` results,
         when pruning is pointless (``candidate_factor * k`` reaches the whole
-        vocabulary).
+        vocabulary), or when its float32 query is not finite.
+
+        A row's pool is ``_select_pool`` over every herb it probes, but that
+        ranking only ever looks at herbs scoring at least the pool's
+        boundary, the ``pool``-th best first-pass score.  The ``pool``-th
+        best score within the row's nearest list cannot exceed it, so each
+        list keeps, per row, only the herbs reaching that floor, and the
+        pool is selected from those: the same pool, without gathering every
+        probed score of the row.  The nearest lists are scored first to set
+        the floors.
         """
         num_rows = len(ks)
-        syndrome32 = np.ascontiguousarray(syndrome, dtype=np.float32)
-        probes = self._probed_lists(syndrome32, num_rows)
-        # (row, list) probe pairs grouped by list, rows ascending within a list
-        flat = probes.ravel()
-        order = np.argsort(flat, kind="stable")
-        probe_lists, probe_rows = flat[order], order // probes.shape[1]
-        starts = np.flatnonzero(np.diff(probe_lists, prepend=-1))
-        row_scores: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
-        row_ids: List[List[np.ndarray]] = [[] for _ in range(num_rows)]
-        group = self.probe_row_block
-        for start, stop in zip(starts, [*starts[1:], flat.size]):
-            inverted = self.lists[int(probe_lists[start])]
-            rows = probe_rows[start:stop]
-            block = np.zeros((-(-rows.size // group) * group, self.dim), dtype=np.float32)
-            block[: rows.size] = syndrome32[rows]
-            scores = score_herb_tiles(block, inverted.herbs32, row_block=group)[: rows.size]
-            for position, row in enumerate(rows):
-                row_scores[row].append(scores[position])
-                row_ids[row].append(inverted.ids)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fall back
+            syndrome32 = np.ascontiguousarray(syndrome, dtype=np.float32)
+            probes = self._probed_lists(syndrome32, num_rows)
+        pools = self.candidate_factor * np.asarray(ks, dtype=np.int64)
+        probed = self._list_sizes[probes].sum(axis=1)
+        fallback = (
+            (probed < np.minimum(np.asarray(ks, dtype=np.int64), self.num_herbs))
+            | (pools >= self.num_herbs)
+            | ~np.isfinite(syndrome32[:num_rows]).all(axis=1)
+        )
         survivors: List[Optional[np.ndarray]] = [None] * num_rows
-        fallback_rows: List[int] = []
-        for row in range(num_rows):
-            scores, ids = np.concatenate(row_scores[row]), np.concatenate(row_ids[row])
-            pool = self.candidate_factor * int(ks[row])
-            if scores.size < min(int(ks[row]), self.num_herbs) or pool >= self.num_herbs:
-                fallback_rows.append(row)
-                continue
-            if pool >= scores.size:
-                survivors[row] = np.sort(ids)
-            else:
-                survivors[row] = np.sort(self._select_pool(scores, ids, pool))
-        return survivors, fallback_rows
+        for row in np.flatnonzero(~fallback & (pools >= probed)):
+            # the pool holds every probed herb: nothing to score
+            survivors[row] = np.sort(np.concatenate([self.lists[i].ids for i in probes[row]]))
+        pruned = np.flatnonzero(~fallback & (pools < probed))
+        if pruned.size:
+            self._select_pools(syndrome32, probes, pools, pruned, survivors)
+        return survivors, np.flatnonzero(fallback).tolist()
+
+    def _select_pools(
+        self,
+        syndrome32: np.ndarray,
+        probes: np.ndarray,
+        pools: np.ndarray,
+        pruned: np.ndarray,
+        survivors: List[Optional[np.ndarray]],
+    ) -> None:
+        """Fill ``survivors`` for the ``pruned`` rows (see :meth:`candidates`).
+
+        Each row's nearest list is scored first and sets the row's floor.
+        Its other probed lists are then scored only where
+        :meth:`_may_reach` cannot rule out a member reaching that floor.
+        """
+        floors = np.full(probes.shape[0], -np.inf, dtype=np.float32)
+        kept: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for list_id, rows in _by_list(probes[pruned, 0], pruned):
+            scores = self._list_scores(syndrome32, list_id, rows)
+            for position, row in enumerate(rows):
+                if scores.shape[1] >= pools[row]:
+                    # the pool-th best, NaN ranking below every number
+                    floor = -np.partition(-scores[position], pools[row] - 1)[pools[row] - 1]
+                    floors[row] = floor if floor == floor else -np.inf
+            kept.append(self._reaching(list_id, rows, scores, floors))
+        rows = np.repeat(pruned, probes.shape[1] - 1)
+        lists = probes[pruned, 1:].ravel()
+        reach = self._may_reach(syndrome32, rows, lists, floors[rows])
+        for list_id, list_rows in _by_list(lists[reach], rows[reach]):
+            scores = self._list_scores(syndrome32, list_id, list_rows)
+            kept.append(self._reaching(list_id, list_rows, scores, floors))
+        row_of, kept_scores, kept_ids = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(row_of, kind="stable")
+        row_of, kept_scores, kept_ids = row_of[order], kept_scores[order], kept_ids[order]
+        bounds = np.searchsorted(row_of, np.append(pruned, probes.shape[0]))
+        for row, start, stop in zip(pruned, bounds[:-1], bounds[1:]):
+            scores, ids = kept_scores[start:stop], kept_ids[start:stop]
+            pool = int(pools[row])
+            if ids.size > pool:
+                ids = self._select_pool(scores, ids, pool)
+            survivors[row] = np.sort(ids)
+
+    def _reaching(
+        self, list_id: int, rows: np.ndarray, scores: np.ndarray, floors: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, scores, ids)`` of the list members reaching each row's floor."""
+        # flatnonzero, not a 2-D nonzero: the same hits, several times faster
+        hit_rows, hit_columns = np.divmod(
+            np.flatnonzero(scores >= floors[rows][:, None]), scores.shape[1]
+        )
+        return rows[hit_rows], scores[hit_rows, hit_columns], self.lists[list_id].ids[hit_columns]
+
+    def _may_reach(
+        self, syndrome32: np.ndarray, rows: np.ndarray, lists: np.ndarray, floors: np.ndarray
+    ) -> np.ndarray:
+        """Per ``(row, list)`` pair, whether a member may score at least ``floor``.
+
+        Every member ``h`` of a list lies within its radius ``R`` of the
+        centroid ``c``, so ``q·h <= q·c + ‖q‖·R``.  A first-pass score is
+        within :func:`~repro.inference.backends.float32_score_error` of
+        ``q·h`` (with ``‖c‖ + R`` bounding ``‖h‖``), so a pair whose bound
+        plus that error stays below the floor has no member reaching it.
+        Pairs whose norms near float32's range are kept.
+        """
+        if rows.size == 0:
+            return np.zeros(0, dtype=bool)
+        queries = syndrome32[rows].astype(np.float64)
+        centroids = self.centroids32[lists].astype(np.float64)
+        query_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+        radii = self.radii[lists]
+        herb_norms = np.sqrt(np.einsum("ij,ij->i", centroids, centroids)) + radii
+        upper = (
+            np.einsum("ij,ij->i", queries, centroids)
+            + query_norms * radii
+            + backends.float32_score_error(query_norms, herb_norms, self.dim)
+        )
+        return ~(upper < floors) | ~(query_norms * herb_norms <= backends.SCREEN_NORM_LIMIT)
 
     # ------------------------------------------------------------------
     # Exact re-rank + fallback

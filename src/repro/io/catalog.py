@@ -508,7 +508,7 @@ def answer(catalog: ModelCatalog, queries: Sequence[Any]) -> List[Answer]:
       leasing, fails only its own queries, without touching any model;
     * parsing — symptoms are parsed once, against the leased generation's
       vocabulary, so a rollout can never mix vocabularies within a call; the
-      ids reach the engine as :class:`~repro.api.SymptomIds`, not re-parsed;
+      ids reach the engine without a second parse;
     * scoring — each entry's queries score in one pooled ``recommend_many``;
       if that call fails they are retried one by one, so only the poisoned
       queries answer with an error and other entries are never affected.
@@ -544,13 +544,14 @@ def _answer_entry(
     answers: List[Optional[Answer]],
 ) -> None:
     """Parse, score and decode one entry's queries on one leased generation."""
-    from ..api import SymptomIds, parse_symptom_tokens  # lazy: repro.api imports repro.io
+    from ..api import _SymptomIds, parse_symptom_tokens  # lazy: repro.api imports repro.io
 
     vocab = pipeline.symptom_vocab
     valid = []
     for index in members:
         try:
-            valid.append((index, SymptomIds(parse_symptom_tokens(queries[index].symptoms, vocab))))
+            ids = _SymptomIds(parse_symptom_tokens(queries[index].symptoms, vocab))
+            valid.append((index, ids))
         except ValueError as error:
             answers[index] = Answer(entry.name, error=str(error))
     if not valid:

@@ -94,26 +94,38 @@ def score_herb_tiles(
     their concatenation would double the peak, and freeing both at the
     heap top makes glibc return the pages to the OS in some runs and not
     others, so the next call's page faults, and its time, vary by run.
+    The whole tiles go through one stacked ``np.matmul`` (tile by row
+    group, both axes views), which calls the same BLAS gemm per tile and
+    row group as a Python loop over them would, without the loop's
+    per-gemm interpreter cost; the narrower trailing tile is a second call.
     """
     if syndrome.shape[0] % row_block:
         raise ValueError(
             f"syndrome rows ({syndrome.shape[0]}) must be a multiple of row_block ({row_block})"
         )
     herb_matrix = np.ascontiguousarray(herb_matrix)
-    if herb_matrix.shape[0] == 0:
-        return np.zeros((syndrome.shape[0], 0), dtype=np.float64)
+    num_herbs, dim = herb_matrix.shape
+    groups = syndrome.shape[0] // row_block
     scores = np.empty(
-        (syndrome.shape[0], herb_matrix.shape[0]),
+        (syndrome.shape[0], num_herbs),
         dtype=np.result_type(syndrome.dtype, herb_matrix.dtype),
     )
-    for tile_start in range(0, herb_matrix.shape[0], herb_block):
-        tile = herb_matrix[tile_start : tile_start + herb_block].T  # (dim, <= herb_block)
-        for row_start in range(0, syndrome.shape[0], row_block):
-            np.matmul(
-                syndrome[row_start : row_start + row_block],
-                tile,
-                out=scores[row_start : row_start + row_block, tile_start : tile_start + herb_block],
-            )
+    if num_herbs == 0 or groups == 0:
+        return scores
+    row_groups = syndrome.reshape(groups, row_block, dim)
+    grouped = scores.reshape(groups, row_block, num_herbs)
+    full = num_herbs - num_herbs % herb_block
+    if full:
+        tiles = full // herb_block
+        np.matmul(
+            row_groups[None],  # (1, groups, row_block, dim)
+            herb_matrix[:full].reshape(tiles, herb_block, dim).transpose(0, 2, 1)[:, None],
+            out=grouped[:, :, :full]
+            .reshape(groups, row_block, tiles, herb_block)
+            .transpose(2, 0, 1, 3),  # (tiles, groups, row_block, herb_block)
+        )
+    if full < num_herbs:
+        np.matmul(row_groups, herb_matrix[full:].T, out=grouped[:, :, full:])
     return scores
 
 

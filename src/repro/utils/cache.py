@@ -5,7 +5,7 @@ canary, and the process backend's shared-memory segments and worker
 attachments share this one policy: keep the newest few versions, and release
 an evicted one (close, unlink, ``release_snapshot``) once nothing uses it.
 :class:`LazyValue` holds a value derived from one such entry (the float32
-herb copy of an attached snapshot), built on first use and released with it.
+herb copy of an attached snapshot), built on first use and dropped with it.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class LazyValue:
     """A value built on first use, exactly once, under a lock.
 
     ``get(build)`` returns the value, calling ``build()`` only when none is
-    held; concurrent first callers wait for the one build.  ``release()``
-    drops the value, so the next ``get`` builds it again.
+    held; concurrent first callers wait for the one build.  The value lives
+    as long as its holder: drop the holder to free it.
     """
 
     __slots__ = ("_lock", "_value")
@@ -156,8 +156,9 @@ class LazyValue:
         self._value: Any = None
 
     @property
-    def built(self) -> bool:
-        return self._value is not None
+    def value(self) -> Any:
+        """The value if built, else ``None``; never builds it."""
+        return self._value
 
     def get(self, build: Callable[[], Any]) -> Any:
         value = self._value
@@ -167,7 +168,3 @@ class LazyValue:
             if self._value is None:
                 self._value = build()
             return self._value
-
-    def release(self) -> None:
-        with self._lock:
-            self._value = None

@@ -9,6 +9,8 @@ screen answered or fell back to the full float64 scan.
 """
 
 import base64
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ class TestScreenAnswersExactly:
         index = ShardedHerbIndex(rng.normal(size=(3 * HERB_BLOCK + 5, DIM)))
         assert_exact(index, rng.normal(size=(4, DIM)), k)
         assert screened == [False]
-        assert not index.snapshot.float32_copy.built, "a narrow shard makes no copy"
+        assert index.snapshot.float32_copy.value is None, "a narrow shard makes no copy"
 
     def test_ties_across_the_whole_row_fall_back(self, screened):
         """Every herb identical: the survivors are the whole shard."""
@@ -196,6 +198,25 @@ class TestScreenAnswersExactly:
         index = ShardedHerbIndex(np.random.default_rng(11).normal(size=(WIDE, DIM)))
         assert_exact(index, np.zeros((5, DIM)), 5)
         assert screened == [False]
+
+    def test_a_zero_row_skips_the_float32_pass(self, monkeypatch):
+        """Every herb ties on a zero row, so the screen could keep none out."""
+        rng = np.random.default_rng(11)
+        index = ShardedHerbIndex(rng.normal(size=(WIDE, DIM)))
+        queries = rng.normal(size=(5, DIM))
+        queries[2] = 0.0
+        dtypes = []
+        real = backends.score_herb_tiles
+
+        def recording(syndrome, herb_matrix, **kwargs):
+            dtypes.append(herb_matrix.dtype)
+            return real(syndrome, herb_matrix, **kwargs)
+
+        monkeypatch.setattr(backends, "score_herb_tiles", recording)
+        index.topk(pad_rows(queries), 5, 5)
+        assert dtypes == [np.float64]
+        monkeypatch.undo()
+        assert_exact(index, queries, 5)
 
     def test_failed_gather_probe_falls_back(self, screened, monkeypatch):
         monkeypatch.setattr(backends, "gather_invariant", lambda *args: False)
@@ -230,6 +251,17 @@ class TestScreenFloor:
         assert (backends.screen_floor(kth, np.zeros(4)) < kth).all()
 
 
+def copy_ref(holder):
+    """A weak reference to the float32 herb array a copy holder has built."""
+    herbs32, _ = holder.value
+    return weakref.ref(herbs32)
+
+
+def freed(ref):
+    gc.collect()
+    return ref() is None
+
+
 class TestFloat32Copy:
     """One float32 copy per snapshot per executing process, made on first topk."""
 
@@ -237,9 +269,9 @@ class TestFloat32Copy:
         snapshot = WeightSnapshot.from_matrix(np.random.default_rng(13).normal(size=(WIDE, DIM)))
         index = ShardedHerbIndex(snapshot, num_shards=3)
         index.score(pad_rows(np.ones((2, DIM))))
-        assert not snapshot.float32_copy.built
+        assert snapshot.float32_copy.value is None
         index.topk(pad_rows(np.ones((2, DIM))), 2, 3)
-        assert snapshot.float32_copy.built
+        assert snapshot.float32_copy.value is not None
 
     def test_made_once_for_concurrent_shards(self, monkeypatch):
         builds = []
@@ -257,29 +289,26 @@ class TestFloat32Copy:
                 assert_exact(index, queries, 4, backend=pool)
         assert builds == [(WIDE, DIM)]
 
-    def test_engine_warm_up_makes_it_and_retirement_releases_it(self, wide_model):
+    def test_engine_warm_up_makes_it_and_retirement_frees_it(self, wide_model):
         engine = InferenceEngine(wide_model, num_shards=2)
-        snapshot = engine.herb_index().snapshot
-        assert not snapshot.float32_copy.built
+        assert engine.herb_index().snapshot.float32_copy.value is None
         engine.warm_up()
-        assert snapshot.float32_copy.built
+        warmed = copy_ref(engine.herb_index().snapshot.float32_copy)
         # two parameter bumps evict the warmed version from the engine's cache
         for _ in range(2):
             wide_model.load_state_dict(wide_model.state_dict())
             engine.herb_index()
-        cache = engine.index_cache
-        assert snapshot.key not in [cache.peek(v)[0].snapshot.key for v in cache.keys()]
-        assert not snapshot.float32_copy.built
+        assert freed(warmed)
         engine.warm_up()
-        newest = engine.herb_index().snapshot
-        assert newest.float32_copy.built
+        newest = copy_ref(engine.herb_index().snapshot.float32_copy)
+        assert not freed(newest)
         engine.close()
-        assert not newest.float32_copy.built
+        assert freed(newest)
 
     def test_approx_engine_warm_up_makes_no_copy(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx", num_lists=4)
         engine.warm_up()
-        assert not engine.herb_index().snapshot.float32_copy.built
+        assert engine.herb_index().snapshot.float32_copy.value is None
 
     def test_pool_worker_copy_lives_with_its_attachment(self):
         from repro.inference import distributed
@@ -293,10 +322,10 @@ class TestFloat32Copy:
             expected = backends.execute_shard_task(task, snapshot.herb_embeddings)
             np.testing.assert_array_equal(ids, expected[0])
             assert scores.tobytes() == expected[1].tobytes()
-            _, copy = distributed._WORKER_ATTACHMENTS.peek(segment.name)
-            assert copy.built
+            copy = copy_ref(distributed._WORKER_ATTACHMENTS.peek(segment.name)[1])
+            assert not freed(copy)
             distributed._WORKER_ATTACHMENTS.discard(segment.name)
-            assert not copy.built
+            assert freed(copy)
         finally:
             distributed._WORKER_ATTACHMENTS.discard(segment.name)
             segment.close()
@@ -319,13 +348,13 @@ class TestFloat32Copy:
         handler.handle(f"snapshot {encode(snapshot_to_bytes(snapshot))}")
         tasks = ShardedHerbIndex(snapshot, num_shards=3).tasks(pad_rows(queries), "topk", 20, 4)
         assert handler.handle(f"tasks {encode(tasks_to_bytes(tasks))}").startswith("results ")
-        _, copy = handler._snapshots[snapshot.key]
-        assert copy.built
+        copy = copy_ref(handler._snapshots[snapshot.key][1])
+        assert not freed(copy)
         for version in range(1, MAX_ATTACHED_SNAPSHOTS + 1):
             newer = WeightSnapshot.from_matrix(herbs[:300], key=f"mW-v0.{version}")
             handler.handle(f"snapshot {encode(snapshot_to_bytes(newer))}")
         assert snapshot.key not in handler.snapshot_keys
-        assert not copy.built
+        assert freed(copy)
 
 
 @pytest.fixture(scope="module")

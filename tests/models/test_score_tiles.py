@@ -24,7 +24,7 @@ def _tile_by_tile(syndrome, herbs, row_block):
 class TestScoreHerbTiles:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("num_herbs", [1, HERB_BLOCK - 1, HERB_BLOCK + 1, 3 * HERB_BLOCK + 7])
-    @pytest.mark.parametrize("rows,row_block", [(64, 64), (128, 64), (3, 1)])
+    @pytest.mark.parametrize("rows,row_block", [(64, 64), (128, 64), (3, 1), (12, 4)])
     def test_bit_identical_to_separate_tile_gemms(self, dtype, num_herbs, rows, row_block):
         rng = np.random.default_rng(num_herbs + rows)
         syndrome = rng.normal(size=(rows, 16)).astype(dtype)
@@ -33,6 +33,15 @@ class TestScoreHerbTiles:
         expected = _tile_by_tile(syndrome, herbs, row_block)
         assert scores.dtype == expected.dtype
         assert scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_many_tiles_and_row_groups_at_serving_width(self, dtype):
+        """The stacked call over 40 tiles × 3 row groups, at dim 64."""
+        rng = np.random.default_rng(7)
+        syndrome = rng.normal(size=(12, 64)).astype(dtype)
+        herbs = rng.normal(size=(40 * HERB_BLOCK + 13, 64)).astype(dtype)
+        scores = score_herb_tiles(syndrome, herbs, row_block=4)
+        assert scores.tobytes() == _tile_by_tile(syndrome, herbs, 4).tobytes()
 
     def test_empty_shapes(self):
         assert score_herb_tiles(np.zeros((4, 3)), np.zeros((0, 3)), row_block=4).shape == (4, 0)

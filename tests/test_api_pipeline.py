@@ -169,12 +169,19 @@ class TestParseOnce:
         ]
         assert "unknown symptom token" in answers[3].error
 
-    def test_symptom_ids_are_not_parsed_again(self, fitted, monkeypatch):
-        from repro.api import SymptomIds
+    def test_public_entry_still_parses_id_tuples(self, fitted):
+        """Only the internal marker skips parsing: a plain id tuple is checked."""
+        with pytest.raises(ValueError):
+            fitted.recommend_many([(0, 10**6)], k=2)
+        with pytest.raises(ValueError):
+            fitted.recommend_many([()], k=2)
+
+    def test_parsed_ids_are_not_parsed_again(self, fitted, monkeypatch):
+        from repro.api import _SymptomIds
 
         expected = fitted.recommend_many(["0 3", [1, 2]], k=[4, 2])
         calls = self._count_parses(monkeypatch)
-        assert fitted.recommend_many([SymptomIds((0, 3)), SymptomIds((1, 2))], k=[4, 2]) == (
+        assert fitted.recommend_many([_SymptomIds((0, 3)), _SymptomIds((1, 2))], k=[4, 2]) == (
             expected
         )
         assert calls == []

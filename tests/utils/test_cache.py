@@ -235,17 +235,24 @@ class TestConcurrency:
 
 
 class TestLazyValue:
-    def test_builds_once_until_released(self):
+    def test_builds_once_and_lives_with_its_holder(self):
+        import gc
+        import weakref
+
         from repro.utils.cache import LazyValue
 
+        class Copy:
+            pass
+
         holder, builds = LazyValue(), []
-        assert not holder.built
-        assert holder.get(lambda: builds.append(1) or "copy") == "copy"
-        assert holder.get(lambda: builds.append(2) or "other") == "copy"
-        assert holder.built and builds == [1]
-        holder.release()
-        assert not holder.built
-        assert holder.get(lambda: "rebuilt") == "rebuilt"
+        assert holder.value is None
+        first = holder.get(lambda: builds.append(1) or Copy())
+        assert holder.get(lambda: builds.append(2) or Copy()) is first
+        assert holder.value is first and builds == [1]
+        ref = weakref.ref(first)
+        del first, holder
+        gc.collect()
+        assert ref() is None, "dropping the holder frees its value"
 
     def test_concurrent_first_callers_share_one_build(self):
         from repro.utils.cache import LazyValue
