@@ -27,7 +27,7 @@ are scored on the float64 tile grid, through packed tiles
 canonically, so the answer is the full float64 scan's, bit for bit.  The
 float32 copy costs 4 bytes × dim per herb in each executing process.  It is
 made on the first screened task, once per snapshot per process under a
-lock, and released with the snapshot: in process it sits on the
+lock, and dropped with what holds it: in process it sits on the
 :class:`~repro.models.base.WeightSnapshot`, in a pool worker beside its
 shared-memory attachment, and in a shard worker beside its attached matrix.
 The task scans in float64 instead when the shard is narrower than
