@@ -52,19 +52,24 @@ def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> L
     tokens = raw.split() if isinstance(raw, str) else list(raw)
     if not tokens:
         raise ValueError("no symptoms given")
+    size = len(vocab)
     ids: List[int] = []
     for token in tokens:
-        if isinstance(token, (int, np.integer)) or (
-            isinstance(token, str) and token.lstrip("-").isdigit()
-        ):
-            symptom_id = int(token)
-            if not 0 <= symptom_id < len(vocab):
-                raise ValueError(f"symptom id {symptom_id} out of range [0, {len(vocab)})")
-            ids.append(symptom_id)
-        elif token in vocab:
-            ids.append(vocab.id_of(token))
+        # a digit-looking token is an id even when the vocabulary holds it as a token
+        if isinstance(token, str):
+            is_id = token.lstrip("-").isdigit()
         else:
-            raise ValueError(f"unknown symptom token {token!r}")
+            is_id = isinstance(token, (int, np.integer))
+        if is_id:
+            symptom_id = int(token)
+            if not 0 <= symptom_id < size:
+                raise ValueError(f"symptom id {symptom_id} out of range [0, {size})")
+            ids.append(symptom_id)
+        else:
+            try:
+                ids.append(vocab.id_of(token))
+            except KeyError:
+                raise ValueError(f"unknown symptom token {token!r}") from None
     return ids
 
 

@@ -80,8 +80,16 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"non-finite JSON literal {token}")
 
 
+#: One decoder for every line: ``json.loads`` with a keyword argument builds
+#: a new decoder and scanner per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def load_json(line: str) -> Any:
     """``json.loads`` that refuses ``NaN``/``Infinity``; raises ``ValueError``."""
+    if isinstance(line, str) and not line.startswith("\ufeff"):
+        return _DECODER.decode(line)
+    # bytes, non-strings and a leading BOM keep json.loads' own handling and errors
     return json.loads(line, parse_constant=_reject_constant)
 
 
@@ -140,10 +148,20 @@ def decode_record(line: str, default_k: int = 10) -> BatchRecord:
     return BatchRecord(id=record_id, symptoms=symptoms, k=k, model=model)
 
 
-def _dumps(payload: Any) -> str:
-    # fixed key order (insertion), compact separators, ASCII escapes,
-    # allow_nan=False: the emitted bytes are a pure function of the values
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+#: Fixed key order (insertion), compact separators, ASCII escapes,
+#: ``allow_nan=False``: the emitted bytes are a pure function of the values.
+#: The encoder keeps no state between calls, so one serves every line.
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode_id(record_id: Union[str, int]) -> str:
+    # exact types only: bool is an int whose repr is not JSON
+    if type(record_id) is str:
+        return _encode_str(record_id)
+    if type(record_id) is int:
+        return int.__repr__(record_id)
+    raise TypeError("not a plain str or int id")
 
 
 def encode_result(
@@ -153,22 +171,37 @@ def encode_result(
     herb_ids: Sequence[int],
     scores: Sequence[float],
 ) -> str:
-    """The result line for one scored record; refuses non-finite scores."""
-    clean_scores: List[float] = []
-    for score in scores:
-        value = float(score)
+    """The result line for one scored record; refuses non-finite scores.
+
+    The bytes equal ``_dumps`` of the record's dict.  The line is written
+    piece by piece with the encoder's own primitives (ASCII-escaped strings,
+    ``int.__repr__``, ``float.__repr__``), so no encoder is set up per line.
+    """
+    values = list(map(float, scores))
+    for value in values:
         if not math.isfinite(value):
             raise RecordError(f"non-finite score {value!r} for herb list", record_id)
-        clean_scores.append(value)
-    return _dumps(
-        {
-            "id": record_id,
-            "model": model,
-            "herbs": list(herbs),
-            "herb_ids": [int(h) for h in herb_ids],
-            "scores": clean_scores,
-        }
-    )
+    ids = list(map(int, herb_ids))
+    try:
+        return "".join(
+            (
+                '{"id":',
+                _encode_id(record_id),
+                ',"model":',
+                _encode_str(model),
+                ',"herbs":[',
+                ",".join(map(_encode_str, herbs)),
+                '],"herb_ids":[',
+                ",".join(map(int.__repr__, ids)),
+                '],"scores":[',
+                ",".join(map(float.__repr__, values)),
+                "]}",
+            )
+        )
+    except TypeError:  # an id or name of another type: the encoder spells it
+        return _dumps(
+            {"id": record_id, "model": model, "herbs": list(herbs), "herb_ids": ids, "scores": values}
+        )
 
 
 def encode_error(record_id: Union[str, int, None], reason: str) -> str:

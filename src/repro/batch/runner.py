@@ -32,6 +32,7 @@ byte-identical to an uninterrupted run — and independent of ``window``,
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import time
@@ -340,46 +341,43 @@ def _open_streams(
     use_stdout: bool,
     state: BatchCheckpoint,
 ) -> Tuple[IO[bytes], Any, Callable[[], None]]:
-    if use_stdin:
-        in_stream: IO[bytes] = sys.stdin.buffer
-    else:
-        try:
-            in_stream = open(input_path, "rb")
-        except OSError as error:
-            raise BatchError(f"cannot read input {input_path}: {error}") from error
-        if state.input_offset:
-            in_stream.seek(state.input_offset)
-    if use_stdout:
-        out_stream: Any = sys.stdout
-    else:
-        try:
-            if state.output_offset:
-                out_stream = open(output_path, "r+b")
-                size = out_stream.seek(0, os.SEEK_END)
-                if size < state.output_offset:
-                    out_stream.close()
-                    raise BatchError(
-                        f"resumed output {output_path} is shorter ({size} bytes) than "
-                        f"the checkpointed watermark ({state.output_offset}); the "
-                        "output changed since the interrupted run"
-                    )
-                # discard everything past the durable watermark — un-fsynced
-                # tails and torn final lines from the crash die here
-                out_stream.truncate(state.output_offset)
-                out_stream.seek(state.output_offset)
-            else:
-                out_stream = open(output_path, "wb")
-        except OSError as error:
-            if not use_stdin:
-                in_stream.close()
-            raise BatchError(f"cannot write output {output_path}: {error}") from error
+    # everything opened here closes again if a later step raises
+    with contextlib.ExitStack() as stack:
+        if use_stdin:
+            in_stream: IO[bytes] = sys.stdin.buffer
+        else:
+            try:
+                in_stream = stack.enter_context(open(input_path, "rb"))
+            except OSError as error:
+                raise BatchError(f"cannot read input {input_path}: {error}") from error
+            if state.input_offset:
+                in_stream.seek(state.input_offset)
+        if use_stdout:
+            out_stream: Any = sys.stdout
+        else:
+            try:
+                if state.output_offset:
+                    out_stream = stack.enter_context(open(output_path, "r+b"))
+                    size = out_stream.seek(0, os.SEEK_END)
+                    if size < state.output_offset:
+                        raise BatchError(
+                            f"resumed output {output_path} is shorter ({size} bytes) than "
+                            f"the checkpointed watermark ({state.output_offset}); the "
+                            "output changed since the interrupted run"
+                        )
+                    # discard everything past the durable watermark — un-fsynced
+                    # tails and torn final lines from the crash die here
+                    out_stream.truncate(state.output_offset)
+                    out_stream.seek(state.output_offset)
+                else:
+                    out_stream = stack.enter_context(open(output_path, "wb"))
+            except OSError as error:
+                raise BatchError(f"cannot write output {output_path}: {error}") from error
+        opened = stack.pop_all()
 
     def close_streams() -> None:
-        if not use_stdin:
-            in_stream.close()
-        if not use_stdout:
-            out_stream.close()
-        else:
+        opened.close()
+        if use_stdout:
             out_stream.flush()
 
     return in_stream, out_stream, close_streams

@@ -56,7 +56,13 @@ class Vocabulary:
         return [self.id_of(token) for token in tokens]
 
     def decode(self, ids: Sequence[int]) -> List[str]:
-        return [self.token_of(i) for i in ids]
+        """The tokens of ``ids``; bounds are checked once for the whole list."""
+        ids = list(ids)
+        tokens = self._id_to_token
+        if ids and not (min(ids) >= 0 and max(ids) < len(tokens)):
+            for index in ids:
+                self.token_of(index)  # raises token_of's IndexError for the first bad id
+        return [tokens[index] for index in ids]
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id

@@ -72,10 +72,8 @@ def ranked_prefixes(
     at each smaller ``k``, so one selection answers a whole mixed-``k`` batch.
     """
     return [
-        Recommendation(
-            herb_ids=tuple(ids[row, :kk].tolist()), scores=tuple(scores[row, :kk].tolist())
-        )
-        for row, kk in enumerate(ks)
+        Recommendation(herb_ids=tuple(row_ids[:kk]), scores=tuple(row_scores[:kk]))
+        for row_ids, row_scores, kk in zip(ids.tolist(), scores.tolist(), ks)
     ]
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ContextManager, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ..data.vocab import Vocabulary
 from ..inference.options import EngineOptions
 from ..utils.cache import VersionedCache
 from .checkpoint import (
@@ -571,10 +572,14 @@ def _answer_entry(
                 answers[index] = Answer(entry.name, error=str(error))
     primary_ms = (time.perf_counter() - started) * 1000.0
     herb_vocab = pipeline.herb_vocab
+    if isinstance(herb_vocab, Vocabulary):
+        decode = herb_vocab.decode
+    else:  # any object with token_of serves as a vocabulary
+        decode = lambda ids: [herb_vocab.token_of(h) for h in ids]  # noqa: E731
     answered = []
     for (index, _), result in zip(valid, results):
         if result is not None:
-            herbs = [herb_vocab.token_of(h) for h in result.herb_ids]
+            herbs = decode(result.herb_ids)
             answers[index] = Answer(entry.name, herbs, result.herb_ids, result.scores)
             answered.append(index)
     if entry.canary is None:  # the common case: no lease to take

@@ -9,6 +9,7 @@ pass proportional to the number of edges rather than ``|V|^2``.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -92,33 +93,39 @@ def build_pooling_matrix(
     """Build a CSR matrix ``P`` such that ``P @ X`` pools rows of ``X`` per set.
 
     Row ``i`` of ``P`` carries weight ``1/len(index_lists[i])`` (``"mean"``) or
-    ``1.0`` (``"sum"``) on every column listed in ``index_lists[i]``.  The
-    matrix is assembled in COO form, whose conversion to CSR *sums* duplicate
-    entries — an index appearing twice in a set therefore contributes twice to
-    the pooled value, giving the exact arithmetic mean over the multiset.
-    Empty sets produce all-zero rows.
+    ``1.0`` (``"sum"``) on every column listed in ``index_lists[i]``.  When no
+    set repeats an index the CSR arrays are written directly: each row's
+    sorted columns, one weight per entry.  Otherwise the matrix is assembled
+    in COO form, whose conversion to CSR *sums* duplicate entries — an index
+    appearing twice in a set therefore contributes twice to the pooled value,
+    giving the exact arithmetic mean over the multiset.  Both routes give the
+    same canonical CSR arrays (sorted, duplicate-free indices) when both
+    apply.  Empty sets produce all-zero rows.
     """
     if normalize not in ("mean", "sum"):
         raise ValueError(f"normalize must be 'mean' or 'sum', got {normalize!r}")
     if num_columns <= 0:
         raise ValueError("num_columns must be positive")
-    arrays = [np.asarray(indices, dtype=np.int64) for indices in index_lists]
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
+    shape = (len(index_lists), num_columns)
+    lengths = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
     total = int(lengths.sum())
     if total == 0:
-        empty = sp.csr_matrix((len(index_lists), num_columns), dtype=np.float64)
-        return SparseMatrix(empty)
-    cols = np.concatenate([a for a in arrays if a.size]) if arrays else np.empty(0, np.int64)
-    if cols.size and (cols.min() < 0 or cols.max() >= num_columns):
+        return SparseMatrix(sp.csr_matrix(shape, dtype=np.float64))
+    cols = np.fromiter(itertools.chain.from_iterable(index_lists), dtype=np.int64, count=total)
+    if cols.min() < 0 or cols.max() >= num_columns:
         raise IndexError(f"pooling indices out of range [0, {num_columns})")
     rows = np.repeat(np.arange(len(index_lists), dtype=np.int64), lengths)
     if normalize == "mean":
         weights = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     else:
         weights = np.ones(total, dtype=np.float64)
-    coo = sp.coo_matrix(
-        (weights, (rows, cols)), shape=(len(index_lists), num_columns), dtype=np.float64
-    )
+    # row-major keys: sorting them sorts each row's columns and keeps rows in place
+    row_offsets = rows * num_columns
+    keys = np.sort(row_offsets + cols)
+    if not np.any(keys[1:] == keys[:-1]):
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        return SparseMatrix(sp.csr_matrix((weights, keys - row_offsets, indptr), shape=shape))
+    coo = sp.coo_matrix((weights, (rows, cols)), shape=shape, dtype=np.float64)
     return SparseMatrix(coo.tocsr())
 
 

@@ -13,6 +13,7 @@ import math
 import random
 import string
 
+import numpy as np
 import pytest
 
 from repro.batch.records import (
@@ -21,6 +22,7 @@ from repro.batch.records import (
     decode_record,
     encode_error,
     encode_result,
+    load_json,
 )
 
 # Token alphabet stressing the full unicode range: ASCII, JSON-special
@@ -95,6 +97,95 @@ class TestRoundTrip:
             assert parsed["herbs"] == herbs
             assert parsed["herb_ids"] == herb_ids
             assert parsed["scores"] == scores  # repr round-trip is exact
+
+
+def dumps_reference(record_id, model, herbs, herb_ids, scores):
+    """The result line as one ``json.dumps`` of the record's dict."""
+    return json.dumps(
+        {
+            "id": record_id,
+            "model": model,
+            "herbs": list(herbs),
+            "herb_ids": [int(h) for h in herb_ids],
+            "scores": [float(s) for s in scores],
+        },
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+
+
+class TestResultBytes:
+    """``encode_result`` writes exactly the bytes ``json.dumps`` would."""
+
+    @pytest.mark.parametrize(
+        "record_id",
+        [
+            'say "hi"',
+            "back\\slash/",
+            "ctl\x00\x1f\x7f\n\t\u2028",
+            "中医\U0001f33f é",
+            "",
+            0,
+            -7,
+            2**63 + 5,
+            -(2**70),
+        ],
+    )
+    def test_ids(self, record_id):
+        args = (record_id, "SMGCN", ["h1"], [0], [0.5])
+        assert encode_result(*args) == dumps_reference(*args)
+
+    def test_names_and_numpy_values(self):
+        herbs = ['"q"', "\x01", "草\U0001f9ea", "plain"]
+        ids = np.array([3, 0, 2**40, 7], dtype=np.int64)
+        for dtype in (np.float32, np.float64):
+            scores = np.array([0.1, -2.5, 1.0 / 3.0, 7e-3], dtype=dtype)
+            args = ("rx", "mödel\n", herbs, ids, scores)
+            assert encode_result(*args) == dumps_reference(*args)
+
+    def test_special_floats(self):
+        scores = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5, 1e22, 0.1, -1.5e300]
+        herbs = [f"h{i}" for i in range(len(scores))]
+        args = (1, "m", herbs, range(len(scores)), scores)
+        assert encode_result(*args) == dumps_reference(*args)
+
+    def test_empty_lists(self):
+        assert encode_result("x", "m", [], [], []) == dumps_reference("x", "m", [], [], [])
+
+    @pytest.mark.parametrize(
+        "record_id, model, herbs",
+        [(True, "m", ["h"]), (1.5, "m", ["h"]), ("x", None, ["h"]), ("x", "m", [None])],
+    )
+    def test_other_types_spelled_by_the_encoder(self, record_id, model, herbs):
+        args = (record_id, model, herbs, [4], [0.25])
+        assert encode_result(*args) == dumps_reference(*args)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_message(self, bad):
+        with pytest.raises(RecordError) as exc_info:
+            encode_result("rx", "m", ["a", "b"], [0, 1], np.array([1.0, bad]))
+        assert str(exc_info.value) == f"non-finite score {bad!r} for herb list"
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_refused(self, literal):
+        with pytest.raises(ValueError, match=f"non-finite JSON literal {literal}"):
+            load_json(f'{{"id": {literal}}}')
+        with pytest.raises(ValueError, match=f"non-finite JSON literal {literal}"):
+            load_json(f"[1, {literal}]".encode())
+
+    @pytest.mark.parametrize(
+        "line", ['{"a": [1, 2.5, "x"]}', b'{"a": 1}', "\ufeff{}", "{}  x", "", "[1,", 7]
+    )
+    def test_matches_json_loads(self, line):
+        def outcome(parse):
+            try:
+                return "ok", parse(line)
+            except (ValueError, TypeError) as error:
+                return type(error), str(error)
+
+        assert outcome(load_json) == outcome(json.loads)
 
 
 class TestRejections:

@@ -11,6 +11,7 @@ Two layers:
   output is bit-identical to an uninterrupted run.
 """
 
+import gc
 import json
 import os
 import random
@@ -18,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -180,8 +182,13 @@ class TestInjectedCrashes:
         assert state.output_offset > 0
         with open(target, "r+b") as stream:
             stream.truncate(state.output_offset - 1)  # lost a durable byte
-        with pytest.raises(BatchError, match="shorter"):
-            run_batch_file(batch_catalog, source, target, window=4, resume=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BatchError, match="shorter"):
+                run_batch_file(batch_catalog, source, target, window=4, resume=True)
+            gc.collect()
+        # the refused resume closed both files instead of leaving them to the GC
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_malformed_sidecar_raises_cleanly(self, tmp_path):
         sidecar = tmp_path / "x.checkpoint"

@@ -37,6 +37,17 @@ class TestVocabulary:
         with pytest.raises(IndexError):
             vocab.token_of(5)
 
+    def test_decode_checks_every_id(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        assert vocab.decode(np.array([2, 0, 1], dtype=np.int64)) == ["c", "a", "b"]
+        assert vocab.decode(iter([1, 1])) == ["b", "b"]
+        assert vocab.decode([]) == []
+        # a negative id must not wrap to the end of the token list
+        with pytest.raises(IndexError, match="id -1 out of range"):
+            vocab.decode([0, -1])
+        with pytest.raises(IndexError, match="id 3 out of range"):
+            vocab.decode([3, 0])
+
     def test_contains_iter_and_tokens(self):
         vocab = Vocabulary(["x", "y"])
         assert "x" in vocab

@@ -7,8 +7,30 @@ duplicate ids inside a set, so ``[2, 2]`` pooled to ``0.5 * row2`` instead of
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.nn import Tensor, build_pooling_matrix, scatter_mean
+from repro.nn import SparseMatrix, Tensor, build_pooling_matrix, scatter_mean
+
+
+def coo_reference(sets, num_columns, normalize="mean"):
+    """The pooling matrix assembled in COO form and converted to CSR."""
+    lengths = np.array([len(s) for s in sets], dtype=np.int64)
+    rows = np.repeat(np.arange(len(sets), dtype=np.int64), lengths)
+    cols = np.concatenate([np.asarray(s, dtype=np.int64) for s in sets])
+    if normalize == "mean":
+        weights = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
+    else:
+        weights = np.ones(cols.size)
+    coo = sp.coo_matrix((weights, (rows, cols)), shape=(len(sets), num_columns))
+    return SparseMatrix(coo.tocsr()).scipy
+
+
+def assert_same_csr(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert actual.shape == expected.shape
 
 
 class TestBuildPoolingMatrix:
@@ -47,6 +69,54 @@ class TestBuildPoolingMatrix:
             build_pooling_matrix([(0,)], num_columns=2, normalize="max")
         with pytest.raises(ValueError):
             build_pooling_matrix([(0,)], num_columns=0)
+
+
+class TestDirectCsr:
+    """Sets without repeated ids skip COO assembly and give the same arrays."""
+
+    @pytest.mark.parametrize("normalize", ["mean", "sum"])
+    def test_matches_coo_on_random_blocks(self, normalize):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            num_columns = int(rng.integers(1, 40))
+            rows = int(rng.integers(1, 70))
+            sets = [
+                # unsorted ids, empty sets included; a tuple, a list or an array
+                [tuple, list, np.array][i % 3](
+                    rng.choice(num_columns, size=rng.integers(0, num_columns + 1), replace=False)
+                )
+                for i in range(rows)
+            ]
+            if sum(len(s) for s in sets) == 0:
+                continue
+            actual = build_pooling_matrix(sets, num_columns, normalize=normalize).scipy
+            assert_same_csr(actual, coo_reference(sets, num_columns, normalize))
+
+    def test_one_row_and_empty_rows(self):
+        for sets in ([(4, 0, 2)], [(), (3, 1), ()], [(5,)]):
+            assert_same_csr(build_pooling_matrix(sets, 6).scipy, coo_reference(sets, 6))
+
+    def test_repeated_ids_take_the_coo_path(self, monkeypatch):
+        import repro.nn.sparse as sparse
+
+        calls = []
+        real = sparse.sp.coo_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sparse.sp, "coo_matrix", counting)
+        distinct = [(3, 1), (0, 2, 1)]
+        build_pooling_matrix(distinct, 4)
+        assert calls == []
+        # a repeat in any row (not one shared across rows) sends the block to COO
+        repeated = [(3, 1), (0, 2, 0)]
+        actual = build_pooling_matrix(repeated, 4).scipy
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert_same_csr(actual, coo_reference(repeated, 4))
+        np.testing.assert_allclose(actual.toarray()[1], [2.0 / 3.0, 0.0, 1.0 / 3.0, 0.0])
 
 
 class TestScatterMean:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Pipeline, parse_symptom_tokens
+from repro.data import Vocabulary
 from repro.experiments.datasets import experiment_split
 from repro.inference import Recommendation
 from repro.training import TrainerConfig
@@ -203,6 +204,22 @@ class TestParseSymptomTokens:
             parse_symptom_tokens("", vocab)
         with pytest.raises(ValueError, match="out of range"):
             parse_symptom_tokens("-2", vocab)
+
+    def test_digit_looking_tokens_stay_ids(self):
+        """An id wins over a vocabulary token spelled the same way."""
+        vocab = Vocabulary(["a", "7", "-1", "b", "c", "d", "e", "f", "g"])
+        assert parse_symptom_tokens("7 a", vocab) == [7, 0]
+        assert parse_symptom_tokens(["7", np.int64(1), 2], vocab) == [7, 1, 2]
+        with pytest.raises(ValueError, match=r"^symptom id -1 out of range \[0, 9\)$"):
+            parse_symptom_tokens(["-1"], vocab)
+        with pytest.raises(ValueError, match=r"^symptom id 9 out of range \[0, 9\)$"):
+            parse_symptom_tokens([np.int64(9)], vocab)
+        with pytest.raises(ValueError, match=r"^unknown symptom token 'x7'$"):
+            parse_symptom_tokens("a x7", vocab)
+        with pytest.raises(ValueError, match=r"^unknown symptom token 1.5$"):
+            parse_symptom_tokens([1.5], vocab)
+        with pytest.raises(ValueError, match="^no symptoms given$"):
+            parse_symptom_tokens([], vocab)
 
 
 class TestSaveLoad:
