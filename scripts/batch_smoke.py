@@ -1,9 +1,9 @@
 """CI smoke test for bulk scoring: SIGKILL + --resume == uninterrupted run.
 
-Streams a 10k-record JSONL corpus through ``repro batch`` on a 2-worker
-process backend, twice: once uninterrupted (the baseline), once with the
-subprocess SIGKILLed mid-flight — repeatedly — and resumed with ``--resume``
-until it exits 0.  Hard gates:
+Streams a 10k-record JSONL corpus through ``repro batch`` on 2 shards over
+a 2-worker thread backend, twice: once uninterrupted (the baseline), once
+with the subprocess SIGKILLed mid-flight — repeatedly — and resumed with
+``--resume`` until it exits 0.  Hard gates:
 
 * the resumed output is **bit-identical** to the uninterrupted baseline;
 * every record id appears exactly once, in input order (nothing lost,
@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import tempfile
@@ -48,7 +47,7 @@ def batch_command(args, corpus: Path, output: Path, resume: bool) -> list:
         "--checkpoint", args.checkpoint,
         "--output", str(output),
         "--window", str(args.window),
-        "--shards", "2", "--backend", "processes",
+        "--shards", "2", "--backend", "threads",
         "--workers", str(args.workers),
     ]
     if resume:
@@ -93,20 +92,9 @@ def main() -> int:
         if runs > args.kills + 5:
             print("FAIL: batch run never completed after repeated resumes")
             return 1
-        # own session: SIGKILLing the group also reaps the process-backend
-        # workers (forkserver and friends), which would otherwise outlive the
-        # run holding inherited pipe fds open
         process = subprocess.Popen(
-            batch_command(args, corpus, target, resume=runs > 1),
-            env=env,
-            start_new_session=True,
+            batch_command(args, corpus, target, resume=runs > 1), env=env
         )
-
-        def kill_group():
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
 
         if kills < args.kills:
             # kill once the output passes a random fraction of the baseline
@@ -116,7 +104,7 @@ def main() -> int:
                 if process.poll() is not None:
                     break
                 if target.exists() and target.stat().st_size >= threshold:
-                    kill_group()
+                    process.kill()  # SIGKILL
                     process.wait(timeout=60)
                     kills += 1
                     print(
@@ -126,7 +114,7 @@ def main() -> int:
                     break
                 time.sleep(0.002)
             else:
-                kill_group()
+                process.kill()
                 print("FAIL: run made no visible progress within the watchdog window")
                 return 1
             if process.returncode == 0:

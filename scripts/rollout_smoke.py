@@ -15,14 +15,15 @@ is in flight.  Hard gates:
   shards (``--shards >= 2``) — between one and two cached index versions
   per entry.
 
-Engine flags after ``--`` are passed to ``repro serve``; with
-``--backend processes`` the reload runs over real shared-memory segments.
+Engine flags after ``--`` are passed to ``repro serve``; with ``--shards 2
+--backend threads`` the reload swaps sharded indexes under a live thread
+pool.
 
 Usage::
 
     PYTHONPATH=src python scripts/rollout_smoke.py \
         --checkpoint-a /tmp/a.npz --checkpoint-b /tmp/b.npz \
-        [-- --shards 2 --backend processes --workers 2]
+        [-- --shards 2 --backend threads --workers 2]
 """
 
 import argparse
@@ -139,7 +140,7 @@ def main() -> int:
             stop_event.set()
             return 1
         # let post-rollout traffic accumulate, then stop the clients; a new
-        # generation may first start its backend (a process pool takes seconds)
+        # generation may first build its index and start its backend
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline and not any(
             ("primary", expected["b"]) in answers for answers in live

@@ -196,7 +196,7 @@ class Pipeline:
         return self._engine
 
     def close(self) -> None:
-        """Release serving resources (backend workers, shared memory, sockets).
+        """Release serving resources (backend workers, sockets).
 
         Safe to call on an unfitted pipeline and idempotent; the pipeline can
         keep serving afterwards (pooled backends re-open lazily).

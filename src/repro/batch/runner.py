@@ -22,7 +22,7 @@ Three layers, each usable on its own:
   output back to the durable watermark and re-scores only what was never
   made durable, and a per-file work queue fanning a multi-file corpus
   across ``jobs`` streams that share one engine (whose compute backend may
-  itself fan shard tasks across process pools or remote worker fleets).
+  itself fan shard tasks across a thread pool or remote worker fleets).
 
 Scoring is bit-deterministic (fixed tile grid, canonical ranking) and the
 codec's bytes are a pure function of the records, so resumed output is
@@ -430,7 +430,7 @@ def run_batch_files(
     """Fan ``(input, output)`` pairs across a per-file work queue.
 
     ``jobs`` streams run concurrently, all scoring through the shared
-    catalog/engine — with ``--backend processes|remote`` the heavy shard
+    catalog/engine — with ``--backend threads|remote`` the heavy shard
     matmuls fan out across the worker fleet while each stream keeps its own
     bounded window, output file and checkpoint sidecar.  A file that fails
     (I/O, resume mismatch) is reported in its :class:`FileResult`; the other

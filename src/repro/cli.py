@@ -35,9 +35,9 @@ of an entry's traffic onto a candidate build — all with zero downtime.
 ``predict``, ``serve`` and ``batch`` take the engine flags declared by
 :class:`~repro.inference.options.EngineOptions`.  ``--shards``/``--backend``/
 ``--workers`` split the herb-embedding matrix into column shards scored
-through a pluggable compute backend: serial ``numpy``, a ``threads`` pool, a
-``processes`` pool (weights in shared memory), or ``remote`` shard workers
-(``--worker-addr host:port``, one per running ``repro shard-worker``);
+through a pluggable compute backend: serial ``numpy``, a ``threads`` pool,
+or ``remote`` shard workers (``--worker-addr host:port``, one per running
+``repro shard-worker``);
 answers are bit-identical whatever the placement — see docs/SERVING.md.
 ``--retrieval approx`` (with ``--candidate-factor``/``--num-lists``/
 ``--nprobe``) swaps the exhaustive top-k scan for the two-stage
@@ -87,7 +87,7 @@ examples:
   repro serve --checkpoint smgcn.npz --port 7654 --max-batch 64 --max-wait-ms 5
   repro serve --checkpoint smgcn.npz --port 7654 --max-connections 2000 \\
       --max-pending 256 --client-quota 16 --idle-timeout 60
-  repro serve --checkpoint smgcn.npz --shards 4 --backend processes --workers 4
+  repro serve --checkpoint smgcn.npz --shards 4 --backend threads --workers 4
   repro serve --checkpoint smgcn.npz --retrieval approx --candidate-factor 4
   repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64 --nprobe 8
   repro shard-worker --port 7801      # one model-free scoring worker
@@ -99,13 +99,13 @@ examples:
   repro batch corpus.jsonl --output scored.jsonl --resume   # after a crash
   cat corpus.jsonl | repro batch --checkpoint smgcn.npz > scored.jsonl
   repro batch a.jsonl b.jsonl --checkpoint smgcn.npz --output-dir scored/ \\
-      --jobs 2 --shards 2 --backend processes --workers 2
+      --jobs 2 --shards 2 --backend threads --workers 2
 
 `train --checkpoint` persists trained weights so predict/serve start in
 milliseconds; `--shards`/`--backend` split herb scoring into column shards
-on a pluggable compute backend — in-process (numpy/threads), a process
-pool (processes), or remote shard-worker servers (remote) — with
-bit-identical answers whatever the placement.
+on a pluggable compute backend — in-process (numpy/threads) or remote
+shard-worker servers (remote) — with bit-identical answers whatever the
+placement.
 See docs/ARCHITECTURE.md and docs/SERVING.md for the full picture.
 """
 
@@ -595,7 +595,7 @@ def _run_predict(args) -> int:
         try:
             recommendation = pipeline.recommend(symptom_ids, k=args.k)
         finally:
-            pipeline.close()  # release backend workers / shared memory
+            pipeline.close()  # release backend workers
     except (ValueError, KeyError, OSError, CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -800,7 +800,7 @@ def _run_serve(args) -> int:
     # wait on) workers the close below is about to release
     print(stats.to_text(), file=sys.stderr)
     stats.set_backend_info(None)
-    catalog.close()  # release backend workers / shared memory / sockets
+    catalog.close()  # release backend workers / sockets
     return 0
 
 
@@ -857,7 +857,7 @@ def _run_batch(args) -> int:
     try:
         return _drive_batch(args, catalog, tasks)
     finally:
-        catalog.close()  # release backend workers / shared memory / sockets
+        catalog.close()  # release backend workers / sockets
 
 
 def _batch_tasks(args, inputs, use_stdin):

@@ -14,9 +14,9 @@ unsharded path.  Shard work travels as picklable
 :class:`~repro.inference.backends.ShardTask` values referencing immutable
 :class:`~repro.models.base.WeightSnapshot` exports, so a
 :class:`~repro.inference.backends.ComputeBackend` can place it anywhere:
-serial NumPy/BLAS, a thread pool, a process pool over shared memory, remote
-shard-worker servers (:mod:`~repro.inference.distributed`), or anything
-registered via :func:`~repro.inference.backends.register_backend`.
+serial NumPy/BLAS, a thread pool, remote shard-worker servers
+(:mod:`~repro.inference.distributed`), or anything registered via
+:func:`~repro.inference.backends.register_backend`.
 
 For vocabularies where even one full scan per request is too much,
 :mod:`~repro.inference.retrieval` adds a sub-linear two-stage top-k: an
@@ -38,7 +38,6 @@ from .backends import (
     register_backend,
 )
 from .distributed import (
-    ProcessPoolBackend,
     RemoteBackend,
     ShardWorkerHandler,
     ShardWorkerServer,
@@ -61,7 +60,6 @@ __all__ = [
     "NumpyBackend",
     "ShardTask",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "RemoteBackend",
     "ShardWorkerHandler",
     "ShardWorkerServer",

@@ -9,9 +9,8 @@ tasks execute?*  The contract is built for distribution:
 * a :class:`~repro.models.base.WeightSnapshot` is the immutable,
   parameter-version-stamped weight export tasks reference.  Each backend
   decides how to attach it where tasks run: in-process backends use the
-  array by reference, a process pool maps it into
-  ``multiprocessing.shared_memory``, an RPC backend ships it once per worker
-  over the ``.npz`` wire codec (:mod:`repro.io.checkpoint`);
+  array by reference, an RPC backend ships it once per worker over the
+  ``.npz`` wire codec (:mod:`repro.io.checkpoint`);
 * :func:`execute_shard_task` is the **single execution function** every
   backend funnels through.  It runs the same fixed
   ``(row_block, dim) @ (dim, HERB_BLOCK)`` tile grid as the unsharded
@@ -26,10 +25,9 @@ are scored on the float64 tile grid, through packed tiles
 (:func:`gathered_scores`, the approx re-rank's helper too), and ranked
 canonically, so the answer is the full float64 scan's, bit for bit.  The
 float32 copy costs 4 bytes × dim per herb in each executing process.  It is
-made on the first screened task, once per snapshot per process under a
-lock, and dropped with what holds it: in process it sits on the
-:class:`~repro.models.base.WeightSnapshot`, in a pool worker beside its
-shared-memory attachment, and in a shard worker beside its attached matrix.
+made on the first screened task, once per snapshot under a lock, and lives
+as long as its :class:`~repro.models.base.WeightSnapshot`: the engine's in
+process, the decoded one in a shard worker.
 The task scans in float64 instead when the shard is narrower than
 ``PRUNE_GROUPS_PER_K * k`` tiles, when the host fails the
 :func:`gather_invariant` probe, when herbs or query rows are not finite or
@@ -42,9 +40,9 @@ Built-in backends:
   calling thread (plain NumPy/BLAS);
 * ``"threads"`` (:class:`ThreadPoolBackend`) — fan tasks across a
   ``ThreadPoolExecutor``; BLAS releases the GIL, so shard matmuls overlap;
-* ``"processes"`` / ``"remote"`` — the distributed backends, in
-  :mod:`repro.inference.distributed` (process pool over shared memory; RPC
-  fan-out to ``repro shard-worker`` servers).
+* ``"remote"`` — the distributed backend, in
+  :mod:`repro.inference.distributed` (RPC fan-out to ``repro shard-worker``
+  servers).
 
 Third-party backends (e.g. GPU offload via CuPy/Torch) plug in via
 :func:`register_backend` and become addressable by name everywhere a backend
@@ -330,16 +328,17 @@ def execute_shard_task(
 ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Run one :class:`ShardTask` against an attached herb-embedding matrix.
 
-    This is the single execution function behind every backend — local
-    thread, pool process, or remote shard worker — which is what makes the
+    This is the single execution function behind every backend — calling
+    thread, pool thread, or remote shard worker — which is what makes the
     numerics backend-independent: the same tile grid
     (:func:`~repro.models.base.score_herb_tiles`) runs everywhere.
 
-    ``float32_copy`` is the executing process's holder of the attached
-    snapshot's float32 herb copy.  With it, a ``"topk"`` task on a wide
-    shard runs the float32 screen (:func:`_screened_topk`), which returns
-    the full scan's answer bit for bit; without it, or where the screen does
-    not apply, the task scores every herb in float64.
+    ``float32_copy`` is the attached snapshot's own holder of its float32
+    herb copy (:attr:`~repro.models.base.WeightSnapshot.float32_copy`).
+    With it, a ``"topk"`` task on a wide shard runs the float32 screen
+    (:func:`_screened_topk`), which returns the full scan's answer bit for
+    bit; without it, or where the screen does not apply, the task scores
+    every herb in float64.
     """
     if task.op not in ("score", "topk"):
         raise ValueError(f"unknown shard-task op {task.op!r}")
@@ -397,9 +396,9 @@ class ComputeBackend(abc.ABC):
     def release_snapshot(self, key: str) -> None:
         """Drop any resources attached for snapshot ``key`` (idempotent).
 
-        Called when a parameter-version bump retires a snapshot, so shared
-        memory segments / remote attachments do not accumulate across weight
-        updates.  In-process backends hold no attachments; this is a no-op.
+        Called when a parameter-version bump retires a snapshot, so remote
+        attachments do not accumulate across weight updates.  In-process
+        backends hold no attachments; this is a no-op.
         """
 
     def close(self) -> None:
@@ -445,10 +444,10 @@ def register_backend(name: str):
 
 
 def _ensure_builtin_backends() -> None:
-    # The distributed backends live in their own module (worker runtime,
-    # shared-memory plumbing); import it lazily so registry lookups see them
-    # without backends.py importing half the serving stack at module load.
-    from . import distributed  # noqa: F401  (registers "processes" / "remote")
+    # The remote backend lives in its own module with the worker runtime;
+    # import it lazily so registry lookups see it without backends.py
+    # importing half the serving stack at module load.
+    from . import distributed  # noqa: F401  (registers "remote")
 
 
 def available_backends() -> List[str]:

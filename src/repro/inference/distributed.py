@@ -1,4 +1,4 @@
-"""Distributed shard execution: process-pool and RPC compute backends.
+"""Distributed shard execution: the RPC compute backend and its workers.
 
 Everything here rides on the shard-task protocol of
 :mod:`repro.inference.backends`: tasks are picklable values referencing an
@@ -8,14 +8,8 @@ executor funnels through the same
 answers are bit-identical to the serial ``numpy`` backend — same tile grid,
 same canonical top-k order, just different placement.
 
-Two backends plus the worker runtime they talk to:
+The backend plus the worker runtime it talks to:
 
-* :class:`ProcessPoolBackend` (``"processes"``) — shard tasks fan across a
-  ``ProcessPoolExecutor``.  The snapshot is published **once per parameter
-  version** into ``multiprocessing.shared_memory``; workers attach the
-  segment zero-copy and cache the attachment until a new snapshot key
-  invalidates it.  Sidesteps the GIL entirely (unlike ``"threads"``, which
-  relies on BLAS releasing it).
 * :class:`RemoteBackend` (``"remote"``) — shard tasks fan out over TCP to
   shard-worker servers (``repro shard-worker``), one persistent line-protocol
   connection per worker.  Snapshots ship once per worker per version using
@@ -49,13 +43,10 @@ waits for ``ok <key>`` before sending tasks that reference the snapshot
 from __future__ import annotations
 
 import base64
-import os
 import socket
 import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from multiprocessing import get_context, shared_memory
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +60,7 @@ from ..io.checkpoint import (
     unpack_npz_bytes,
 )
 from ..models.base import WeightSnapshot
-from ..utils.cache import MAX_CACHED_VERSIONS, LazyValue, VersionedCache
+from ..utils.cache import MAX_CACHED_VERSIONS
 from .backends import (
     ComputeBackend,
     ShardTask,
@@ -83,7 +74,6 @@ from .backends import (
 __all__ = [
     "MAX_ATTACHED_MODELS",
     "MAX_ATTACHED_SNAPSHOTS",
-    "ProcessPoolBackend",
     "RemoteBackend",
     "ShardWorkerHandler",
     "ShardWorkerServer",
@@ -97,9 +87,9 @@ __all__ = [
 
 ShardResult = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 
-#: How many distinct snapshot versions a holder keeps attached/published at
-#: once: the shared :data:`~repro.utils.cache.MAX_CACHED_VERSIONS` bound, the
-#: inference engine's too (the latest version serves traffic, one
+#: How many distinct snapshot versions a shard worker keeps attached per
+#: model at once: the shared :data:`~repro.utils.cache.MAX_CACHED_VERSIONS`
+#: bound, the inference engine's too (the latest version serves traffic, one
 #: predecessor may still be draining).
 MAX_ATTACHED_SNAPSHOTS = MAX_CACHED_VERSIONS
 
@@ -216,185 +206,6 @@ def results_from_bytes(data: bytes) -> List[ShardResult]:
         else:
             results.append((arrays[f"ids{position}"], arrays[f"scores{position}"]))
     return results
-
-
-# ----------------------------------------------------------------------
-# Process-pool backend: snapshots via shared memory
-# ----------------------------------------------------------------------
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing shared-memory segment without tracker side effects.
-
-    On Python >= 3.13 ``track=False`` keeps the attach out of the resource
-    tracker entirely.  Before that, attaching registers with the tracker —
-    which is harmless here because pool workers inherit the parent's tracker
-    (registration is set-idempotent and the owning backend's ``unlink``
-    removes the single shared entry), so no extra bookkeeping is needed.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # Python >= 3.13
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-def _default_start_method() -> str:
-    """Pick the safest multiprocessing start method for this context.
-
-    Forking a multithreaded process can deadlock the child on locks held
-    mid-fork, and a serving process is multithreaded (socket/batcher
-    threads) by the time the first shard task arrives — so under any real
-    entry point (a script file, ``python -m ...``, pytest) we prefer
-    ``forkserver``/``spawn``, which start workers from a clean process.
-    Those methods re-import ``__main__`` in the child, which is impossible
-    for a REPL or a stdin-piped script; there — and only there — plain
-    ``fork`` is used, which is safe precisely because such contexts are
-    single-threaded.
-    """
-    import multiprocessing
-    import sys
-
-    methods = multiprocessing.get_all_start_methods()
-    main_module = sys.modules.get("__main__")
-    main_file = getattr(main_module, "__file__", None)
-    importable_main = getattr(main_module, "__spec__", None) is not None or (
-        main_file is not None and os.path.exists(main_file)
-    )
-    if importable_main:
-        for preferred in ("forkserver", "spawn"):
-            if preferred in methods:
-                return preferred
-    return "fork" if "fork" in methods else "spawn"
-
-
-#: Per-worker-process cache: shared-memory name -> (attached segment, its
-#: float32 herb copy holder).  A new segment name means a parameter-version
-#: bump: the bound closes stale attachments, and drops their copies with
-#: them, so long-lived workers do not pin old weights.
-_WORKER_ATTACHMENTS: VersionedCache = VersionedCache(
-    MAX_ATTACHED_SNAPSHOTS, on_retire=lambda _, attachment: attachment[0].close()
-)
-
-
-def _run_task_in_worker(payload: Tuple[str, Tuple[int, ...], str, ShardTask]) -> ShardResult:
-    """Module-level (hence picklable) task entry point for pool workers."""
-    segment_name, shape, dtype, task = payload
-    segment, float32_copy = _WORKER_ATTACHMENTS.get(
-        segment_name, lambda: (_attach_segment(segment_name), LazyValue())
-    )
-    # a fresh read-only view per task: no view outlives it, so a retired
-    # attachment always closes cleanly
-    matrix = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
-    matrix.flags.writeable = False
-    return execute_shard_task(task, matrix, float32_copy)
-
-
-def _publish_segment(snapshot: WeightSnapshot):
-    """Copy the snapshot's herb matrix into a new shared-memory segment."""
-    matrix = np.ascontiguousarray(snapshot.herb_embeddings, dtype=np.float64)
-    segment = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-    np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=segment.buf)[:] = matrix
-    return segment, matrix.shape, str(matrix.dtype)
-
-
-def _unlink_segment(_key: str, published) -> None:
-    published[0].close()
-    try:
-        published[0].unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
-@register_backend("processes")
-class ProcessPoolBackend(ComputeBackend):
-    """Fan shard tasks across worker *processes*, weights in shared memory.
-
-    Publishing a snapshot copies the herb matrix into a
-    ``multiprocessing.shared_memory`` segment exactly once per parameter
-    version; every task then crosses the process boundary carrying only its
-    syndrome block plus the segment's name, and workers attach the segment
-    zero-copy.  A parameter-version bump produces a new snapshot key, so
-    workers drop their stale attachment and the backend unlinks retired
-    segments (:meth:`release_snapshot` / the publication bound).
-
-    The pool is created lazily with :func:`_default_start_method`'s pick —
-    ``forkserver``/``spawn`` under any real entry point, so a serving
-    process that is already multithreaded (socket/batcher threads) never
-    plain-forks mid-lock; bare ``fork`` only in REPL/stdin contexts, which
-    cannot re-import ``__main__`` and are single-threaded anyway.
-    :meth:`close` tears the pool down; a closed backend transparently
-    re-opens, and a dead worker surfaces as a clean ``RuntimeError`` with
-    the pool rebuilt on the next call.
-    """
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        worker_addrs=None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        check_backend_spec(self.name, num_workers, worker_addrs)
-        self.num_workers = num_workers if num_workers is not None else default_worker_count()
-        self._start_method = (
-            start_method if start_method is not None else _default_start_method()
-        )
-        self._executor: Optional[ProcessPoolExecutor] = None
-        #: snapshot key -> (segment, shape, dtype str); a retired segment is
-        #: closed and unlinked once no ``run_tasks`` call is using it.
-        self.segments: VersionedCache = VersionedCache(
-            MAX_ATTACHED_SNAPSHOTS, on_retire=_unlink_segment
-        )
-
-    # -- lifecycle ------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.num_workers, mp_context=get_context(self._start_method)
-            )
-        return self._executor
-
-    def _teardown_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def close(self) -> None:
-        self._teardown_executor()
-        self.segments.close()
-
-    def release_snapshot(self, key: str) -> None:
-        self.segments.discard(key)
-
-    # -- execution ------------------------------------------------------
-    def run_tasks(
-        self, snapshot: WeightSnapshot, tasks: Sequence[ShardTask]
-    ) -> List[ShardResult]:
-        _check_task_keys(snapshot, tasks)
-        executor = self._ensure_executor()
-        published = self.segments.lease(snapshot.key, lambda: _publish_segment(snapshot))
-        try:
-            with published as (segment, shape, dtype):
-                futures = [
-                    executor.submit(_run_task_in_worker, (segment.name, shape, dtype, task))
-                    for task in tasks
-                ]
-                return [future.result() for future in futures]
-        except BrokenProcessPool as error:
-            # a worker died mid-batch; fail this call cleanly and rebuild the
-            # pool lazily so the next call recovers
-            self._teardown_executor()
-            raise RuntimeError(
-                f"process shard worker died mid-batch ({error}); "
-                "the pool will restart on the next call"
-            ) from error
-
-    def status(self) -> Dict[str, Any]:
-        alive = 0
-        if self._executor is not None:
-            processes = getattr(self._executor, "_processes", None) or {}
-            if processes:
-                alive = sum(1 for process in processes.values() if process.is_alive())
-            else:  # open pool, workers not spawned yet (first task spawns them)
-                alive = self.num_workers
-        return {"backend": self.name, "workers": self.num_workers, "workers_alive": alive}
 
 
 # ----------------------------------------------------------------------
@@ -634,9 +445,9 @@ class ShardWorkerHandler:
         self._stats = stats
         self._executor = executor
         self._lock = threading.Lock()
-        #: snapshot key -> (herb-embedding matrix, its float32 copy holder);
-        #: bounded, latest-wins.
-        self._snapshots: "OrderedDict[str, Tuple[np.ndarray, LazyValue]]" = OrderedDict()
+        #: snapshot key -> the decoded snapshot (its float32 copy goes with
+        #: it); bounded, latest-wins.
+        self._snapshots: "OrderedDict[str, WeightSnapshot]" = OrderedDict()
         self.tasks_executed = 0
 
     @property
@@ -697,7 +508,7 @@ class ShardWorkerHandler:
         if verb == "snapshot":
             snapshot = snapshot_from_bytes(base64.b64decode(payload))
             with self._lock:
-                self._snapshots[snapshot.key] = (snapshot.herb_embeddings, LazyValue())
+                self._snapshots[snapshot.key] = snapshot
                 self._snapshots.move_to_end(snapshot.key)
                 self._evict_locked(snapshot_model_tag(snapshot.key))
             return f"ok {snapshot.key}"
@@ -709,7 +520,9 @@ class ShardWorkerHandler:
                     attached = self._snapshots.get(task.snapshot_key)
                 if attached is None:
                     return f"error: need-snapshot {task.snapshot_key}"
-                results.append(execute_shard_task(task, *attached))
+                results.append(
+                    execute_shard_task(task, attached.herb_embeddings, attached.float32_copy)
+                )
             with self._lock:
                 self.tasks_executed += len(batch)
             frame = results_to_bytes([task.op for task in batch], results)

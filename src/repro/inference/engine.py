@@ -15,14 +15,12 @@ Vocabulary size scales independently of request volume: with
 ``num_shards > 1`` the herb-embedding matrix is cut into tile-aligned column
 shards (:class:`~repro.inference.sharding.ShardedHerbIndex`) scored through a
 pluggable :class:`~repro.inference.backends.ComputeBackend` — serially by
-default, across a thread pool (``backend="threads"``), across worker
-processes attaching the weights via shared memory (``"processes"``), or
-fanned out to remote shard-worker servers (``"remote"`` +
-``worker_addrs``) — and top-k answers merge per-shard candidates
-without ever materialising the full score matrix.  Sharded answers are
-bit-identical to the unsharded path (every backend runs the same fixed
-scoring-tile grid and the same canonical ranking), so sharding and backend
-placement are purely operational knobs.
+default, across a thread pool (``backend="threads"``), or fanned out to
+remote shard-worker servers (``"remote"`` + ``worker_addrs``) — and top-k
+answers merge per-shard candidates without ever materialising the full score
+matrix.  Sharded answers are bit-identical to the unsharded path (every
+backend runs the same fixed scoring-tile grid and the same canonical
+ranking), so sharding and backend placement are purely operational knobs.
 """
 
 from __future__ import annotations
@@ -149,12 +147,13 @@ class InferenceEngine:
         """Force the propagation, index builds and backend start now, before traffic.
 
         When requests go through the backend, one zero row block runs
-        through the leased index on it, so a pooled or remote backend starts
-        its workers and attaches the snapshot here rather than on the first
-        request.  On the sharded exact path the block runs through ``topk``,
-        so each executing process also makes the float32 herb copy the
-        top-k screen needs (:func:`~repro.inference.backends.
-        execute_shard_task`); the approx path scores it.
+        through the leased index on it, so a thread pool starts its threads,
+        and a remote backend pushes the snapshot to its workers, here rather
+        than on the first request.  On the sharded exact path the block runs
+        through ``topk``, so the snapshot (a shard worker's too) also makes
+        the float32 herb copy the top-k screen needs
+        (:func:`~repro.inference.backends.execute_shard_task`); the approx
+        path scores it.
         """
         self.model.cached_encode()
         if self.retrieval_active or self.sharding_active:

@@ -75,15 +75,14 @@ class EngineOptions:
         None,
         "--backend",
         "compute backend for shard scoring: 'numpy' (serial BLAS, the "
-        "default), 'threads' (thread pool), 'processes' (process pool over "
-        "shared memory), 'remote' (shard-worker servers via --worker-addr), "
-        "or any registered backend name",
+        "default), 'threads' (thread pool), 'remote' (shard-worker servers "
+        "via --worker-addr), or any registered backend name",
     )
     num_workers: Optional[int] = _knob(
         None,
         "--workers",
-        "worker count for --backend threads/processes (default: the "
-        "schedulable CPU count)",
+        "worker count for --backend threads (default: the schedulable CPU "
+        "count)",
         type=int,
     )
     worker_addrs: Tuple[str, ...] = _knob(

@@ -6,7 +6,7 @@ vocabulary at what fits in a single contiguous matrix.
 into column shards, turns each scoring request into picklable
 :class:`~repro.inference.backends.ShardTask`\\ s against an immutable
 :class:`~repro.models.base.WeightSnapshot` (so shards can execute in-process,
-in a process pool, or on remote shard workers — see
+on a thread pool, or on remote shard workers — see
 :mod:`repro.inference.backends` and :mod:`repro.inference.distributed`), and
 merges the per-shard top-k candidates with :func:`merge_topk`.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -109,10 +110,18 @@ def pack_npz_bytes(header: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) 
     return buffer.getvalue()
 
 
+#: numpy parses each npz member's header with ``ast.literal_eval``, and
+#: CPython 3.11 keeps the AST constructor's recursion depth in
+#: interpreter-wide state, so two threads decoding at once can fail with
+#: ``SystemError: AST constructor recursion depth mismatch``.  Shard workers
+#: and the remote backend's fan-out decode frames on several threads.
+_DECODE_LOCK = threading.Lock()
+
+
 def unpack_npz_bytes(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Invert :func:`pack_npz_bytes`; returns ``(header, arrays)``."""
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as bundle:
+        with _DECODE_LOCK, np.load(io.BytesIO(data), allow_pickle=False) as bundle:
             if _HEADER_KEY not in bundle:
                 raise CheckpointError("not a repro npz bundle (missing header)")
             try:

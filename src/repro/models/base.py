@@ -142,9 +142,8 @@ class WeightSnapshot:
     (:class:`~repro.inference.backends.ShardTask`) never carry weights
     themselves — they reference a snapshot by ``key``, and a compute backend
     is responsible for making the snapshot's ``herb_embeddings`` available
-    wherever tasks execute (in-process by reference, across processes via
-    shared memory, across machines via the ``.npz`` wire codec in
-    :mod:`repro.io.checkpoint`).
+    wherever tasks execute (in-process by reference, across machines via
+    the ``.npz`` wire codec in :mod:`repro.io.checkpoint`).
 
     ``key`` is unique per (model instance, parameter version): any optimiser
     step or ``load_state_dict`` bumps the parameter version, so a new export
@@ -160,9 +159,10 @@ class WeightSnapshot:
     herb_embeddings: np.ndarray = field(repr=False)
     #: The exporting model's fixed scoring row block (see :data:`SCORING_BLOCK`).
     row_block: int = SCORING_BLOCK
-    #: The float32 herb copy the exact top-k screen scores against in this
-    #: process, made on the first screened ``topk`` task, never at export
-    #: (see :func:`repro.inference.backends.execute_shard_task`).
+    #: The float32 herb copy the exact top-k screen scores against, made on
+    #: the first screened ``topk`` task, never at export, and shared by every
+    #: thread that scores this snapshot; a shard worker's decoded snapshot
+    #: holds its own (see :func:`repro.inference.backends.execute_shard_task`).
     float32_copy: LazyValue = field(default_factory=LazyValue, repr=False, compare=False)
 
     @property

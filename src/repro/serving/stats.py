@@ -241,7 +241,7 @@ class ServerStats:
 
         With a backend-info provider attached, the counters are followed by
         the serving topology, e.g.
-        ``... p95_ms=1.2 backend=processes shards=4 workers_alive=4/4``.
+        ``... p95_ms=1.2 backend=threads shards=4 workers_alive=4/4``.
         """
         view = self.snapshot()
         models = ""

@@ -1,11 +1,10 @@
 """A bounded, versioned cache whose evicted entries retire after their last lease.
 
-The engine's indexes per parameter version, a catalog entry's generations and
-canary, and the process backend's shared-memory segments and worker
-attachments share this one policy: keep the newest few versions, and release
-an evicted one (close, unlink, ``release_snapshot``) once nothing uses it.
-:class:`LazyValue` holds a value derived from one such entry (the float32
-herb copy of an attached snapshot), built on first use and dropped with it.
+The engine's indexes per parameter version and a catalog entry's generations
+and canary share this one policy: keep the newest few versions, and release
+an evicted one (close, ``release_snapshot``) once nothing uses it.
+:class:`LazyValue` holds a value derived from one snapshot (its float32 herb
+copy), built on first use and dropped with it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ __all__ = ["MAX_CACHED_VERSIONS", "LazyValue", "VersionedCache"]
 #: How many versions a serving holder keeps: the latest serves traffic, and
 #: one predecessor lets requests in flight on it finish while the new version
 #: builds.  Unbounded, a server interleaving training and serving would keep
-#: one herb matrix (plus shared-memory segments, remote pushes) per step.
+#: one herb matrix (plus remote pushes) per step.
 MAX_CACHED_VERSIONS = 2
 
 

@@ -2,7 +2,7 @@
 
 ``repro batch``, the serve JSON protocol, and ``Pipeline.recommend`` must
 agree bit-for-bit on the same checkpoint — across retrieval modes (exact and
-approx re-rank) and engine backends (serial and process-sharded). This is the
+approx re-rank) and engine backends (serial and thread-sharded). This is the
 contract that makes offline scoring a valid substitute for the online path.
 """
 
@@ -20,8 +20,8 @@ from tests.batch.conftest import make_corpus
 SURFACES = [
     pytest.param(("exact", None), id="exact-serial"),
     pytest.param(("approx", None), id="approx-serial"),
-    pytest.param(("exact", "processes"), id="exact-processes"),
-    pytest.param(("approx", "processes"), id="approx-processes"),
+    pytest.param(("exact", "threads"), id="exact-threads"),
+    pytest.param(("approx", "threads"), id="approx-threads"),
 ]
 
 
@@ -31,8 +31,8 @@ def surface_pipeline(request, batch_checkpoint):
     kwargs = {"retrieval": retrieval}
     if retrieval == "approx":
         kwargs["candidate_factor"] = 2
-    if backend == "processes":
-        kwargs.update(num_shards=2, backend="processes", num_workers=2)
+    if backend == "threads":
+        kwargs.update(num_shards=2, backend="threads", num_workers=2)
     pipeline = Pipeline.load(batch_checkpoint, **kwargs)
     yield pipeline
     pipeline.close()
@@ -75,7 +75,7 @@ def test_batch_serve_and_api_agree(surface_pipeline, tmp_path):
 
 
 def test_batch_bytes_identical_across_backends(batch_checkpoint, tmp_path):
-    """Process-sharded scoring must not perturb a single output byte."""
+    """Thread-sharded scoring must not perturb a single output byte."""
     records = corpus_records()
     source = tmp_path / "corpus.jsonl"
     source.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -83,7 +83,7 @@ def test_batch_bytes_identical_across_backends(batch_checkpoint, tmp_path):
     outputs = {}
     for label, kwargs in (
         ("serial", {}),
-        ("processes", {"num_shards": 2, "backend": "processes", "num_workers": 2}),
+        ("threads", {"num_shards": 2, "backend": "threads", "num_workers": 2}),
     ):
         pipeline = Pipeline.load(batch_checkpoint, **kwargs)
         try:
@@ -93,7 +93,7 @@ def test_batch_bytes_identical_across_backends(batch_checkpoint, tmp_path):
             outputs[label] = target.read_bytes()
         finally:
             pipeline.close()
-    assert outputs["serial"] == outputs["processes"]
+    assert outputs["serial"] == outputs["threads"]
 
 
 def test_recommend_stream_matches_batch_lines(batch_checkpoint, tmp_path):

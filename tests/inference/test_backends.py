@@ -170,7 +170,11 @@ class TestResolution:
 
     def test_distributed_backends_registered(self):
         names = available_backends()
-        assert "processes" in names and "remote" in names
+        assert "remote" in names and "processes" not in names
+
+    def test_process_backend_refused_naming_threads(self):
+        with pytest.raises(ValueError, match="unknown backend 'processes'; available: .*threads"):
+            get_backend("processes", num_workers=2)
 
     def test_instance_passes_through(self):
         backend = ThreadPoolBackend(num_workers=2)
@@ -191,7 +195,7 @@ class TestResolution:
         backend.close()
 
     def test_worker_addrs_refused_by_local_backends(self):
-        for name in ("numpy", "threads", "processes"):
+        for name in ("numpy", "threads"):
             with pytest.raises(ValueError, match="remote"):
                 get_backend(name, worker_addrs=["127.0.0.1:1"])
 

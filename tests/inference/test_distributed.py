@@ -1,11 +1,11 @@
-"""Tests for distributed shard execution: process pool, RPC workers, codecs.
+"""Tests for distributed shard execution: RPC workers, codecs, engine parity.
 
 Three layers under test:
 
 * the **wire codec** — snapshot/task/result frames round-trip through the
   npz codec checkpoints use;
-* the **backends** — ``processes`` (shared-memory snapshots) and ``remote``
-  (TCP shard workers) are bit-identical to the serial ``numpy`` path,
+* the **backends** — ``remote`` (TCP shard workers) and the in-host
+  ``threads`` pool are bit-identical to the serial ``numpy`` path,
   including at the engine level across every registered neural model;
 * the **lifecycle edges** — idempotent ``close``, use-after-close re-open,
   reusable context managers, and worker death surfacing as a clean
@@ -18,9 +18,9 @@ import pytest
 from repro.inference import (
     InferenceEngine,
     NumpyBackend,
-    ProcessPoolBackend,
     RemoteBackend,
     ShardedHerbIndex,
+    ThreadPoolBackend,
 )
 from repro.inference.backends import ShardTask
 from repro.inference.distributed import (
@@ -65,8 +65,8 @@ def reference(index, syndrome):
 
 
 @pytest.fixture(scope="module")
-def process_backend():
-    backend = ProcessPoolBackend(num_workers=2)
+def thread_backend():
+    backend = ThreadPoolBackend(num_workers=2)
     yield backend
     backend.close()
 
@@ -131,125 +131,50 @@ class TestWireCodec:
         with pytest.raises(CheckpointError, match="weight-snapshot"):
             snapshot_from_bytes(results_to_bytes(["score"], [syndrome]))
 
+    def test_frames_decode_on_one_thread_at_a_time(self, monkeypatch):
+        """numpy's npz header parse must never run on two threads at once.
+
+        It calls ``ast.literal_eval``, which CPython 3.11 does not make
+        thread-safe; shard workers and the remote fan-out decode frames on
+        several threads.
+        """
+        import ast
+        import threading
+        import time
+
+        real = ast.literal_eval
+        counter = threading.Lock()
+        inside, overlaps = [0], []
+
+        def slow_parse(text):
+            with counter:
+                inside[0] += 1
+                overlaps.append(inside[0] > 1)
+            time.sleep(0.02)  # hold the parse open so unlocked callers would meet
+            try:
+                return real(text)
+            finally:
+                with counter:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(ast, "literal_eval", slow_parse)
+        frame = results_to_bytes(["score"], [np.ones((2, 3))])
+        decoders = [
+            threading.Thread(target=results_from_bytes, args=(frame,)) for _ in range(3)
+        ]
+        for decoder in decoders:
+            decoder.start()
+        for decoder in decoders:
+            decoder.join(10)
+        assert not any(decoder.is_alive() for decoder in decoders)
+        assert overlaps and not any(overlaps)
+
     def test_parse_worker_addr(self):
         assert parse_worker_addr("localhost:7801") == ("localhost", 7801)
         assert parse_worker_addr(("10.0.0.1", 80)) == ("10.0.0.1", 80)
         for bad in ("no-port", "host:notaport", "host:0", "host:70000", ":123"):
             with pytest.raises(ValueError):
                 parse_worker_addr(bad)
-
-
-# ----------------------------------------------------------------------
-# Process-pool backend
-# ----------------------------------------------------------------------
-def _published(backend):
-    """Snapshot key -> published ``(segment, shape, dtype)`` of a process backend."""
-    return {key: backend.segments.peek(key) for key in backend.segments.keys()}
-
-
-class TestProcessPoolBackend:
-    def test_score_and_topk_bit_identical(self, index, syndrome, reference, process_backend):
-        ref_scores, ref_ids, ref_topk = reference
-        np.testing.assert_array_equal(index.score(syndrome, backend=process_backend), ref_scores)
-        ids, scores = index.topk(syndrome, NUM_ROWS, 25, backend=process_backend)
-        np.testing.assert_array_equal(ids, ref_ids)
-        np.testing.assert_array_equal(scores, ref_topk)
-
-    def test_snapshot_published_once_per_version(self, index, syndrome, process_backend):
-        index.score(syndrome, backend=process_backend)
-        segments = _published(process_backend)
-        index.score(syndrome, backend=process_backend)
-        assert _published(process_backend) == segments, "re-published an attached snapshot"
-        assert index.snapshot.key in segments
-
-    def test_release_snapshot_is_idempotent(self, index, syndrome):
-        backend = ProcessPoolBackend(num_workers=1)
-        try:
-            backend.run_tasks(index.snapshot, index.tasks(syndrome, "score", num_rows=NUM_ROWS))
-            assert index.snapshot.key in backend.segments.keys()
-            backend.release_snapshot(index.snapshot.key)
-            backend.release_snapshot(index.snapshot.key)
-            assert index.snapshot.key not in backend.segments.keys()
-        finally:
-            backend.close()
-
-    def test_stale_versions_evicted_on_publish(self, syndrome):
-        backend = ProcessPoolBackend(num_workers=1)
-        try:
-            keys = []
-            for seed in range(3):
-                rng = np.random.default_rng(seed)
-                index = ShardedHerbIndex(rng.normal(size=(NUM_HERBS, DIM)), num_shards=2)
-                index.score(syndrome, backend=backend)
-                keys.append(index.snapshot.key)
-            assert len(backend.segments) == 2, "published snapshots must stay bounded"
-            assert keys[0] not in backend.segments.keys()  # oldest version retired
-            assert keys[-1] in backend.segments.keys()
-        finally:
-            backend.close()
-
-    def test_release_during_a_call_waits_for_the_call(self, index, syndrome, reference):
-        """A segment released mid-``run_tasks`` stays attachable until the call ends."""
-        from concurrent.futures import Future
-
-        from repro.inference import distributed
-
-        backend = ProcessPoolBackend(num_workers=1)
-
-        class ReleasingExecutor:
-            """Runs tasks in-process, releasing the snapshot before each one."""
-
-            def submit(self, function, payload):
-                backend.release_snapshot(index.snapshot.key)
-                future = Future()
-                future.set_result(function(payload))
-                return future
-
-            def shutdown(self, **kwargs):
-                pass
-
-        backend._executor = ReleasingExecutor()
-        try:
-            np.testing.assert_array_equal(index.score(syndrome, backend=backend), reference[0])
-            assert index.snapshot.key not in backend.segments.keys()
-            assert backend.segments.draining == 0
-        finally:
-            backend.close()
-            distributed._WORKER_ATTACHMENTS.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            ProcessPoolBackend(num_workers=0)
-        with pytest.raises(ValueError, match="remote"):
-            ProcessPoolBackend(worker_addrs=["127.0.0.1:1"])
-
-    def test_lifecycle_close_reopen_context(self, index, syndrome, reference):
-        ref_scores = reference[0]
-        backend = ProcessPoolBackend(num_workers=1)
-        np.testing.assert_array_equal(index.score(syndrome, backend=backend), ref_scores)
-        backend.close()
-        backend.close()  # idempotent
-        # use-after-close re-opens (fresh pool, re-published snapshot)
-        np.testing.assert_array_equal(index.score(syndrome, backend=backend), ref_scores)
-        backend.close()
-        for _ in range(2):  # context manager is reusable
-            with backend:
-                np.testing.assert_array_equal(index.score(syndrome, backend=backend), ref_scores)
-
-    def test_worker_death_raises_cleanly_and_recovers(self, index, syndrome, reference):
-        backend = ProcessPoolBackend(num_workers=1)
-        try:
-            backend.run_tasks(index.snapshot, index.tasks(syndrome, "score", num_rows=NUM_ROWS))
-            for process in backend._executor._processes.values():
-                process.kill()
-            with pytest.raises(RuntimeError, match="died"):
-                backend.run_tasks(
-                    index.snapshot, index.tasks(syndrome, "score", num_rows=NUM_ROWS)
-                )
-            # the pool rebuilds lazily: the next call serves again
-            np.testing.assert_array_equal(index.score(syndrome, backend=backend), reference[0])
-        finally:
-            backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -553,10 +478,10 @@ def wide_split():
 
 
 class TestEngineParity:
-    """`processes` and `remote` answers equal `numpy` for every neural model."""
+    """`threads` and `remote` answers equal `numpy` for every neural model."""
 
     def test_all_registered_neural_models_bit_identical(
-        self, wide_split, process_backend, worker_servers
+        self, wide_split, thread_backend, worker_servers
     ):
         from repro.experiments.datasets import get_profile
         from repro.models import MODEL_REGISTRY
@@ -574,8 +499,8 @@ class TestEngineParity:
             assert isinstance(model, GraphHerbRecommender)
             baseline = InferenceEngine(model, num_shards=3).recommend_batch(sets, k=12)
             baseline_scores = InferenceEngine(model).score_batch(sets)
-            pooled = InferenceEngine(model, num_shards=3, backend=process_backend)
-            assert pooled.recommend_batch(sets, k=12) == baseline, f"{name} diverged (processes)"
+            pooled = InferenceEngine(model, num_shards=3, backend=thread_backend)
+            assert pooled.recommend_batch(sets, k=12) == baseline, f"{name} diverged (threads)"
             np.testing.assert_array_equal(pooled.score_batch(sets), baseline_scores)
             remote = RemoteBackend(worker_addrs=addrs, timeout_s=10.0)
             try:
@@ -586,14 +511,14 @@ class TestEngineParity:
                 remote.close()
 
     def test_approx_rerank_bit_identical_across_backends(
-        self, wide_split, process_backend, worker_servers
+        self, wide_split, thread_backend, worker_servers
     ):
         """The approx tier's re-rank/fallback tasks place anywhere safely.
 
         Candidate selection runs in the engine process, but re-rank and
         fallback ShardTasks execute on the configured backend — answers must
-        be bit-identical whether those land in-process, on a process pool,
-        or on remote shard workers.
+        be bit-identical whether those land on the calling thread, on a
+        thread pool, or on remote shard workers.
         """
         from repro.models import SMGCN, SMGCNConfig
 
@@ -612,9 +537,9 @@ class TestEngineParity:
             candidate_factor=3,
             num_lists=2,
             nprobe=1,
-            backend=process_backend,
+            backend=thread_backend,
         )
-        assert pooled.recommend_batch(sets, k=9) == baseline, "approx diverged (processes)"
+        assert pooled.recommend_batch(sets, k=9) == baseline, "approx diverged (threads)"
         addrs = [f"{host}:{port}" for host, port in (s.address for s in worker_servers)]
         remote = RemoteBackend(worker_addrs=addrs, timeout_s=10.0)
         try:
@@ -635,7 +560,7 @@ class TestEngineParity:
         [dict(num_shards=2), dict(retrieval="approx", num_lists=2)],
         ids=["sharded", "approx"],
     )
-    def test_warm_up_publishes_the_snapshot_to_the_pool(self, wide_split, knobs):
+    def test_warm_up_starts_the_pool(self, wide_split, knobs):
         """A rollout's warm-up starts the pool, so the first request does not."""
         from repro.models import SMGCN, SMGCNConfig
 
@@ -643,11 +568,11 @@ class TestEngineParity:
         config = SMGCNConfig(
             embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
         )
-        backend = ProcessPoolBackend(num_workers=1)
+        backend = ThreadPoolBackend(num_workers=1)
         try:
             engine = InferenceEngine(SMGCN.from_dataset(train, config), backend=backend, **knobs)
-            assert backend.segments.keys() == []
+            assert backend.status()["workers_alive"] == 0
             engine.warm_up()
-            assert backend.segments.keys() == [engine.herb_index().snapshot.key]
+            assert backend.status()["workers_alive"] == 1
         finally:
             backend.close()

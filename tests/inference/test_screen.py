@@ -224,7 +224,7 @@ class TestScreenAnswersExactly:
         assert_exact(ShardedHerbIndex(herbs), queries, 5)
         assert screened == [False]
 
-    @pytest.mark.parametrize("backend", ["numpy", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["numpy", "threads"])
     @pytest.mark.parametrize("num_shards,k", [(1, 9), (3, 4), (3, 1)])
     def test_backends_and_shards(self, backend, num_shards, k):
         herbs, queries = near_tied_vocab(1e-7, seed=num_shards + k)
@@ -263,7 +263,7 @@ def freed(ref):
 
 
 class TestFloat32Copy:
-    """One float32 copy per snapshot per executing process, made on first topk."""
+    """One float32 copy per snapshot, shared by its threads, made on first topk."""
 
     def test_not_made_by_index_construction(self):
         snapshot = WeightSnapshot.from_matrix(np.random.default_rng(13).normal(size=(WIDE, DIM)))
@@ -310,27 +310,6 @@ class TestFloat32Copy:
         engine.warm_up()
         assert engine.herb_index().snapshot.float32_copy.value is None
 
-    def test_pool_worker_copy_lives_with_its_attachment(self):
-        from repro.inference import distributed
-
-        herbs, queries = near_tied_vocab(1e-7)
-        snapshot = WeightSnapshot.from_matrix(herbs)
-        task = ShardedHerbIndex(snapshot).tasks(pad_rows(queries), "topk", 20, 5)[0]
-        segment, shape, dtype = distributed._publish_segment(snapshot)
-        try:
-            ids, scores = distributed._run_task_in_worker((segment.name, shape, dtype, task))
-            expected = backends.execute_shard_task(task, snapshot.herb_embeddings)
-            np.testing.assert_array_equal(ids, expected[0])
-            assert scores.tobytes() == expected[1].tobytes()
-            copy = copy_ref(distributed._WORKER_ATTACHMENTS.peek(segment.name)[1])
-            assert not freed(copy)
-            distributed._WORKER_ATTACHMENTS.discard(segment.name)
-            assert freed(copy)
-        finally:
-            distributed._WORKER_ATTACHMENTS.discard(segment.name)
-            segment.close()
-            segment.unlink()
-
     def test_shard_worker_copy_lives_with_its_snapshot(self):
         from repro.inference.distributed import (
             MAX_ATTACHED_SNAPSHOTS,
@@ -348,7 +327,7 @@ class TestFloat32Copy:
         handler.handle(f"snapshot {encode(snapshot_to_bytes(snapshot))}")
         tasks = ShardedHerbIndex(snapshot, num_shards=3).tasks(pad_rows(queries), "topk", 20, 4)
         assert handler.handle(f"tasks {encode(tasks_to_bytes(tasks))}").startswith("results ")
-        copy = copy_ref(handler._snapshots[snapshot.key][1])
+        copy = copy_ref(handler._snapshots[snapshot.key].float32_copy)
         assert not freed(copy)
         for version in range(1, MAX_ATTACHED_SNAPSHOTS + 1):
             newer = WeightSnapshot.from_matrix(herbs[:300], key=f"mW-v0.{version}")

@@ -72,10 +72,10 @@ class TestBackendInfo:
     def test_line_reports_backend_shards_and_liveness(self):
         stats = ServerStats()
         stats.set_backend_info(
-            lambda: {"backend": "processes", "shards": 4, "workers": 4, "workers_alive": 3}
+            lambda: {"backend": "threads", "shards": 4, "workers": 4, "workers_alive": 3}
         )
         line = stats.to_line()
-        assert "backend=processes" in line
+        assert "backend=threads" in line
         assert "shards=4" in line
         assert "workers_alive=3/4" in line
 

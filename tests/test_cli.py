@@ -517,7 +517,7 @@ class TestShardingFlags:
 
 
 class TestDistributedFlags:
-    """The distributed serving surface: shard-worker verb, processes/remote."""
+    """The distributed serving surface: shard-worker verb, threads/remote."""
 
     def test_shard_worker_parser_defaults(self):
         args = build_parser().parse_args(["shard-worker"])
@@ -574,15 +574,28 @@ class TestDistributedFlags:
         assert "shard-worker" in help_text
         assert "--backend remote" in help_text or "backend remote" in help_text
 
-    def test_predict_with_process_pool_matches_unsharded(self, capsys):
+    def test_predict_with_thread_pool_matches_unsharded(self, capsys):
         argv = ["predict", "--scale", "smoke", "--symptoms", "0 3", "--k", "4",
                 "--epochs", "1", "--seed", "0"]
         assert main(argv) == 0
         unsharded = capsys.readouterr().out
         assert (
-            main(argv + ["--shards", "4", "--backend", "processes", "--workers", "2"]) == 0
+            main(argv + ["--shards", "4", "--backend", "threads", "--workers", "2"]) == 0
         )
         assert capsys.readouterr().out == unsharded
+
+    def test_serve_refuses_the_process_backend_naming_threads(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("training must not start for an unknown backend")
+
+        monkeypatch.setattr("repro.training.trainer.Trainer.fit", boom)
+        code = main(["serve", "--scale", "smoke", "--shards", "2",
+                     "--backend", "processes", "--workers", "2"])
+        assert code == 2
+        assert (
+            "unknown backend 'processes'; available: numpy, threads, remote"
+            in capsys.readouterr().err
+        )
 
     def test_predict_with_remote_workers_matches_unsharded(self, capsys):
         from repro.inference import ShardWorkerServer
