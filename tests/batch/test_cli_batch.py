@@ -61,6 +61,18 @@ class TestValidation:
         code, err = self.run(["batch", str(source), str(second)], capsys)
         assert code == 2 and "--output-dir" in err
 
+    def test_process_backend_refused_before_any_output(self, corpus, tmp_path, capsys):
+        source, _ = corpus
+        target = tmp_path / "out.jsonl"
+        code, err = self.run(
+            ["batch", str(source), "--output", str(target), "--shards", "2",
+             "--backend", "processes"],
+            capsys,
+        )
+        assert code == 2
+        assert "unknown backend 'processes'; available: numpy, threads, remote" in err
+        assert not target.exists()
+
     def test_resume_to_stdout_rejected(self, corpus, capsys):
         source, _ = corpus
         code, err = self.run(["batch", str(source), "--resume"], capsys)

@@ -296,6 +296,98 @@ class TestThreadPoolBackend:
             with pytest.raises(ValueError, match="positive k"):
                 backend.run_tasks(snapshot, bad)
 
+    def test_serves_again_after_a_worker_exception(self, snapshot, syndrome):
+        bad = [
+            ShardTask(
+                op="score",
+                shard_index=0,
+                start=5,
+                stop=2,  # invalid interval: raises inside the worker thread
+                snapshot_key=snapshot.key,
+                row_block=SCORING_BLOCK,
+                num_rows=1,
+                syndrome=syndrome,
+            )
+        ]
+        tasks = _tasks(snapshot, syndrome, op="topk", k=5)
+        serial = NumpyBackend().run_tasks(snapshot, tasks)
+        with ThreadPoolBackend(num_workers=2) as backend:
+            with pytest.raises(ValueError, match="interval"):
+                backend.run_tasks(snapshot, bad)
+            for (ids_a, scores_a), (ids_b, scores_b) in zip(
+                backend.run_tasks(snapshot, tasks), serial
+            ):
+                np.testing.assert_array_equal(ids_a, ids_b)
+                np.testing.assert_array_equal(scores_a, scores_b)
+
+    def test_close_waits_for_a_call_in_flight(self, snapshot, syndrome, monkeypatch):
+        import threading
+
+        from repro.inference import backends
+
+        tasks = _tasks(snapshot, syndrome)
+        serial = NumpyBackend().run_tasks(snapshot, tasks)
+        entered, release = threading.Barrier(len(tasks) + 1), threading.Event()
+        real = backends.execute_shard_task
+
+        def held(task, *args):
+            entered.wait(10)
+            release.wait(10)
+            return real(task, *args)
+
+        monkeypatch.setattr(backends, "execute_shard_task", held)
+        backend = ThreadPoolBackend(num_workers=len(tasks))
+        results = []
+        caller = threading.Thread(target=lambda: results.append(backend.run_tasks(snapshot, tasks)))
+        caller.start()
+        entered.wait(10)  # every task is running, so every task was submitted
+        closer = threading.Thread(target=backend.close)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive(), "close returned while a call was still running"
+        release.set()
+        closer.join(10)
+        caller.join(10)
+        assert not closer.is_alive() and not caller.is_alive()
+        for pooled, expected in zip(results[0], serial):
+            np.testing.assert_array_equal(pooled, expected)
+        assert backend.status()["workers_alive"] == 0
+
+    def test_concurrent_callers_on_two_snapshots(self, snapshot, syndrome):
+        """Two rollout versions share one pool; each caller gets its own answers."""
+        import threading
+
+        newer = WeightSnapshot.from_matrix(
+            np.random.default_rng(7).normal(size=(NUM_HERBS, DIM))
+        )
+        jobs = [
+            (version, _tasks(version, syndrome, op="topk", k=9)) for version in (snapshot, newer)
+        ]
+        mismatches = []
+        with ThreadPoolBackend(num_workers=2) as backend:
+
+            def call(version, tasks):
+                expected = NumpyBackend().run_tasks(version, tasks)
+                try:
+                    for _ in range(5):
+                        for (ids_a, scores_a), (ids_b, scores_b) in zip(
+                            backend.run_tasks(version, tasks), expected
+                        ):
+                            if not (
+                                np.array_equal(ids_a, ids_b) and np.array_equal(scores_a, scores_b)
+                            ):
+                                mismatches.append(version.key)
+                except Exception as error:  # a thread's exception would otherwise be lost
+                    mismatches.append(repr(error))
+
+            callers = [threading.Thread(target=call, args=job) for job in jobs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30)
+            assert not any(caller.is_alive() for caller in callers)
+        assert mismatches == []
+
     def test_status_tracks_pool_state(self, snapshot, syndrome):
         backend = ThreadPoolBackend(num_workers=3)
         assert backend.status()["workers_alive"] == 0  # lazy: no pool yet

@@ -178,6 +178,18 @@ class TestWireCodec:
 
 
 # ----------------------------------------------------------------------
+# In-host thread pool
+# ----------------------------------------------------------------------
+class TestThreadPool:
+    def test_score_and_topk_bit_identical(self, index, syndrome, reference, thread_backend):
+        ref_scores, ref_ids, ref_topk = reference
+        np.testing.assert_array_equal(index.score(syndrome, backend=thread_backend), ref_scores)
+        ids, scores = index.topk(syndrome, NUM_ROWS, 25, backend=thread_backend)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(scores, ref_topk)
+
+
+# ----------------------------------------------------------------------
 # Shard-worker handler (protocol level, no sockets)
 # ----------------------------------------------------------------------
 class TestShardWorkerHandler:

@@ -224,12 +224,13 @@ class TestScreenAnswersExactly:
         assert_exact(ShardedHerbIndex(herbs), queries, 5)
         assert screened == [False]
 
-    @pytest.mark.parametrize("backend", ["numpy", "threads"])
+    @pytest.mark.parametrize("backend", ["numpy", "threads", "remote"])
     @pytest.mark.parametrize("num_shards,k", [(1, 9), (3, 4), (3, 1)])
-    def test_backends_and_shards(self, backend, num_shards, k):
+    def test_backends_and_shards(self, backend, num_shards, k, request):
         herbs, queries = near_tied_vocab(1e-7, seed=num_shards + k)
         index = ShardedHerbIndex(herbs, num_shards=num_shards)
-        with backends.get_backend(backend, num_workers=2) as pool:
+        addrs = request.getfixturevalue("worker_addrs") if backend == "remote" else None
+        with backends.get_backend(backend, num_workers=2, worker_addrs=addrs) as pool:
             assert_exact(index, queries, k, backend=pool)
 
 
@@ -289,6 +290,15 @@ class TestFloat32Copy:
                 assert_exact(index, queries, 4, backend=pool)
         assert builds == [(WIDE, DIM)]
 
+    def test_thread_pool_keeps_no_reference_to_it(self):
+        herbs, queries = near_tied_vocab(1e-7)
+        index = ShardedHerbIndex(herbs, num_shards=3)
+        with backends.get_backend("threads", num_workers=3) as pool:
+            assert_exact(index, queries, 4, backend=pool)
+            copy = copy_ref(index.snapshot.float32_copy)
+            del index
+            assert freed(copy), "the open pool kept a retired snapshot's copy alive"
+
     def test_engine_warm_up_makes_it_and_retirement_frees_it(self, wide_model):
         engine = InferenceEngine(wide_model, num_shards=2)
         assert engine.herb_index().snapshot.float32_copy.value is None
@@ -304,6 +314,28 @@ class TestFloat32Copy:
         assert not freed(newest)
         engine.close()
         assert freed(newest)
+
+    def test_thread_engine_warm_up_makes_the_one_copy_its_requests_use(
+        self, wide_model, monkeypatch
+    ):
+        sets = [[0, 3], [1, 2, 5], [7]]
+        expected = InferenceEngine(wide_model, num_shards=2).recommend_batch(sets, k=1)
+        builds = []
+        real = backends._float32_herbs
+
+        def counting(matrix):
+            builds.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(backends, "_float32_herbs", counting)
+        engine = InferenceEngine(wide_model, num_shards=2, backend="threads", num_workers=2)
+        try:
+            engine.warm_up()
+            assert len(builds) == 1
+            assert engine.recommend_batch(sets, k=1) == expected
+            assert len(builds) == 1, "a request built a second float32 copy"
+        finally:
+            engine.close()
 
     def test_approx_engine_warm_up_makes_no_copy(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx", num_lists=4)
@@ -334,6 +366,14 @@ class TestFloat32Copy:
             handler.handle(f"snapshot {encode(snapshot_to_bytes(newer))}")
         assert snapshot.key not in handler.snapshot_keys
         assert freed(copy)
+
+
+@pytest.fixture(scope="module")
+def worker_addrs():
+    from repro.inference import ShardWorkerServer
+
+    with ShardWorkerServer() as first, ShardWorkerServer() as second:
+        yield [f"{host}:{port}" for host, port in (first.address, second.address)]
 
 
 @pytest.fixture(scope="module")

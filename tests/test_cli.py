@@ -597,6 +597,13 @@ class TestDistributedFlags:
             in capsys.readouterr().err
         )
 
+    def test_predict_refuses_the_process_backend(self, capsys):
+        code = main(["predict", "--scale", "smoke", "--symptoms", "0", "--shards", "2",
+                     "--backend", "processes"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'processes'; available: numpy, threads, remote" in err
+
     def test_predict_with_remote_workers_matches_unsharded(self, capsys):
         from repro.inference import ShardWorkerServer
 
