@@ -2,16 +2,16 @@
 
 Exact serving scores every herb and ranks full rows, so request cost grows
 linearly with the vocabulary.  :class:`~repro.inference.retrieval.ApproxHerbIndex`
-replaces the full ranking with a cheap float32 first pass (optionally restricted
-to IVF-probed partitions) and re-scores only the ``candidate_factor * k``
-survivors through the identical fixed-tile arithmetic.  This benchmark builds
+replaces the full ranking with a cheap float32 first pass over the IVF-probed
+k-means lists and re-scores only the ``candidate_factor * k`` survivors
+through the identical fixed-tile arithmetic.  This benchmark builds
 a **synthetic 1M-herb clustered vocabulary** (a mixture of Gaussians — the
 structure real embedding spaces have and the regime IVF exists for) and
 hard-gates the two promises the tier makes:
 
 * **Recall (hard failure):** recall@k against the exact oracle must be
-  >= 0.99 — for the full float32 scan *and* the IVF configuration — and every
-  herb both paths list must carry a bit-identical score.
+  >= 0.99 for the IVF configuration, and every herb both paths list must
+  carry a bit-identical score.
 * **Speedup (hard failure):** the IVF configuration must answer >= 3x faster
   than exact ``ShardedHerbIndex.topk`` on the same serial backend.  The gain
   is algorithmic (rank ~40 survivors instead of 1M herbs), not a parallelism
@@ -81,10 +81,9 @@ def _recall_and_parity(results, exact_ids, exact_scores):
 
 
 def measure(num_herbs=NUM_HERBS, num_clusters=NUM_CLUSTERS, num_lists=NUM_LISTS, nprobe=NPROBE):
-    """Exact vs full-scan vs IVF top-k over one clustered vocabulary."""
+    """Exact vs IVF top-k over one clustered vocabulary."""
     snapshot, syndrome = _build(num_herbs, num_clusters)
     exact = ShardedHerbIndex(snapshot, num_shards=1)
-    full_scan = ApproxHerbIndex(snapshot, candidate_factor=CANDIDATE_FACTOR)
     ivf = ApproxHerbIndex(
         snapshot, candidate_factor=CANDIDATE_FACTOR, num_lists=num_lists, nprobe=nprobe
     )
@@ -93,14 +92,10 @@ def measure(num_herbs=NUM_HERBS, num_clusters=NUM_CLUSTERS, num_lists=NUM_LISTS,
     exact_seconds, (exact_ids, exact_scores) = _best_of(
         lambda: exact.topk(syndrome, NUM_ROWS, K)
     )
-    scan_seconds, (scan_results, scan_report) = _best_of(
-        lambda: full_scan.topk(syndrome, ks, exact_index=exact)
-    )
     ivf_seconds, (ivf_results, ivf_report) = _best_of(
         lambda: ivf.topk(syndrome, ks, exact_index=exact)
     )
 
-    scan_recall, scan_identical = _recall_and_parity(scan_results, exact_ids, exact_scores)
     ivf_recall, ivf_identical = _recall_and_parity(ivf_results, exact_ids, exact_scores)
     return {
         "num_herbs": num_herbs,
@@ -111,14 +106,11 @@ def measure(num_herbs=NUM_HERBS, num_clusters=NUM_CLUSTERS, num_lists=NUM_LISTS,
         "nprobe": ivf.nprobe,
         "rerank": ivf.rerank_mode,
         "exact_seconds": exact_seconds,
-        "scan_seconds": scan_seconds,
         "ivf_seconds": ivf_seconds,
-        "scan_speedup": exact_seconds / scan_seconds,
         "ivf_speedup": exact_seconds / ivf_seconds,
-        "scan_recall": scan_recall,
         "ivf_recall": ivf_recall,
-        "identical": scan_identical and ivf_identical,
-        "fallbacks": scan_report.fallback_rows + ivf_report.fallback_rows,
+        "identical": ivf_identical,
+        "fallbacks": ivf_report.fallback_rows,
     }
 
 
@@ -129,8 +121,6 @@ def _report(stats):
         f"ivf={stats['num_lists']} lists / {stats['nprobe']} probed  "
         f"re-rank={stats['rerank']}\n"
         f"exact topk (serial):         {stats['exact_seconds']:.3f}s\n"
-        f"float32 full scan + re-rank: {stats['scan_seconds']:.3f}s "
-        f"({stats['scan_speedup']:.1f}x, recall@{stats['k']}={stats['scan_recall']:.4f})\n"
         f"float32 IVF + re-rank:       {stats['ivf_seconds']:.3f}s "
         f"({stats['ivf_speedup']:.1f}x, recall@{stats['k']}={stats['ivf_recall']:.4f})\n"
         f"listed scores bit-identical to exact: {stats['identical']}  "
@@ -139,11 +129,8 @@ def _report(stats):
 
 
 def _gate_recall(stats):
-    if stats["scan_recall"] < RECALL_FLOOR or stats["ivf_recall"] < RECALL_FLOOR:
-        raise SystemExit(
-            f"recall gate failed: full-scan {stats['scan_recall']:.4f} / "
-            f"IVF {stats['ivf_recall']:.4f} < {RECALL_FLOOR}"
-        )
+    if stats["ivf_recall"] < RECALL_FLOOR:
+        raise SystemExit(f"recall gate failed: IVF {stats['ivf_recall']:.4f} < {RECALL_FLOOR}")
     if not stats["identical"]:
         raise SystemExit("a listed score diverged from the exact oracle's")
 
@@ -153,7 +140,6 @@ def test_approx_topk(benchmark):
 
     stats = run_once(benchmark, measure)
     record_report("Approximate top-k — 1M-herb vocabulary, exact vs two-stage", _report(stats))
-    assert stats["scan_recall"] >= RECALL_FLOOR, f"full-scan recall {stats['scan_recall']:.4f}"
     assert stats["ivf_recall"] >= RECALL_FLOOR, f"IVF recall {stats['ivf_recall']:.4f}"
     assert stats["identical"], "a listed score diverged from the exact oracle's"
     assert stats["ivf_speedup"] >= SPEEDUP_FLOOR, (

@@ -40,10 +40,11 @@ or ``remote`` shard workers (``--worker-addr host:port``, one per running
 ``repro shard-worker``);
 answers are bit-identical whatever the placement — see docs/SERVING.md.
 ``--retrieval approx`` (with ``--candidate-factor``/``--num-lists``/
-``--nprobe``) swaps the exhaustive top-k scan for the two-stage
-float32-first-pass + exact-re-rank tier: sub-linear in vocabulary size,
-returned scores still bit-exact, per-request fallback to exact when the
-candidate pool cannot certify ``k`` results.
+``--nprobe``) swaps the exhaustive top-k scan for a float32 first pass over
+the ``--nprobe`` nearest of ``--num-lists`` k-means lists plus an exact
+re-rank: sub-linear in vocabulary size, returned scores still bit-exact,
+per-request fallback to exact when the candidate pool cannot certify ``k``
+results (and always on a vocabulary too small for the default lists).
 
 ``shard-worker`` runs one such worker: a model-free scoring server that
 receives weight snapshots and shard tasks over TCP.
@@ -88,7 +89,7 @@ examples:
   repro serve --checkpoint smgcn.npz --port 7654 --max-connections 2000 \\
       --max-pending 256 --client-quota 16 --idle-timeout 60
   repro serve --checkpoint smgcn.npz --shards 4 --backend threads --workers 4
-  repro serve --checkpoint smgcn.npz --retrieval approx --candidate-factor 4
+  repro serve --checkpoint smgcn.npz --retrieval approx   # lists sized to vocab
   repro serve --checkpoint smgcn.npz --retrieval approx --num-lists 64 --nprobe 8
   repro shard-worker --port 7801      # one model-free scoring worker
   repro serve --checkpoint smgcn.npz --shards 4 --backend remote \\

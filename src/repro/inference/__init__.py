@@ -19,8 +19,8 @@ serial NumPy/BLAS, a thread pool, remote shard-worker servers
 :func:`~repro.inference.backends.register_backend`.
 
 For vocabularies where even one full scan per request is too much,
-:mod:`~repro.inference.retrieval` adds a sub-linear two-stage top-k: an
-float32 first pass (optionally IVF-partitioned) keeps a small survivor
+:mod:`~repro.inference.retrieval` adds a sub-linear two-stage top-k: a
+float32 first pass over IVF-probed k-means lists keeps a small survivor
 pool, which is then re-scored through the identical fixed-tile arithmetic —
 so listed scores stay bit-exact while only recall is approximate, and the
 exact path remains the default oracle (``retrieval="exact"``).

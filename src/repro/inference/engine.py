@@ -246,11 +246,11 @@ class InferenceEngine:
         status["retrieval"] = "approx" if self.retrieval_active else "exact"
         if self.retrieval_active:
             if newest is not None:
-                status["approx_rerank"] = newest[1].rerank_mode
+                approx = newest[1]  # its lists and probes, not the configured ones
+                status["approx_rerank"] = approx.rerank_mode
+                status["num_lists"] = approx.num_lists
+                status["nprobe"] = approx.nprobe
             status["candidate_factor"] = self.options.candidate_factor
-            if self.options.num_lists >= 2:
-                status["num_lists"] = self.options.num_lists
-                status["nprobe"] = self.options.nprobe
             with self._counters_lock:
                 counters = self._retrieval_counters
                 status["approx_requests"] = counters.rows

@@ -111,19 +111,20 @@ class EngineOptions:
         "pass keeps candidate-factor*k herbs per request (default: 4)",
         minimum=1,
     )
-    num_lists: int = _knob(
-        0,
+    num_lists: Optional[int] = _knob(
+        None,
         "--num-lists",
         "IVF coarse-partition size for --retrieval approx: k-means the "
         "herb embeddings into this many lists so each query scans only the "
-        "--nprobe closest ones (default: 0 = full float32 scan)",
-        minimum=0,
+        "--nprobe closest ones (default: a power of two near sqrt(herbs); "
+        "none for a small vocabulary, which is answered exactly)",
+        minimum=2,
     )
-    nprobe: int = _knob(
-        1,
+    nprobe: Optional[int] = _knob(
+        None,
         "--nprobe",
-        "how many IVF lists to probe per request with --num-lists "
-        "(default: 1; clamped to the number of lists)",
+        "how many IVF lists to probe per request (default: the list "
+        "count // 16, at least 1; clamped to the number of lists)",
         minimum=1,
     )
 
@@ -194,17 +195,18 @@ _MINIMUMS = {
 }
 
 
-def check_minimum(name: str, value: int, label: Callable[[str], str] = str) -> None:
+def check_minimum(name: str, value: Optional[int], label: Callable[[str], str] = str) -> None:
     """Refuse an integer knob below its field's ``minimum``: the one home of these rules.
 
     :class:`EngineOptions` checks every integer field here, and the index
     constructors that take the same knob
     (:class:`~repro.inference.sharding.ShardedHerbIndex`'s ``num_shards``,
     :class:`~repro.inference.retrieval.ApproxHerbIndex`'s approx knobs) check
-    theirs.  ``label(name)`` names the knob in the message.
+    theirs; ``None`` (a value derived later) passes.  ``label(name)`` names
+    the knob in the message.
     """
     least = _MINIMUMS[name]
-    if value < least:
+    if value is not None and value < least:
         bound = "a positive integer" if least == 1 else f">= {least}"
         raise ValueError(f"{label(name)} must be {bound}")
 

@@ -13,8 +13,9 @@ rows fill the other rows of the block.
    k-means over the same copy, ``nprobe`` lists probed per query) restricts
    the scan to a fraction of the vocabulary: each probed list is scored only
    for the rows that probe it, gathered into zero-padded groups of
-   :data:`PROBE_ROW_BLOCK` rows.  Without a partition the single list is a
-   full scan of every row in ``row_block`` groups.  Each request keeps a
+   :data:`PROBE_ROW_BLOCK` rows.  By default :func:`partition_size` sizes
+   the partition from the vocabulary; one too small to gain from it gets no
+   lists, and every request takes the exact fallback.  Each request keeps a
    ``candidate_factor * k`` survivor pool, selected without gathering every
    probed score: the request's nearest list sets a floor the pool's
    boundary cannot be below, each list keeps only the members reaching it,
@@ -47,10 +48,10 @@ Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
   approximation can only affect *which* herbs survive to the re-rank (the
   recall dimension), never the score or relative order of survivors.
 * Any request whose scanned pool cannot certify ``k`` results (``k`` larger
-  than the probed candidate pool, a pool so large pruning is pointless, or
-  a query float32 cannot hold) falls back to the exact index on the
-  configured backend for that request alone, so answers are always
-  full-length.
+  than the probed candidate pool, an index without lists, a pool so large
+  pruning is pointless, or a query float32 cannot hold) falls back to the
+  exact index on the configured backend for that request alone, so answers
+  are always full-length.
 
 Recall is certified offline: the test harness and
 ``benchmarks/bench_approx_topk.py`` hard-gate recall@k >= 0.99 against the
@@ -60,13 +61,14 @@ through ``InferenceEngine.backend_status()`` into the ``stats`` control line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..evaluation.metrics import top_k_indices
-from ..models.base import HERB_BLOCK, WeightSnapshot, score_herb_tiles
+from ..models.base import HERB_BLOCK, WeightSnapshot, _pad_rows, score_herb_tiles
 from . import backends
 from .backends import ComputeBackend, NumpyBackend, ShardTask, gathered_scores
 from .backends import packed_scores as _packed_scores
@@ -74,25 +76,49 @@ from .options import check_minimum
 from .sharding import ShardedHerbIndex
 
 __all__ = [
+    "MIN_PARTITIONED_HERBS",
     "PROBE_ROW_BLOCK",
     "ApproxHerbIndex",
     "RetrievalReport",
     "gather_invariant",
     "kmeans_partition",
+    "partition_size",
 ]
 
 #: Row group of the IVF first pass: a probed list is scored only for the
 #: rows probing it, packed into zero-padded groups of this many rows.  A
 #: fixed shape keeps each row's scores independent of its group-mates; a
 #: small one keeps the work proportional to the probes, not to the block.
-#: (The single-list full scan keeps ``row_block``: every row probes it, and
-#: small groups slow that scan down.)
 PROBE_ROW_BLOCK = 4
+
+#: Smallest vocabulary :func:`partition_size` partitions by default.  On a
+#: 2-core x86 host, 64-row calls on a clustered 64-dim vocabulary, IVF
+#: 256/16 against exact ran 1.5x (one BLAS thread) and 1.0x (two) at this
+#: size, 1.1x and 0.7x at 50k herbs.  Below it the index builds no lists and
+#: every request takes the exact fallback.
+MIN_PARTITIONED_HERBS = 65_536
 
 #: Fewest rows a k-means assignment chunk holds (see
 #: :func:`_nearest_centroids`); well above the row counts at which the host
 #: BLAS takes a small-matrix sgemm path.
 MIN_CHUNK_ROWS = 64
+
+
+def partition_size(
+    num_herbs: int, num_lists: Optional[int] = None, nprobe: Optional[int] = None
+) -> Tuple[int, int]:
+    """``(num_lists, nprobe)`` for a vocabulary; explicit values are returned as given.
+
+    A derived ``num_lists`` is 0 below :data:`MIN_PARTITIONED_HERBS` herbs,
+    else the power of two nearest ``sqrt(num_herbs)`` (256 at the minimum,
+    1024 at 1M herbs).  A derived ``nprobe`` is ``num_lists // 16``, at
+    least 1: the ratio of perfbench's 256/16 and the 1M gate's.
+    """
+    if num_lists is None:
+        num_lists = 0 if num_herbs < MIN_PARTITIONED_HERBS else 2 ** round(math.log2(num_herbs) / 2)
+    if nprobe is None:
+        nprobe = max(1, num_lists // 16)
+    return num_lists, nprobe
 
 
 def gather_invariant(dim: int, row_block: int) -> bool:
@@ -216,22 +242,22 @@ class ApproxHerbIndex:
     stale float32 copy can never outlive its weights.
 
     ``candidate_factor`` sizes the survivor pool (``candidate_factor * k``
-    per request).  ``num_lists >= 2`` enables the IVF partition with
-    ``nprobe`` lists probed per query; ``num_lists in (0, 1)`` keeps a single
-    list covering the whole vocabulary (the first pass is then a full
-    float32 scan).  ``nprobe`` is clamped to the number of non-empty lists.
-    The re-rank mode is fixed at build by :func:`gather_invariant`.  Herb
-    embeddings that are NaN, inf or beyond float32 range are refused.
+    per request).  ``num_lists`` (>= 2) k-means lists are built and
+    ``nprobe`` probed per query; ``None`` derives either from the vocabulary
+    (:func:`partition_size`).  Empty lists are dropped, fewer than two lists
+    are not kept (one would be a full scan, which exact beats), ``nprobe`` is
+    clamped to the lists kept, and without lists every request falls back
+    to exact.  The re-rank mode is fixed at build by :func:`gather_invariant`.
+    Herb embeddings that are NaN, inf or beyond float32 range are refused.
     """
 
     def __init__(
         self,
         source: Union[np.ndarray, WeightSnapshot],
         candidate_factor: int = 4,
-        num_lists: int = 0,
-        nprobe: int = 1,
+        num_lists: Optional[int] = None,
+        nprobe: Optional[int] = None,
         seed: int = 0,
-        row_block: Optional[int] = None,
     ) -> None:
         if isinstance(source, WeightSnapshot):
             snapshot = source
@@ -243,12 +269,10 @@ class ApproxHerbIndex:
         check_minimum("candidate_factor", candidate_factor)
         check_minimum("num_lists", num_lists)
         check_minimum("nprobe", nprobe)
-        if row_block is not None and row_block <= 0:
-            raise ValueError("row_block must be positive")
         self.snapshot = snapshot
         self.num_herbs = snapshot.num_herbs
         self.dim = snapshot.dim
-        self.row_block = int(row_block) if row_block is not None else int(snapshot.row_block)
+        self.row_block = int(snapshot.row_block)
         self.candidate_factor = int(candidate_factor)
         self.seed = int(seed)
         # one float32 copy feeds k-means and the lists; a value float32
@@ -257,60 +281,30 @@ class ApproxHerbIndex:
             herbs32 = np.ascontiguousarray(snapshot.herb_embeddings, dtype=np.float32)
         if not np.isfinite(herbs32).all():
             raise ValueError("approx retrieval needs finite herb embeddings (in float32 range)")
-        if num_lists >= 2 and self.num_herbs >= 2:
+        num_lists, nprobe = partition_size(self.num_herbs, num_lists, nprobe)
+        self.lists: Tuple[_InvertedList, ...] = ()
+        self.centroids32 = np.zeros((0, self.dim), dtype=np.float32)
+        if num_lists:
             assignments, centroids = kmeans_partition(herbs32, num_lists, seed=seed)
-            lists: List[_InvertedList] = []
-            kept_centroids: List[np.ndarray] = []
-            for list_id in range(centroids.shape[0]):
-                member_ids = np.flatnonzero(assignments == list_id).astype(np.int64)
-                if member_ids.size == 0:
-                    continue
-                lists.append(_InvertedList(ids=member_ids, herbs32=herbs32[member_ids]))
-                kept_centroids.append(centroids[list_id])
-            self.lists: Tuple[_InvertedList, ...] = tuple(lists)
-            self.centroids32: Optional[np.ndarray] = np.ascontiguousarray(
-                np.vstack(kept_centroids), dtype=np.float32
-            )
-            #: Per list, the largest distance of a member from its centroid.
-            self.radii: Optional[np.ndarray] = np.array(
-                [
-                    np.sqrt(np.square(inverted.herbs32 - centroid.astype(np.float64)).sum(1).max())
-                    for inverted, centroid in zip(lists, self.centroids32)
-                ]
-            )
-        else:
-            self.lists = (
-                _InvertedList(ids=np.arange(self.num_herbs, dtype=np.int64), herbs32=herbs32),
-            )
-            self.centroids32 = self.radii = None
+            populated = np.flatnonzero(np.bincount(assignments, minlength=centroids.shape[0]))
+            if populated.size >= 2:
+                members = [np.flatnonzero(assignments == list_id) for list_id in populated]
+                self.lists = tuple(_InvertedList(ids=ids, herbs32=herbs32[ids]) for ids in members)
+                self.centroids32 = centroids[populated]
+        #: Per list, the largest distance of a member from its centroid.
+        self.radii = np.array(
+            [
+                np.sqrt(np.square(inverted.herbs32 - centroid.astype(np.float64)).sum(1).max())
+                for inverted, centroid in zip(self.lists, self.centroids32)
+            ]
+        )
         self.num_lists = len(self.lists)
         self._list_sizes = np.array([inverted.ids.size for inverted in self.lists], dtype=np.int64)
-        self.nprobe = min(max(1, int(nprobe)), self.num_lists)
-        #: First-pass row group: every row probes a lone list, so it keeps
-        #: the full block; partitioned lists see only their probing rows.
-        self.probe_row_block = PROBE_ROW_BLOCK if self.num_lists >= 2 else self.row_block
+        self.nprobe = min(int(nprobe), self.num_lists)
         #: ``"gathered"`` (packed survivor tiles, in process) or ``"tiles"``
         #: (covering tile runs on the backend), from the host probe.
         self.rerank_mode = "gathered" if gather_invariant(self.dim, self.row_block) else "tiles"
         self._exact_index: Optional[ShardedHerbIndex] = None
-
-    @classmethod
-    def from_model(
-        cls,
-        model,
-        candidate_factor: int = 4,
-        num_lists: int = 0,
-        nprobe: int = 1,
-        seed: int = 0,
-    ) -> "ApproxHerbIndex":
-        """Build from a model's snapshot export (triggering propagation if stale)."""
-        return cls(
-            model.export_snapshot(),
-            candidate_factor=candidate_factor,
-            num_lists=num_lists,
-            nprobe=nprobe,
-            seed=seed,
-        )
 
     # ------------------------------------------------------------------
     # First pass
@@ -322,8 +316,6 @@ class ApproxHerbIndex:
         convention) under the canonical tie-break of ``top_k_indices``: ties
         fall to the lower list id.
         """
-        if self.num_lists == 1:
-            return np.zeros((num_rows, 1), dtype=np.int64)
         centroid_scores = score_herb_tiles(
             syndrome32, self.centroids32, row_block=self.row_block
         )[:num_rows]
@@ -350,10 +342,10 @@ class ApproxHerbIndex:
         """``(rows.size, list size)`` first-pass scores of one list, for ``rows``.
 
         The rows are packed into zero-padded groups of
-        :attr:`probe_row_block`, so each row's scores come from the same
+        :data:`PROBE_ROW_BLOCK`, so each row's scores come from the same
         gemm shape whichever rows share its group.
         """
-        group = self.probe_row_block
+        group = PROBE_ROW_BLOCK
         block = np.zeros((-(-rows.size // group) * group, self.dim), dtype=np.float32)
         block[: rows.size] = syndrome32[rows]
         herbs32 = self.lists[list_id].herbs32
@@ -367,9 +359,10 @@ class ApproxHerbIndex:
         ``syndrome`` is the float64 row-padded block from
         ``encode_syndrome``; ``ks`` holds one requested k per real row.  A
         row's entry is ``None`` (and its index appears in the fallback list)
-        when the scanned pool cannot certify ``min(k, num_herbs)`` results,
-        when pruning is pointless (``candidate_factor * k`` reaches the whole
-        vocabulary), or when its float32 query is not finite.
+        when the index has no lists, when the scanned pool cannot certify
+        ``min(k, num_herbs)`` results, when pruning is pointless
+        (``candidate_factor * k`` reaches the whole vocabulary), or when its
+        float32 query is not finite.
 
         A row's pool is ``_select_pool`` over every herb it probes, but that
         ranking only ever looks at herbs scoring at least the pool's
@@ -381,6 +374,8 @@ class ApproxHerbIndex:
         the floors.
         """
         num_rows = len(ks)
+        if not self.num_lists:  # nothing to probe: every row falls back
+            return [None] * num_rows, list(range(num_rows))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fall back
             syndrome32 = np.ascontiguousarray(syndrome, dtype=np.float32)
             probes = self._probed_lists(syndrome32, num_rows)
@@ -568,16 +563,11 @@ class ApproxHerbIndex:
         results: List[Optional[Tuple[np.ndarray, np.ndarray]]],
     ) -> None:
         """Answer ``rows`` through the exact index (full scan, canonical rank)."""
-        block = np.zeros(
-            ((-(-len(rows) // self.row_block)) * self.row_block, syndrome.shape[1]),
-            dtype=np.float64,
-        )
-        block[: len(rows)] = syndrome[rows]
-        k_max = max(min(int(ks[row]), self.num_herbs) for row in rows)
-        ids, scores = exact_index.topk(block, len(rows), k_max, backend=backend)
-        for position, row in enumerate(rows):
-            keep = min(int(ks[row]), ids.shape[1])
-            results[row] = (ids[position, :keep].copy(), scores[position, :keep].copy())
+        block = _pad_rows(syndrome[rows], self.row_block)
+        keeps = np.minimum(np.asarray(ks)[rows], self.num_herbs).tolist()
+        ids, scores = exact_index.topk(block, len(rows), max(keeps), backend=backend)
+        for row, keep, row_ids, row_scores in zip(rows, keeps, ids, scores):
+            results[row] = (row_ids[:keep], row_scores[:keep])
 
     def topk(
         self,

@@ -122,7 +122,7 @@ class Trainer:
         train_dataset: PrescriptionDataset,
         validation_evaluator: Optional[Evaluator] = None,
     ) -> TrainingHistory:
-        """Run the configured number of epochs; returns the loss history."""
+        """Run the configured epochs; returns the loss history.  A non-finite batch loss raises."""
         config = self.config
         rng = np.random.default_rng(config.seed)
         optimizer = Adam(
@@ -147,11 +147,15 @@ class Trainer:
             ):
                 optimizer.zero_grad(buffer_pool=pool)
                 loss = self._batch_loss(model, batch, herb_weights, rng, profiler)
+                batch_loss = float(loss.data)
+                if not np.isfinite(batch_loss):  # before the step: weights stay finite
+                    where = f"epoch {epoch + 1}, batch {num_batches + 1}"
+                    raise FloatingPointError(f"{where}: {config.loss} loss is {batch_loss}")
                 with profiler.phase("backward"):
                     loss.backward(buffer_pool=pool)
                 with profiler.phase("step"):
                     optimizer.step()
-                epoch_loss += float(loss.data)
+                epoch_loss += batch_loss
                 num_batches += 1
             mean_loss = epoch_loss / max(num_batches, 1)
             history.epoch_losses.append(mean_loss)

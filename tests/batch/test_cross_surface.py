@@ -30,7 +30,7 @@ def surface_pipeline(request, batch_checkpoint):
     retrieval, backend = request.param
     kwargs = {"retrieval": retrieval}
     if retrieval == "approx":
-        kwargs["candidate_factor"] = 2
+        kwargs.update(candidate_factor=2, num_lists=4, nprobe=4)
     if backend == "threads":
         kwargs.update(num_shards=2, backend="threads", num_workers=2)
     pipeline = Pipeline.load(batch_checkpoint, **kwargs)

@@ -67,7 +67,7 @@ def clustered(num_herbs, dim, num_clusters, seed):
 
 
 class TestPoolsMatchTheFullRanking:
-    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (8, 3), (32, 6)])
+    @pytest.mark.parametrize("num_lists,nprobe", [(8, 8), (8, 3), (32, 6)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_clustered(self, num_lists, nprobe, seed):
         herbs, queries = clustered(4000, 16, 24, seed)
@@ -75,7 +75,7 @@ class TestPoolsMatchTheFullRanking:
         ks = [1 + (row * 7) % 23 for row in range(queries.shape[0])]
         assert_reference_pools(index, queries, ks)
 
-    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (8, 4)])
+    @pytest.mark.parametrize("num_lists,nprobe", [(8, 8), (8, 4)])
     def test_ties_and_duplicates_at_the_pool_boundary(self, num_lists, nprobe):
         """Coarse values and duplicated herbs tie across lists and the boundary."""
         rng = np.random.default_rng(3)

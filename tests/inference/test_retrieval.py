@@ -3,9 +3,9 @@
 The contract under test (see :mod:`repro.inference.retrieval`):
 
 * **Recall** — the float32 first pass keeps ``candidate_factor * k`` survivors;
-  over synthetic vocabularies (full-scan and IVF-partitioned, matrix-level
-  and through every registered neural model) recall@k against the exact
-  oracle must be >= 0.99.
+  over synthetic vocabularies (every list probed and a fraction probed,
+  matrix-level and through every registered neural model) recall@k against
+  the exact oracle must be >= 0.99.
 * **Bit-exactness of what is returned** — every survivor's score comes out
   of the identical fixed-tile arithmetic as the exact path, so returned
   scores must equal the exact ``score_sets`` / ``ShardedHerbIndex.score``
@@ -13,7 +13,8 @@ The contract under test (see :mod:`repro.inference.retrieval`):
 * **Determinism** — a request's answer is independent of its batchmates,
   the shard layout, and the compute backend.
 * **Fallback** — any request whose candidate pool cannot certify ``k``
-  results is answered by the exact index, full stop.
+  results is answered by the exact index, full stop; so is every request to
+  an index whose vocabulary was too small to partition.
 * **Lifecycle** — the approx index is parameter-version-stamped and dies
   with its slot in the engine's ``MAX_CACHED_INDEX_VERSIONS`` LRU; a weight
   update can never be served from a stale index.
@@ -32,9 +33,11 @@ from repro.inference import (
 )
 from repro.inference.retrieval import (
     MIN_CHUNK_ROWS,
+    MIN_PARTITIONED_HERBS,
     PROBE_ROW_BLOCK,
     _nearest_centroids,
     gather_invariant,
+    partition_size,
 )
 from repro.models.base import HERB_BLOCK, SCORING_BLOCK, WeightSnapshot
 
@@ -145,9 +148,9 @@ class TestKMeansPartition:
 # One wide multi-tile vocabulary (>= 1 wide corpus fixture) and a smaller one.
 MATRIX_CASES = [
     # (num_herbs, dim, num_lists, nprobe)
-    (2 * HERB_BLOCK + 19, 12, 0, 1),  # full float32 scan
-    (6 * HERB_BLOCK + 13, 16, 0, 1),  # wide vocabulary, full scan
-    (6 * HERB_BLOCK + 13, 16, 16, 6),  # wide vocabulary, IVF partition
+    (2 * HERB_BLOCK + 19, 12, 4, 4),  # every list probed
+    (6 * HERB_BLOCK + 13, 16, 8, 8),  # wide vocabulary, every list probed
+    (6 * HERB_BLOCK + 13, 16, 16, 6),  # wide vocabulary, a fraction probed
 ]
 
 
@@ -179,8 +182,8 @@ class TestMatrixRecallHarness:
         assert hits / (rows * k) >= 0.99, f"recall {hits / (rows * k):.3f} below the gate"
         assert report.rows == rows
         assert report.fallback_rows == 0
-        if num_lists == 0:
-            assert report.candidates == rows * 4 * k  # full scan: pool exactly cf*k
+        if nprobe == num_lists:
+            assert report.candidates == rows * 4 * k  # every herb probed: pool exactly cf*k
         else:
             assert rows * k <= report.candidates <= rows * 4 * k
 
@@ -226,8 +229,10 @@ class TestMatrixRecallHarness:
         snapshot = WeightSnapshot.from_matrix(matrix)
         exact = ShardedHerbIndex(snapshot)
         syndrome = pad_rows(cluster_queries(matrix, 3, seed=5))
-        results, _ = ApproxHerbIndex(snapshot).topk(syndrome, [3, 11, 7], exact_index=exact)
+        approx = ApproxHerbIndex(snapshot, num_lists=4, nprobe=4)
+        results, report = approx.topk(syndrome, [3, 11, 7], exact_index=exact)
         assert [len(ids) for ids, _ in results] == [3, 11, 7]
+        assert report.fallback_rows == 0
 
 
 class TestGatheredRerank:
@@ -269,7 +274,7 @@ class TestGatheredRerank:
         monkeypatch.setattr(retrieval, "_packed_scores", nudged)
         assert not gather_invariant(16, SCORING_BLOCK)
 
-    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (8, 3)])
+    @pytest.mark.parametrize("num_lists,nprobe", [(8, 8), (8, 3)])
     def test_failed_probe_falls_back_to_tile_runs_with_identical_answers(
         self, monkeypatch, num_lists, nprobe
     ):
@@ -298,7 +303,7 @@ class TestGatheredRerank:
 class TestPerRowFirstPass:
     """A request's pool depends on that request alone."""
 
-    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (16, 4)])
+    @pytest.mark.parametrize("num_lists,nprobe", [(16, 16), (16, 4)])
     def test_pool_same_alone_shuffled_and_in_a_full_block(
         self, monkeypatch, num_lists, nprobe
     ):
@@ -307,7 +312,6 @@ class TestPerRowFirstPass:
         matrix = clustered_vocab(6 * HERB_BLOCK + 13, 16, num_clusters=12, seed=17)
         snapshot = WeightSnapshot.from_matrix(matrix)
         approx = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
-        assert approx.probe_row_block == (PROBE_ROW_BLOCK if num_lists else SCORING_BLOCK)
         list_blocks = []
         scorer = retrieval.score_herb_tiles
 
@@ -321,7 +325,7 @@ class TestPerRowFirstPass:
         ks = [5 + row % 7 for row in range(SCORING_BLOCK)]
         full_block, _ = approx.candidates(queries, ks)
         # every list is scored in whole groups of the one fixed shape
-        assert list_blocks and set(list_blocks) == {(0, approx.probe_row_block)}
+        assert list_blocks and set(list_blocks) == {(0, PROBE_ROW_BLOCK)}
         order = np.random.default_rng(17).permutation(SCORING_BLOCK)[:23]
         shuffled, _ = approx.candidates(pad_rows(queries[order]), [ks[row] for row in order])
         for position, row in enumerate(order):
@@ -340,7 +344,9 @@ class TestEveryNeuralModel:
         model = build_neural_model(name, scale="smoke", seed=seed)
         k = 10
         exact = InferenceEngine(model)
-        approx = InferenceEngine(model, retrieval="approx", candidate_factor=3)
+        approx = InferenceEngine(
+            model, retrieval="approx", candidate_factor=3, num_lists=4, nprobe=4
+        )
         assert approx.retrieval_active
         exact_recs = exact.recommend_batch(SETS, k=k)
         approx_recs = approx.recommend_batch(SETS, k=k)
@@ -390,7 +396,7 @@ def wide_model(wide_split):
 class TestWideCorpusEngine:
     """Engine-level recall/parity on a multi-tile vocabulary."""
 
-    @pytest.mark.parametrize("num_lists,nprobe", [(0, 1), (2, 2)])
+    @pytest.mark.parametrize("num_lists,nprobe", [(None, None), (2, 2), (8, 2)])
     def test_wide_corpus_recall(self, wide_split, wide_model, num_lists, nprobe):
         _, test = wide_split
         sets = test.symptom_sets()[:24]
@@ -416,7 +422,7 @@ class TestWideCorpusEngine:
         _, test = wide_split
         sets = test.symptom_sets()[:12]
         approx = InferenceEngine(
-            wide_model, retrieval="approx", candidate_factor=4, batch_size=5
+            wide_model, retrieval="approx", candidate_factor=4, num_lists=4, batch_size=5
         )
         batched = approx.recommend_batch(sets, k=8)
         assert batched == [approx.recommend_batch([s], k=8)[0] for s in sets]
@@ -445,7 +451,7 @@ class TestEdgeCases:
     def test_k_at_vocabulary_size_matches_exact(self):
         snapshot = self._snapshot(num_herbs=HERB_BLOCK + 40)
         exact = ShardedHerbIndex(snapshot)
-        approx = ApproxHerbIndex(snapshot)
+        approx = ApproxHerbIndex(snapshot, num_lists=4, nprobe=4)
         syndrome = pad_rows(np.random.default_rng(8).normal(size=(3, snapshot.dim)))
         k = snapshot.num_herbs + 25  # clamps to the vocabulary
         results, report = approx.topk(syndrome, [k] * 3, exact_index=exact)
@@ -479,7 +485,7 @@ class TestEdgeCases:
         matrix[tied_ids] = anchor * 5.0
         snapshot = WeightSnapshot.from_matrix(matrix)
         exact = ShardedHerbIndex(snapshot, num_shards=2)
-        approx = ApproxHerbIndex(snapshot, candidate_factor=2)
+        approx = ApproxHerbIndex(snapshot, candidate_factor=2, num_lists=4, nprobe=4)
         syndrome = pad_rows(np.tile(anchor, (4, 1)) + rng.normal(scale=0.01, size=(4, dim)))
         results, report = approx.topk(syndrome, [10] * 4, exact_index=exact)
         assert report.fallback_rows == 0
@@ -497,12 +503,14 @@ class TestEdgeCases:
         syndrome = pad_rows(np.random.default_rng(11).normal(size=(6, snapshot.dim)))
         everywhere = ApproxHerbIndex(snapshot, num_lists=5, nprobe=99)
         assert everywhere.nprobe == everywhere.num_lists
-        full_scan = ApproxHerbIndex(snapshot, num_lists=0)
-        probed, _ = everywhere.topk(syndrome, [9] * 6, exact_index=exact)
-        scanned, _ = full_scan.topk(syndrome, [9] * 6, exact_index=exact)
-        for (probe_ids, probe_scores), (scan_ids, scan_scores) in zip(probed, scanned):
-            np.testing.assert_array_equal(probe_ids, scan_ids)
-            np.testing.assert_array_equal(probe_scores, scan_scores)
+        probed, report = everywhere.topk(syndrome, [9] * 6, exact_index=exact)
+        assert report.fallback_rows == 0
+        # brute force: every herb scored, ranked by (score desc, id asc)
+        full_scores = exact.score(syndrome)
+        for row, (probe_ids, probe_scores) in enumerate(probed):
+            order = np.lexsort((np.arange(snapshot.num_herbs), -full_scores[row]))[:9]
+            np.testing.assert_array_equal(probe_ids, order)
+            assert probe_scores.tobytes() == full_scores[row, order].tobytes()
 
     def test_zero_and_constant_rows_score_exactly(self):
         rng = np.random.default_rng(12)
@@ -512,9 +520,10 @@ class TestEdgeCases:
         snapshot = WeightSnapshot.from_matrix(matrix)
         exact = ShardedHerbIndex(snapshot)
         syndrome = pad_rows(rng.normal(size=(5, 6)))
-        results, _ = ApproxHerbIndex(snapshot, candidate_factor=4).topk(
+        results, report = ApproxHerbIndex(snapshot, num_lists=4, nprobe=4).topk(
             syndrome, [12] * 5, exact_index=exact
         )
+        assert report.fallback_rows == 0
         full_scores = exact.score(syndrome)
         for row, (ids, scores) in enumerate(results):
             assert np.isfinite(scores).all()
@@ -548,11 +557,78 @@ class TestEdgeCases:
             ApproxHerbIndex(snapshot, candidate_factor=0)
         with pytest.raises(ValueError, match="nprobe"):
             ApproxHerbIndex(snapshot, nprobe=0)
-        with pytest.raises(ValueError, match="num_lists"):
-            ApproxHerbIndex(snapshot, num_lists=-1)
+        for num_lists in (-1, 0, 1):
+            with pytest.raises(ValueError, match="num_lists must be >= 2"):
+                ApproxHerbIndex(snapshot, num_lists=num_lists)
+
+
+class TestDerivedPartition:
+    """``num_lists``/``nprobe`` left unset come from the vocabulary size."""
+
+    def test_partition_size(self):
+        assert partition_size(MIN_PARTITIONED_HERBS - 1) == (0, 1)
+        assert partition_size(MIN_PARTITIONED_HERBS) == (256, 16)
+        assert partition_size(1_000_000) == (1024, 64)
+        assert partition_size(50, num_lists=4) == (4, 1)
+        assert partition_size(1_000_000, num_lists=64) == (64, 4)
+        assert partition_size(1_000_000, nprobe=3) == (1024, 3)
+
+    def test_small_vocabulary_builds_no_lists_and_answers_exactly(self):
+        snapshot = WeightSnapshot.from_matrix(clustered_vocab(3 * HERB_BLOCK + 9, 10, 6, seed=20))
+        approx = ApproxHerbIndex(snapshot)
+        assert (approx.num_lists, approx.nprobe, approx.lists) == (0, 0, ())
+        exact = ShardedHerbIndex(snapshot, num_shards=2)
+        syndrome = pad_rows(cluster_queries(snapshot.herb_embeddings, 12, seed=20))
+        results, report = approx.topk(syndrome, [1, 5, 10] * 4, exact_index=exact)
+        assert (report.rows, report.fallback_rows, report.candidates) == (12, 12, 0)
+        exact_ids, exact_scores = exact.topk(syndrome, 12, 10)
+        for row, (ids, scores) in enumerate(results):
+            keep = [1, 5, 10][row % 3]
+            np.testing.assert_array_equal(ids, exact_ids[row, :keep])
+            assert scores.tobytes() == exact_scores[row, :keep].tobytes()
+
+    def test_derived_lists_at_the_minimum(self, monkeypatch):
+        import repro.inference.retrieval as retrieval
+
+        monkeypatch.setattr(retrieval, "MIN_PARTITIONED_HERBS", 4096)
+        matrix = clustered_vocab(4096, 8, num_clusters=64, seed=21)
+        approx = ApproxHerbIndex(matrix)
+        assert approx.nprobe == 4 and 32 < approx.num_lists <= 64
+        results, report = approx.topk(pad_rows(cluster_queries(matrix, 8, seed=21)), [5] * 8)
+        assert report.fallback_rows == 0 and all(len(ids) == 5 for ids, _ in results)
+
+    def test_a_lone_populated_list_is_not_kept(self):
+        """Identical herbs fill one k-means list: a full scan, so no list is kept."""
+        matrix = np.tile(np.random.default_rng(22).normal(size=(1, 6)), (HERB_BLOCK + 30, 1))
+        approx = ApproxHerbIndex(matrix, num_lists=4, nprobe=2)
+        assert (approx.num_lists, approx.nprobe) == (0, 0)
+        syndrome = pad_rows(np.random.default_rng(22).normal(size=(3, 6)))
+        results, report = approx.topk(syndrome, [7] * 3)
+        assert report.fallback_rows == 3
+        assert [ids.tolist() for ids, _ in results] == [list(range(7))] * 3
+
+    def test_default_engine_on_a_small_vocabulary_matches_exact(self, wide_split, wide_model):
+        _, test = wide_split
+        sets = test.symptom_sets()[:10]
+        engine = InferenceEngine(wide_model, retrieval="approx")
+        assert engine.recommend_batch(sets, k=6) == InferenceEngine(wide_model).recommend_batch(
+            sets, k=6
+        )
+        status = engine.backend_status()
+        assert (status["num_lists"], status["nprobe"]) == (0, 0)
+        assert status["approx_requests"] == status["approx_fallbacks"] == 10
 
 
 class TestEngineLifecycle:
+    def test_backend_status_reports_the_built_partition(self, wide_model):
+        engine = InferenceEngine(wide_model, retrieval="approx", num_lists=4, nprobe=99)
+        assert "num_lists" not in engine.backend_status()  # nothing built yet
+        engine.warm_up()
+        built = engine.index_cache.peek()[1]
+        status = engine.backend_status()
+        assert 2 <= status["num_lists"] == built.num_lists <= 4
+        assert status["nprobe"] == built.num_lists  # clamped from 99
+
     def test_engine_validation(self, wide_model):
         with pytest.raises(ValueError, match="retrieval"):
             InferenceEngine(wide_model, retrieval="fuzzy")
@@ -561,7 +637,7 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError, match="nprobe"):
             InferenceEngine(wide_model, retrieval="approx", nprobe=0)
         with pytest.raises(ValueError, match="num_lists"):
-            InferenceEngine(wide_model, retrieval="approx", num_lists=-1)
+            InferenceEngine(wide_model, retrieval="approx", num_lists=1)
 
     def test_subclass_score_sets_override_disables_approx(self, wide_split):
         """A custom score definition must not be pruned by the base first pass."""
@@ -608,13 +684,15 @@ class TestEngineLifecycle:
         donor = SMGCN.from_dataset(train, SMGCNConfig(
             embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=9
         ))
-        engine = InferenceEngine(model, retrieval="approx")
+        engine = InferenceEngine(model, retrieval="approx", num_lists=4)
         before = engine.recommend_batch(SETS[:4], k=6)
         model.load_state_dict(donor.state_dict())
         after = engine.recommend_batch(SETS[:4], k=6)
         assert before != after
-        fresh = InferenceEngine(donor, retrieval="approx").recommend_batch(SETS[:4], k=6)
-        assert after == fresh, "post-update answers must come from the new weights' index"
+        fresh = InferenceEngine(donor, retrieval="approx", num_lists=4)
+        assert after == fresh.recommend_batch(SETS[:4], k=6), (
+            "post-update answers must come from the new weights' index"
+        )
 
     def test_close_clears_approx_cache(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx")
@@ -625,7 +703,9 @@ class TestEngineLifecycle:
         assert len(engine.recommend_batch(SETS[:1], k=5)[0]) == 5
 
     def test_counters_flow_to_backend_status(self, wide_model):
-        engine = InferenceEngine(wide_model, retrieval="approx", candidate_factor=2)
+        engine = InferenceEngine(
+            wide_model, retrieval="approx", candidate_factor=2, num_lists=4, nprobe=4
+        )
         engine.recommend_batch(SETS[:5], k=4)
         status = engine.backend_status()
         assert status["retrieval"] == "approx"

@@ -26,11 +26,13 @@ def approx_pipeline(pipeline, tmp_path_factory):
     Round-tripped through a checkpoint (the production shape: train once,
     serve approx from the saved bundle).  ``candidate_factor=2`` with the
     handlers' ``k=5`` keeps a 10-herb survivor pool out of the smoke
-    vocabulary's 50, so the first pass genuinely prunes.
+    vocabulary's 50, so the first pass genuinely prunes.  The smoke
+    vocabulary is too small for a derived partition, so the lists are
+    explicit: four, all probed.
     """
     path = tmp_path_factory.mktemp("serving-approx") / "smgcn.npz"
     pipeline.save(path)
-    served = Pipeline.load(path, retrieval="approx", candidate_factor=2)
+    served = Pipeline.load(path, retrieval="approx", candidate_factor=2, num_lists=4, nprobe=4)
     assert served.engine.retrieval_active
     yield served
     served.close()

@@ -152,7 +152,7 @@ class TestValidation:
             ({"num_workers": 0}, "num_workers (--workers)"),
             ({"retrieval": "fuzzy"}, "retrieval (--retrieval)"),
             ({"candidate_factor": 0}, "candidate_factor (--candidate-factor)"),
-            ({"num_lists": -1}, "num_lists (--num-lists) must be >= 0"),
+            ({"num_lists": 1}, "num_lists (--num-lists) must be >= 2"),
             ({"nprobe": 0}, "nprobe (--nprobe)"),
             ({"backend": "cuda"}, "backend (--backend): unknown backend 'cuda'"),
             ({"backend": "remote"}, "worker_addrs (--worker-addr)"),
@@ -171,7 +171,7 @@ class TestValidation:
         [
             ("num_shards", 0, ShardedHerbIndex),
             ("candidate_factor", 0, ApproxHerbIndex),
-            ("num_lists", -1, ApproxHerbIndex),
+            ("num_lists", 1, ApproxHerbIndex),
             ("nprobe", 0, ApproxHerbIndex),
         ],
     )

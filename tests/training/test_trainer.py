@@ -120,6 +120,30 @@ class TestTrainerMultilabel:
         with pytest.raises(ValueError):
             history.final_loss
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_loss_fails_fast(self, tiny_split, monkeypatch, bad):
+        import repro.training.trainer as trainer_module
+
+        train, _ = tiny_split
+        model = _model(train)
+        real = trainer_module.weighted_multilabel_mse
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            loss = real(*args)
+            return loss * bad if len(calls) == 6 else loss
+
+        monkeypatch.setattr(trainer_module, "weighted_multilabel_mse", poisoned)
+        config = TrainerConfig(epochs=3, batch_size=64, learning_rate=1e-3)
+        batches = -(-len(train) // config.batch_size)
+        assert batches == 4  # so the sixth batch is epoch 2's second
+        with pytest.raises(FloatingPointError, match=f"epoch 2, batch 2: multilabel loss is {bad}"):
+            Trainer(config).fit(model, train)
+        assert len(calls) == 6
+        # the poisoned batch never stepped: every weight is still finite
+        assert all(np.isfinite(parameter.data).all() for parameter in model.parameters())
+
 
 class TestTrainerBPR:
     def test_bpr_loss_decreases(self, tiny_split):
