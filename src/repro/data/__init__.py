@@ -1,6 +1,7 @@
 """Prescription corpus handling: vocabularies, datasets, synthetic generation,
 serialisation and the TCM knowledge graph substrate."""
 
+from .idsets import IdSets
 from .knowledge_graph import KnowledgeGraph, Triple, build_kg_from_corpus, build_kg_from_latent
 from .loaders import Batch, batch_iterator, load_corpus, save_corpus
 from .prescriptions import DatasetStatistics, Prescription, PrescriptionDataset
@@ -9,6 +10,7 @@ from .vocab import Vocabulary
 
 __all__ = [
     "Vocabulary",
+    "IdSets",
     "Prescription",
     "PrescriptionDataset",
     "DatasetStatistics",

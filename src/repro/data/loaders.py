@@ -7,13 +7,16 @@ split by a tab, e.g. ``night_sweat pale_tongue\tginseng tuckahoe``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .prescriptions import Prescription, PrescriptionDataset
+from .idsets import IdSets
+from .prescriptions import PrescriptionDataset
 from .vocab import Vocabulary
 
 __all__ = ["save_corpus", "load_corpus", "Batch", "batch_iterator"]
@@ -23,11 +26,12 @@ def save_corpus(dataset: PrescriptionDataset, path: Union[str, Path]) -> None:
     """Write ``dataset`` to ``path`` in the tab-separated token format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for prescription in dataset:
-        symptoms = " ".join(dataset.symptom_vocab.decode(prescription.symptoms))
-        herbs = " ".join(dataset.herb_vocab.decode(prescription.herbs))
-        lines.append(f"{symptoms}\t{herbs}")
+    lines = [
+        " ".join(dataset.symptom_vocab.decode(symptoms))
+        + "\t"
+        + " ".join(dataset.herb_vocab.decode(herbs))
+        for symptoms, herbs in zip(dataset.symptom_sets(), dataset.herb_sets())
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -45,10 +49,8 @@ def load_corpus(
     path = Path(path)
     symptom_vocab = symptom_vocab if symptom_vocab is not None else Vocabulary()
     herb_vocab = herb_vocab if herb_vocab is not None else Vocabulary()
-    build_symptoms = len(symptom_vocab) == 0
-    build_herbs = len(herb_vocab) == 0
-
-    prescriptions: List[Prescription] = []
+    symptoms = _ColumnReader(symptom_vocab)
+    herbs = _ColumnReader(herb_vocab)
     with path.open("r", encoding="utf-8") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
@@ -59,24 +61,47 @@ def load_corpus(
                 raise ValueError(
                     f"{path}:{line_number}: expected 'symptoms<TAB>herbs', got {raw_line!r}"
                 )
-            symptom_tokens = parts[0].split()
-            herb_tokens = parts[1].split()
-            if build_symptoms:
-                symptom_ids = symptom_vocab.add_all(symptom_tokens)
-            else:
-                symptom_ids = symptom_vocab.encode(symptom_tokens)
-            if build_herbs:
-                herb_ids = herb_vocab.add_all(herb_tokens)
-            else:
-                herb_ids = herb_vocab.encode(herb_tokens)
-            prescriptions.append(Prescription(tuple(symptom_ids), tuple(herb_ids)))
-
-    return PrescriptionDataset(
-        prescriptions,
+            symptoms.add_row(parts[0].split())
+            herbs.add_row(parts[1].split())
+    return PrescriptionDataset.from_columns(
+        symptoms.finish(),
+        herbs.finish(),
         symptom_vocab=symptom_vocab,
         herb_vocab=herb_vocab,
         name=name or path.stem,
     )
+
+
+class _ColumnReader:
+    """One side of a corpus being read: every row's token ids in one int64 array.
+
+    An empty vocabulary is filled in order of first appearance.  Until
+    :meth:`finish`, a new token's id is its position in the column (so later
+    repeats return that position), and ids are ranked to ``0..n-1`` at the
+    end.  A supplied vocabulary raises ``KeyError`` on the first unknown token.
+    """
+
+    def __init__(self, vocab: Vocabulary) -> None:
+        self.vocab = vocab
+        self.ids = array("q")
+        self.lengths = array("q")
+        self.first_seen: Optional[Dict[str, int]] = {} if len(vocab) == 0 else None
+        self.positions = count()
+
+    def add_row(self, tokens: List[str]) -> None:
+        if self.first_seen is None:
+            self.ids.extend(self.vocab.encode(tokens))
+        else:
+            self.ids.extend(map(self.first_seen.setdefault, tokens, self.positions))
+        self.lengths.append(len(tokens))
+
+    def finish(self) -> IdSets:
+        ids = np.frombuffer(self.ids, dtype=np.int64)
+        if self.first_seen is not None:
+            self.vocab.add_all(self.first_seen)
+            first = np.fromiter(self.first_seen.values(), dtype=np.int64, count=len(self.first_seen))
+            ids = np.searchsorted(first, ids)
+        return IdSets.from_flat(ids, np.frombuffer(self.lengths, dtype=np.int64))
 
 
 @dataclass
@@ -104,7 +129,11 @@ def batch_iterator(
     rng: Optional[np.random.Generator] = None,
     drop_last: bool = False,
 ) -> Iterator[Batch]:
-    """Iterate over the dataset in mini-batches of ``batch_size`` prescriptions."""
+    """Iterate over the dataset in mini-batches of ``batch_size`` prescriptions.
+
+    Each batch is sliced from the dataset's id arrays; no per-row
+    :class:`Prescription` is built.
+    """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     order = np.arange(len(dataset))
@@ -115,12 +144,10 @@ def batch_iterator(
         chunk = order[start : start + batch_size]
         if drop_last and chunk.size < batch_size:
             break
-        symptom_sets = [dataset[int(i)].symptoms for i in chunk]
-        herb_sets = [dataset[int(i)].herbs for i in chunk]
-        herb_targets = dataset.herb_multi_hot(chunk.tolist())
+        herbs = dataset.herbs.take(chunk)
         yield Batch(
             indices=chunk.copy(),
-            symptom_sets=symptom_sets,
-            herb_targets=herb_targets,
-            herb_sets=herb_sets,
+            symptom_sets=dataset.symptoms.take(chunk).to_tuples(),
+            herb_targets=herbs.multi_hot(dataset.num_herbs),
+            herb_sets=herbs.to_tuples(),
         )

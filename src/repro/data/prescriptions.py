@@ -11,11 +11,13 @@ splits, corpus statistics for Table II).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .idsets import IdSets
 from .vocab import Vocabulary
 
 __all__ = ["Prescription", "PrescriptionDataset", "DatasetStatistics"]
@@ -70,7 +72,13 @@ class DatasetStatistics:
 
 
 class PrescriptionDataset:
-    """A prescription corpus plus its symptom / herb vocabularies."""
+    """A prescription corpus plus its symptom / herb vocabularies.
+
+    The symptom sets and the herb sets are held as two :class:`IdSets` (CSR
+    id arrays), ``symptoms`` and ``herbs``, built once when the dataset is
+    made; row ``i`` of each is prescription ``i``.  Indexing and iteration
+    give :class:`Prescription` views, built on first use.
+    """
 
     def __init__(
         self,
@@ -79,28 +87,67 @@ class PrescriptionDataset:
         herb_vocab: Vocabulary,
         name: str = "tcm",
     ) -> None:
-        self.prescriptions: List[Prescription] = list(prescriptions)
-        if not self.prescriptions:
-            raise ValueError("a dataset needs at least one prescription")
+        prescriptions = list(prescriptions)
+        self._adopt(
+            IdSets.from_sets(p.symptoms for p in prescriptions),
+            IdSets.from_sets(p.herbs for p in prescriptions),
+            symptom_vocab,
+            herb_vocab,
+            name,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        symptoms: IdSets,
+        herbs: IdSets,
+        symptom_vocab: Vocabulary,
+        herb_vocab: Vocabulary,
+        name: str = "tcm",
+    ) -> "PrescriptionDataset":
+        """A dataset over ready-made id arrays (row ``i`` of each is prescription ``i``)."""
+        dataset = cls.__new__(cls)
+        dataset._adopt(symptoms, herbs, symptom_vocab, herb_vocab, name)
+        return dataset
+
+    def _adopt(
+        self,
+        symptoms: IdSets,
+        herbs: IdSets,
+        symptom_vocab: Vocabulary,
+        herb_vocab: Vocabulary,
+        name: str,
+    ) -> None:
+        self.symptoms = symptoms
+        self.herbs = herbs
         self.symptom_vocab = symptom_vocab
         self.herb_vocab = herb_vocab
         self.name = name
-        self._validate_ids()
-
-    def _validate_ids(self) -> None:
-        num_symptoms = len(self.symptom_vocab)
-        num_herbs = len(self.herb_vocab)
-        for i, prescription in enumerate(self.prescriptions):
-            if prescription.symptoms[-1] >= num_symptoms or prescription.symptoms[0] < 0:
-                raise ValueError(f"prescription {i} has a symptom id outside the vocabulary")
-            if prescription.herbs[-1] >= num_herbs or prescription.herbs[0] < 0:
-                raise ValueError(f"prescription {i} has a herb id outside the vocabulary")
+        if len(symptoms) == 0:
+            raise ValueError("a dataset needs at least one prescription")
+        _raise_first(
+            symptoms.lengths() == 0,
+            herbs.lengths() == 0,
+            "a prescription must contain at least one {kind}",
+        )
+        _raise_first(
+            symptoms.rows_where((symptoms.ids < 0) | (symptoms.ids >= self.num_symptoms)),
+            herbs.rows_where((herbs.ids < 0) | (herbs.ids >= self.num_herbs)),
+            "prescription {row} has a {kind} id outside the vocabulary",
+        )
 
     # ------------------------------------------------------------------
     # Basic container protocol
     # ------------------------------------------------------------------
+    @cached_property
+    def prescriptions(self) -> List[Prescription]:
+        """Per-row :class:`Prescription` views (built once, on first use)."""
+        return [
+            Prescription(s, h) for s, h in zip(self.symptoms.to_tuples(), self.herbs.to_tuples())
+        ]
+
     def __len__(self) -> int:
-        return len(self.prescriptions)
+        return len(self.symptoms)
 
     def __iter__(self) -> Iterator[Prescription]:
         return iter(self.prescriptions)
@@ -121,69 +168,41 @@ class PrescriptionDataset:
     # ------------------------------------------------------------------
     def herb_frequencies(self) -> np.ndarray:
         """Number of prescriptions each herb appears in (paper Fig. 5 / Eq. 15)."""
-        freq = np.zeros(self.num_herbs, dtype=np.float64)
-        for prescription in self.prescriptions:
-            for herb in prescription.herbs:
-                freq[herb] += 1.0
-        return freq
+        return self.herbs.counts(self.num_herbs)
 
     def symptom_frequencies(self) -> np.ndarray:
         """Number of prescriptions each symptom appears in."""
-        freq = np.zeros(self.num_symptoms, dtype=np.float64)
-        for prescription in self.prescriptions:
-            for symptom in prescription.symptoms:
-                freq[symptom] += 1.0
-        return freq
+        return self.symptoms.counts(self.num_symptoms)
 
     def top_herbs(self, k: int = 40) -> List[Tuple[int, int]]:
         """The ``k`` most frequent herbs as ``(herb_id, count)`` pairs (Fig. 5)."""
-        counts = Counter()
-        for prescription in self.prescriptions:
-            counts.update(prescription.herbs)
-        return counts.most_common(k)
+        return Counter(self.herbs.ids.tolist()).most_common(k)
 
     def herb_multi_hot(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Multi-hot herb target matrix for the selected prescriptions."""
-        rows = range(len(self)) if indices is None else indices
-        rows = list(rows)
-        targets = np.zeros((len(rows), self.num_herbs), dtype=np.float64)
-        for out_row, idx in enumerate(rows):
-            targets[out_row, list(self.prescriptions[idx].herbs)] = 1.0
-        return targets
+        herbs = self.herbs if indices is None else self.herbs.take(indices)
+        return herbs.multi_hot(self.num_herbs)
 
     def symptom_multi_hot(self, indices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Multi-hot symptom matrix for the selected prescriptions."""
-        rows = range(len(self)) if indices is None else indices
-        rows = list(rows)
-        matrix = np.zeros((len(rows), self.num_symptoms), dtype=np.float64)
-        for out_row, idx in enumerate(rows):
-            matrix[out_row, list(self.prescriptions[idx].symptoms)] = 1.0
-        return matrix
+        symptoms = self.symptoms if indices is None else self.symptoms.take(indices)
+        return symptoms.multi_hot(self.num_symptoms)
 
     def symptom_sets(self) -> List[Tuple[int, ...]]:
-        return [p.symptoms for p in self.prescriptions]
+        return self.symptoms.to_tuples()
 
     def herb_sets(self) -> List[Tuple[int, ...]]:
-        return [p.herbs for p in self.prescriptions]
+        return self.herbs.to_tuples()
 
     def statistics(self) -> DatasetStatistics:
-        observed_symptoms = set()
-        observed_herbs = set()
-        total_symptoms = 0
-        total_herbs = 0
-        for prescription in self.prescriptions:
-            observed_symptoms.update(prescription.symptoms)
-            observed_herbs.update(prescription.herbs)
-            total_symptoms += prescription.num_symptoms
-            total_herbs += prescription.num_herbs
         return DatasetStatistics(
             num_prescriptions=len(self),
             num_symptoms=self.num_symptoms,
             num_herbs=self.num_herbs,
-            num_observed_symptoms=len(observed_symptoms),
-            num_observed_herbs=len(observed_herbs),
-            mean_symptoms_per_prescription=total_symptoms / len(self),
-            mean_herbs_per_prescription=total_herbs / len(self),
+            num_observed_symptoms=int(np.count_nonzero(self.symptom_frequencies())),
+            num_observed_herbs=int(np.count_nonzero(self.herb_frequencies())),
+            mean_symptoms_per_prescription=self.symptoms.ids.size / len(self),
+            mean_herbs_per_prescription=self.herbs.ids.size / len(self),
         )
 
     # ------------------------------------------------------------------
@@ -191,9 +210,9 @@ class PrescriptionDataset:
     # ------------------------------------------------------------------
     def subset(self, indices: Sequence[int], name: Optional[str] = None) -> "PrescriptionDataset":
         """A new dataset containing the selected prescriptions (vocabs shared)."""
-        selected = [self.prescriptions[i] for i in indices]
-        return PrescriptionDataset(
-            selected,
+        return PrescriptionDataset.from_columns(
+            self.symptoms.take(indices),
+            self.herbs.take(indices),
             symptom_vocab=self.symptom_vocab,
             herb_vocab=self.herb_vocab,
             name=name or f"{self.name}-subset",
@@ -220,8 +239,8 @@ class PrescriptionDataset:
         num_test = min(num_test, len(self) - 1)
         test_idx = indices[:num_test]
         train_idx = indices[num_test:]
-        train = self.subset(train_idx.tolist(), name=f"{self.name}-train")
-        test = self.subset(test_idx.tolist(), name=f"{self.name}-test")
+        train = self.subset(train_idx, name=f"{self.name}-train")
+        test = self.subset(test_idx, name=f"{self.name}-test")
         return train, test
 
     @classmethod
@@ -233,10 +252,19 @@ class PrescriptionDataset:
         name: str = "tcm",
     ) -> "PrescriptionDataset":
         """Build a dataset from raw ``(symptom_ids, herb_ids)`` pairs."""
-        prescriptions = [Prescription(tuple(s), tuple(h)) for s, h in pairs]
-        return cls(
-            prescriptions,
+        pairs = list(pairs)
+        return cls.from_columns(
+            IdSets.from_sets(s for s, _ in pairs),
+            IdSets.from_sets(h for _, h in pairs),
             symptom_vocab=Vocabulary.from_prefix("symptom", num_symptoms),
             herb_vocab=Vocabulary.from_prefix("herb", num_herbs),
             name=name,
         )
+
+
+def _raise_first(bad_symptoms: np.ndarray, bad_herbs: np.ndarray, message: str) -> None:
+    """Raise ``message`` for the first flagged row, its symptoms before its herbs."""
+    bad = bad_symptoms | bad_herbs
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(message.format(row=row, kind="symptom" if bad_symptoms[row] else "herb"))

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .prescriptions import Prescription, PrescriptionDataset
+from .idsets import IdSets
+from .prescriptions import PrescriptionDataset
 from .vocab import Vocabulary
 
 __all__ = ["SyntheticTCMConfig", "SyntheticCorpus", "generate_corpus"]
@@ -176,11 +177,12 @@ def generate_corpus(config: Optional[SyntheticTCMConfig] = None) -> SyntheticCor
 
     syndrome_weights = _zipf_weights(config.num_syndromes, config.syndrome_zipf_exponent)
 
-    prescriptions: List[Prescription] = []
+    symptom_sets: List[List[int]] = []
+    herb_sets: List[List[int]] = []
     prescription_syndromes: List[Tuple[int, ...]] = []
     max_attempts = config.num_prescriptions * 20
     attempts = 0
-    while len(prescriptions) < config.num_prescriptions and attempts < max_attempts:
+    while len(symptom_sets) < config.num_prescriptions and attempts < max_attempts:
         attempts += 1
         num_active = 2 if rng.random() < config.second_syndrome_probability else 1
         active = rng.choice(
@@ -213,14 +215,16 @@ def generate_corpus(config: Optional[SyntheticTCMConfig] = None) -> SyntheticCor
 
         if not symptoms or not herbs:
             continue
-        prescriptions.append(Prescription(tuple(symptoms), tuple(herbs)))
+        symptom_sets.append(symptoms)
+        herb_sets.append(herbs)
         prescription_syndromes.append(active)
 
-    if len(prescriptions) < config.num_prescriptions:  # pragma: no cover - defensive
+    if len(symptom_sets) < config.num_prescriptions:  # pragma: no cover - defensive
         raise RuntimeError("failed to generate the requested number of prescriptions")
 
-    dataset = PrescriptionDataset(
-        prescriptions,
+    dataset = PrescriptionDataset.from_columns(
+        IdSets.from_sets(symptom_sets),
+        IdSets.from_sets(herb_sets),
         symptom_vocab=Vocabulary.from_prefix("symptom", config.num_symptoms),
         herb_vocab=Vocabulary.from_prefix("herb", config.num_herbs),
         name=f"synthetic-tcm-{config.num_prescriptions}",

@@ -53,7 +53,8 @@ class Vocabulary:
         return self._id_to_token[index]
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
-        return [self.id_of(token) for token in tokens]
+        """The ids of ``tokens`` (``KeyError`` names the first unknown one)."""
+        return list(map(self._token_to_id.__getitem__, tokens))
 
     def decode(self, ids: Sequence[int]) -> List[str]:
         """The tokens of ``ids``; bounds are checked once for the whole list."""

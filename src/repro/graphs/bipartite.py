@@ -10,13 +10,13 @@ normalisation supports the NGCF/GC-MC baselines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
 from ..data.prescriptions import PrescriptionDataset
 from ..nn.sparse import SparseMatrix
+from .adjacency import add_self_loops as with_self_loops
+from .adjacency import bipartite_block_matrix, row_normalise, symmetric_normalise
 
 __all__ = ["SymptomHerbGraph"]
 
@@ -41,18 +41,14 @@ class SymptomHerbGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: PrescriptionDataset) -> "SymptomHerbGraph":
-        """Build the graph from every (symptom, herb) pair sharing a prescription."""
-        rows = []
-        cols = []
-        for prescription in dataset:
-            for symptom in prescription.symptoms:
-                for herb in prescription.herbs:
-                    rows.append(symptom)
-                    cols.append(herb)
-        data = np.ones(len(rows), dtype=np.float64)
-        adjacency = sp.coo_matrix(
-            (data, (rows, cols)), shape=(dataset.num_symptoms, dataset.num_herbs)
-        ).tocsr()
+        """Build the graph from every (symptom, herb) pair sharing a prescription.
+
+        That is the incidence product ``S^T H`` (prescriptions x symptoms and
+        prescriptions x herbs), binarised by the constructor.
+        """
+        symptoms = dataset.symptoms.incidence(dataset.num_symptoms)
+        herbs = dataset.herbs.incidence(dataset.num_herbs)
+        adjacency = (symptoms.T @ herbs).tocsr()
         adjacency.sum_duplicates()
         return cls(adjacency, dataset.num_symptoms, dataset.num_herbs)
 
@@ -63,11 +59,6 @@ class SymptomHerbGraph:
     def symptom_to_herb(self) -> SparseMatrix:
         """Binary ``num_symptoms x num_herbs`` adjacency (symptom rows)."""
         return SparseMatrix(self._adjacency)
-
-    @property
-    def herb_to_symptom(self) -> SparseMatrix:
-        """Binary ``num_herbs x num_symptoms`` adjacency (herb rows)."""
-        return SparseMatrix(self._adjacency.T)
 
     @property
     def num_edges(self) -> int:
@@ -89,28 +80,19 @@ class SymptomHerbGraph:
     # ------------------------------------------------------------------
     # Normalised operators
     # ------------------------------------------------------------------
-    @staticmethod
-    def _row_normalise(matrix: sp.spmatrix) -> sp.csr_matrix:
-        matrix = sp.csr_matrix(matrix, dtype=np.float64)
-        degrees = np.asarray(matrix.sum(axis=1)).ravel()
-        inv = np.zeros_like(degrees)
-        nonzero = degrees > 0
-        inv[nonzero] = 1.0 / degrees[nonzero]
-        return sp.diags(inv) @ matrix
-
     def mean_aggregator_symptom(self) -> SparseMatrix:
         """Row-normalised symptom->herb operator: averages herb neighbours per symptom.
 
         Implements ``1/|N_s| sum_{h in N_s}`` from Eq. (2).
         """
-        return SparseMatrix(self._row_normalise(self._adjacency))
+        return row_normalise(self._adjacency)
 
     def mean_aggregator_herb(self) -> SparseMatrix:
         """Row-normalised herb->symptom operator: averages symptom neighbours per herb.
 
         Implements ``1/|N_h| sum_{s in N_h}`` from Eq. (3).
         """
-        return SparseMatrix(self._row_normalise(self._adjacency.T))
+        return row_normalise(self._adjacency.T)
 
     def symmetric_normalised(self, add_self_loops: bool = False) -> SparseMatrix:
         """Symmetric-normalised full bipartite adjacency over symptom+herb nodes.
@@ -118,22 +100,8 @@ class SymptomHerbGraph:
         Returns the ``(S+H) x (S+H)`` operator ``D^{-1/2} A D^{-1/2}`` used by
         NGCF/GC-MC-style propagation, with optional self loops.
         """
-        total = self.num_symptoms + self.num_herbs
-        upper = sp.hstack(
-            [sp.csr_matrix((self.num_symptoms, self.num_symptoms)), self._adjacency]
-        )
-        lower = sp.hstack(
-            [self._adjacency.T, sp.csr_matrix((self.num_herbs, self.num_herbs))]
-        )
-        full = sp.vstack([upper, lower]).tocsr()
-        if add_self_loops:
-            full = full + sp.eye(total, format="csr")
-        degrees = np.asarray(full.sum(axis=1)).ravel()
-        inv_sqrt = np.zeros_like(degrees)
-        nonzero = degrees > 0
-        inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
-        d_inv = sp.diags(inv_sqrt)
-        return SparseMatrix(d_inv @ full @ d_inv)
+        full = bipartite_block_matrix(self._adjacency)
+        return symmetric_normalise(with_self_loops(full) if add_self_loops else full)
 
     def symptom_neighbors(self, symptom_id: int) -> np.ndarray:
         """Herb ids adjacent to ``symptom_id``."""

@@ -9,13 +9,12 @@ module exposes the raw binary adjacency rather than a normalised operator.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..data.idsets import IdSets
 from ..data.prescriptions import PrescriptionDataset
 from ..nn.sparse import SparseMatrix
 
@@ -23,28 +22,26 @@ __all__ = ["SynergyGraph", "build_symptom_synergy_graph", "build_herb_synergy_gr
 
 
 def cooccurrence_counts(
-    item_sets, num_items: int
+    item_sets: Union[IdSets, Iterable[Sequence[int]]], num_items: int
 ) -> sp.csr_matrix:
     """Symmetric co-occurrence count matrix over the given item sets.
 
-    ``item_sets`` is an iterable of id tuples (for example, the herb sets of
-    every prescription); entry ``(i, j)`` of the result is the number of sets
-    containing both ``i`` and ``j``.  The diagonal is zero.
+    ``item_sets`` is an :class:`~repro.data.IdSets` or an iterable of id
+    tuples (for example, the herb sets of every prescription); entry
+    ``(i, j)`` of the result is the number of sets containing both ``i`` and
+    ``j``.  A repeat within a set counts once.  The diagonal is zero.
+
+    The counts are ``B^T B`` for the binary incidence ``B`` (sets x items)
+    with the diagonal dropped; they are sums of 1.0, exact in any order.
     """
-    counter: Counter = Counter()
-    for items in item_sets:
-        unique = sorted(set(items))
-        for a, b in combinations(unique, 2):
-            counter[(a, b)] += 1
-    if not counter:
-        return sp.csr_matrix((num_items, num_items), dtype=np.float64)
-    rows, cols, data = [], [], []
-    for (a, b), count in counter.items():
-        rows.extend((a, b))
-        cols.extend((b, a))
-        data.extend((count, count))
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(num_items, num_items), dtype=np.float64)
-    return matrix.tocsr()
+    if not isinstance(item_sets, IdSets):
+        item_sets = IdSets.from_sets(item_sets)
+    incidence = item_sets.incidence(num_items)
+    product = (incidence.T @ incidence).tocoo()
+    off = product.row != product.col
+    return sp.csr_matrix(
+        (product.data[off], (product.row[off], product.col[off])), shape=(num_items, num_items)
+    )
 
 
 class SynergyGraph:
@@ -108,11 +105,11 @@ class SynergyGraph:
 
 def build_symptom_synergy_graph(dataset: PrescriptionDataset, threshold: float = 5) -> SynergyGraph:
     """Symptom-symptom graph ``SS`` with threshold ``x_s`` (paper default 5)."""
-    counts = cooccurrence_counts(dataset.symptom_sets(), dataset.num_symptoms)
+    counts = cooccurrence_counts(dataset.symptoms, dataset.num_symptoms)
     return SynergyGraph(counts, threshold, kind="symptom")
 
 
 def build_herb_synergy_graph(dataset: PrescriptionDataset, threshold: float = 40) -> SynergyGraph:
     """Herb-herb graph ``HH`` with threshold ``x_h`` (paper default 40)."""
-    counts = cooccurrence_counts(dataset.herb_sets(), dataset.num_herbs)
+    counts = cooccurrence_counts(dataset.herbs, dataset.num_herbs)
     return SynergyGraph(counts, threshold, kind="herb")

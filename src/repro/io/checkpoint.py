@@ -215,9 +215,6 @@ class CheckpointHeader:
             "state_keys": list(self.state_keys),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "CheckpointHeader":
         try:

@@ -72,14 +72,9 @@ class CooccurrenceRecommender(HerbRecommender):
     def fit(self, dataset: PrescriptionDataset) -> "CooccurrenceRecommender":
         if dataset.num_symptoms != self._num_symptoms or dataset.num_herbs != self._num_herbs:
             raise ValueError("dataset vocabulary sizes do not match the model")
-        counts = np.zeros((self._num_symptoms, self._num_herbs), dtype=np.float64)
-        symptom_counts = np.zeros(self._num_symptoms, dtype=np.float64)
-        for prescription in dataset:
-            for symptom in prescription.symptoms:
-                symptom_counts[symptom] += 1
-                for herb in prescription.herbs:
-                    counts[symptom, herb] += 1
-        denom = symptom_counts[:, None] + self.smoothing * self._num_herbs
+        symptoms = dataset.symptoms.incidence(self._num_symptoms)
+        counts = (symptoms.T @ dataset.herbs.incidence(self._num_herbs)).toarray()
+        denom = dataset.symptom_frequencies()[:, None] + self.smoothing * self._num_herbs
         self._conditional = (counts + self.smoothing) / denom
         frequencies = dataset.herb_frequencies()
         total = frequencies.sum()

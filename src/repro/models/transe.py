@@ -137,9 +137,6 @@ class TransE:
     def is_trained(self) -> bool:
         return self._trained
 
-    def entity_embedding(self, entity_id: int) -> np.ndarray:
-        return self.entity_embeddings[entity_id]
-
     def symptom_embeddings(self) -> np.ndarray:
         """Embeddings of all symptom entities, in symptom-id order."""
         return self.entity_embeddings[: self.kg.num_symptoms]

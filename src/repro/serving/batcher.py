@@ -93,10 +93,6 @@ class MicroBatcher:
         self._thread.start()
         return self
 
-    @property
-    def is_running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting requests; by default flush what is still queued.
 

@@ -122,13 +122,19 @@ class Trainer:
         train_dataset: PrescriptionDataset,
         validation_evaluator: Optional[Evaluator] = None,
     ) -> TrainingHistory:
-        """Run the configured epochs; returns the loss history.  A non-finite batch loss raises."""
+        """Run the configured epochs; returns the loss history.
+
+        A non-finite batch loss, or a non-finite gradient after a finite loss,
+        raises ``FloatingPointError`` before that batch's optimiser step, so
+        the weights stay as the previous step left them.
+        """
         config = self.config
         rng = np.random.default_rng(config.seed)
         optimizer = Adam(
             model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay
         )
         herb_weights = herb_frequency_weights(train_dataset.herb_frequencies())
+        named_parameters = list(model.named_parameters())
         history = TrainingHistory()
         # One pool for the whole run: after the warm-up batch every gradient
         # buffer is recycled, so steady-state steps allocate nothing.
@@ -148,11 +154,14 @@ class Trainer:
                 optimizer.zero_grad(buffer_pool=pool)
                 loss = self._batch_loss(model, batch, herb_weights, rng, profiler)
                 batch_loss = float(loss.data)
+                where = f"epoch {epoch + 1}, batch {num_batches + 1}"
                 if not np.isfinite(batch_loss):  # before the step: weights stay finite
-                    where = f"epoch {epoch + 1}, batch {num_batches + 1}"
                     raise FloatingPointError(f"{where}: {config.loss} loss is {batch_loss}")
                 with profiler.phase("backward"):
                     loss.backward(buffer_pool=pool)
+                for name, param in named_parameters:
+                    if param.grad is not None and not np.isfinite(param.grad).all():
+                        raise FloatingPointError(f"{where}: gradient of {name} is not finite")
                 with profiler.phase("step"):
                     optimizer.step()
                 epoch_loss += batch_loss

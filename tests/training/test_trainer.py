@@ -144,6 +144,37 @@ class TestTrainerMultilabel:
         # the poisoned batch never stepped: every weight is still finite
         assert all(np.isfinite(parameter.data).all() for parameter in model.parameters())
 
+    def test_non_finite_gradient_fails_fast(self, tiny_split, monkeypatch):
+        import repro.training.trainer as trainer_module
+
+        train, _ = tiny_split
+        model = _model(train)
+        real = trainer_module.weighted_multilabel_mse
+        calls, before = [], {}
+
+        def poisoned(*args):
+            calls.append(None)
+            loss = real(*args)
+            if len(calls) != 6:
+                return loss
+            # the sixth batch: a finite loss whose backward pass carries inf
+            assert np.isfinite(float(loss.data))
+            before.update((name, p.data.copy()) for name, p in model.named_parameters())
+            return Tensor._make(
+                loss.data, (loss,), lambda grad: loss._accumulate_grad(grad * np.inf)
+            )
+
+        monkeypatch.setattr(trainer_module, "weighted_multilabel_mse", poisoned)
+        config = TrainerConfig(epochs=3, batch_size=64, learning_rate=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"epoch 2, batch 2: gradient of \S+ is not finite"
+        ):
+            Trainer(config).fit(model, train)
+        assert len(calls) == 6
+        # the poisoned batch never stepped: every weight is bit for bit as before it
+        for name, parameter in model.named_parameters():
+            np.testing.assert_array_equal(parameter.data, before[name])
+
 
 class TestTrainerBPR:
     def test_bpr_loss_decreases(self, tiny_split):
