@@ -22,9 +22,11 @@ Usage::
     python3 scripts/bench_record.py --workload topk_50k --compare
 
 Each run keeps perfbench's final result line (``correct``, ``attempted``,
-``failed`` and every end-to-end metric) and the environment fingerprint
-from the line before it.  One invocation appends one entry per ``--tree``:
-``{"label", "seconds", "runs": [{"seed", "result", "environment"}, ...]}``.
+``failed`` and every end-to-end metric) and, from the line before it, the
+environment fingerprint and the workload's ``detail`` (raw figures such as
+``setup_runs_cpu_s`` and the host-speed slowdowns they are divided by).
+One invocation appends one entry per ``--tree``: ``{"label", "seconds",
+"runs": [{"seed", "result", "environment", "detail"}, ...]}``.
 With several trees, each seed runs every tree once, and the order flips
 from one seed to the next, so neither side always runs first.
 ``--compare`` compares the file's newest entry with the one before it (the
@@ -32,8 +34,11 @@ last committed one, when a single tree was recorded), printing per metric
 the median and interquartile range (IQR) of both entries, the change of
 the median, whether that change exceeds the baseline's IQR, and on how
 many shared seeds the new entry was better, with the direction each metric
-improves in taken from ``BENCHMARK.json``.  The exit code is 1 when any
-recorded run failed an operation.
+improves in taken from ``BENCHMARK.json``.  When both entries carry
+``setup_runs_cpu_s``, the ``setup_s`` line is followed by the median raw
+set-up CPU of each, so a ``setup_s`` change can be told from a change of
+the host-speed divisor.  The exit code is 1 when any recorded run failed
+an operation.
 """
 
 from __future__ import annotations
@@ -63,7 +68,12 @@ def parse_output(stdout: str) -> Dict[str, object]:
     if len(lines) < 2:
         raise ValueError("perfbench printed fewer than two lines")
     details, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return {"seed": details["seed"], "result": result, "environment": details["environment"]}
+    return {
+        "seed": details["seed"],
+        "result": result,
+        "environment": details["environment"],
+        "detail": details.get("detail", {}),
+    }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
@@ -113,6 +123,16 @@ def _metric_values(entry: Dict[str, object], name: str) -> Dict[int, float]:
     }
 
 
+def _median_setup_cpu(entry: Dict[str, object]) -> Optional[float]:
+    """Median over runs of each run's median raw set-up CPU seconds, if recorded."""
+    medians = [
+        _quartiles(run["detail"]["setup_runs_cpu_s"])[1]
+        for run in entry["runs"]
+        if run.get("detail", {}).get("setup_runs_cpu_s")
+    ]
+    return _quartiles(medians)[1] if medians else None
+
+
 def compare(
     baseline: Dict[str, object], newest: Dict[str, object], better: Dict[str, str]
 ) -> List[str]:
@@ -135,6 +155,13 @@ def compare(
             f"({'beyond' if abs(delta) > old_q3 - old_q1 else 'within'} the baseline IQR; "
             f"better on {wins} of {len(shared)} shared seeds, {direction} is better)"
         )
+        if name == "setup_s":
+            old_setup, new_setup = _median_setup_cpu(baseline), _median_setup_cpu(newest)
+            if old_setup and new_setup:
+                lines.append(
+                    f"    raw set-up CPU (median): {old_setup * 1e3:.4g} ms -> "
+                    f"{new_setup * 1e3:.4g} ms ({new_setup / old_setup - 1:+.1%})"
+                )
     failed = sum(run["result"]["failed"] for run in newest["runs"])
     lines.append(f"  failed operations: {failed} in {len(newest['runs'])} runs")
     return lines

@@ -18,9 +18,18 @@ spec.loader.exec_module(bench_record)
 ENVIRONMENT = {"git_sha": "abc123", "source_fingerprint": "f00d", "nproc": 2, "blas_threads": 1}
 
 
-def canned_output(seed, throughput, p50_ms, failed=0):
+def canned_output(
+    seed, throughput, p50_ms, failed=0, setup_s=None, setup_runs_cpu_s=(0.005, 0.006, 0.007)
+):
     """perfbench's last two lines: run details, then the result."""
-    details = {"workload": "topk_50k", "seed": seed, "trace": 0, "environment": ENVIRONMENT}
+    detail = {"setup_slowdown": 0.8, "setup_runs_cpu_s": list(setup_runs_cpu_s)}
+    details = {
+        "workload": "topk_50k",
+        "seed": seed,
+        "trace": 0,
+        "detail": detail,
+        "environment": ENVIRONMENT,
+    }
     result = {
         "correct": failed == 0,
         "attempted": 1000,
@@ -30,6 +39,8 @@ def canned_output(seed, throughput, p50_ms, failed=0):
             "p50_ms": {"value": p50_ms, "unit": "ms"},
         },
     }
+    if setup_s is not None:
+        result["metrics"]["setup_s"] = {"value": setup_s, "unit": "s"}
     return f"progress noise\n{json.dumps(details)}\n{json.dumps(result)}\n"
 
 
@@ -47,10 +58,18 @@ def test_parse_seeds():
 
 
 def test_parse_output_keeps_result_and_environment():
-    record = bench_record.parse_output(canned_output(4, 1200.0, 55.0))
+    record = bench_record.parse_output(canned_output(4, 1200.0, 55.0, setup_s=0.0075))
     assert record["seed"] == 4
     assert record["environment"] == ENVIRONMENT
     assert record["result"]["metrics"]["throughput"]["value"] == 1200.0
+    assert record["detail"] == {"setup_slowdown": 0.8, "setup_runs_cpu_s": [0.005, 0.006, 0.007]}
+    # --compare reads the raw set-up CPU back from the kept detail
+    slower = bench_record.parse_output(
+        canned_output(4, 1200.0, 55.0, setup_s=0.01, setup_runs_cpu_s=[0.009])
+    )
+    parent, change = {"label": "parent", "runs": [record]}, {"label": "change", "runs": [slower]}
+    lines = bench_record.compare(parent, change, {"setup_s": "lower"})
+    assert lines[2] == "    raw set-up CPU (median): 6 ms -> 9 ms (+50.0%)"
     with pytest.raises(ValueError):
         bench_record.parse_output("only one line\n")
 
