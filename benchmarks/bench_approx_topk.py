@@ -104,7 +104,6 @@ def measure(num_herbs=NUM_HERBS, num_clusters=NUM_CLUSTERS, num_lists=NUM_LISTS,
         "candidate_factor": CANDIDATE_FACTOR,
         "num_lists": ivf.num_lists,
         "nprobe": ivf.nprobe,
-        "rerank": ivf.rerank_mode,
         "exact_seconds": exact_seconds,
         "ivf_seconds": ivf_seconds,
         "ivf_speedup": exact_seconds / ivf_seconds,
@@ -118,8 +117,7 @@ def _report(stats):
     return (
         f"vocabulary={stats['num_herbs']:,} herbs  rows={stats['num_rows']} "
         f"k={stats['k']} pool={stats['candidate_factor']}x  "
-        f"ivf={stats['num_lists']} lists / {stats['nprobe']} probed  "
-        f"re-rank={stats['rerank']}\n"
+        f"ivf={stats['num_lists']} lists / {stats['nprobe']} probed\n"
         f"exact topk (serial):         {stats['exact_seconds']:.3f}s\n"
         f"float32 IVF + re-rank:       {stats['ivf_seconds']:.3f}s "
         f"({stats['ivf_speedup']:.1f}x, recall@{stats['k']}={stats['ivf_recall']:.4f})\n"

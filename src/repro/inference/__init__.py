@@ -7,10 +7,12 @@ embeddings and serves every subsequent scoring / top-k request from the cache
 with sparse (CSR) pooling — turning evaluation and serving into pure
 matrix-multiply work.
 
-For vocabularies too large (or cores too many) for one contiguous matmul,
-:mod:`~repro.inference.sharding` cuts the herb matrix into tile-aligned
-column shards whose scores and top-k merges are bit-identical to the
-unsharded path.  Shard work travels as picklable
+Every request scores through one exact path,
+:class:`~repro.inference.sharding.ShardedHerbIndex`: the herb matrix cut
+into tile-aligned column shards (one by default, more for vocabularies too
+large, or cores too many, for one contiguous matmul), whose scores and top-k
+merges are bit-identical to ``score_sets`` for any shard count.  Shard work
+travels as picklable
 :class:`~repro.inference.backends.ShardTask` values referencing immutable
 :class:`~repro.models.base.WeightSnapshot` exports, so a
 :class:`~repro.inference.backends.ComputeBackend` can place it anywhere:

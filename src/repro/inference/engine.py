@@ -11,16 +11,19 @@ tracking to the model's parameter-version fingerprint) and answers
 
 chunking large requests so the CSR pooling matrices stay small.
 
-Vocabulary size scales independently of request volume: with
-``num_shards > 1`` the herb-embedding matrix is cut into tile-aligned column
-shards (:class:`~repro.inference.sharding.ShardedHerbIndex`) scored through a
-pluggable :class:`~repro.inference.backends.ComputeBackend` — serially by
+Every request scores through one path: the model induces each chunk's
+syndrome embeddings (``encode_syndrome``) and a
+:class:`~repro.inference.sharding.ShardedHerbIndex` scores them against the
+herb embeddings.  The index cuts the herb matrix into tile-aligned column
+shards (one by default; ``num_shards`` asks for more) scored through a
+pluggable :class:`~repro.inference.backends.ComputeBackend`: serially by
 default, across a thread pool (``backend="threads"``), or fanned out to
-remote shard-worker servers (``"remote"`` + ``worker_addrs``) — and top-k
+remote shard-worker servers (``"remote"`` + ``worker_addrs``).  Top-k
 answers merge per-shard candidates without ever materialising the full score
-matrix.  Sharded answers are bit-identical to the unsharded path (every
-backend runs the same fixed scoring-tile grid and the same canonical
-ranking), so sharding and backend placement are purely operational knobs.
+matrix, and a wide shard's top-k goes through the certified float32 screen.
+Every backend runs the same fixed scoring-tile grid and the same canonical
+ranking, so answers are bit-identical to ``model.score_sets`` whatever the
+shard count or placement: both are purely operational knobs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..evaluation.metrics import top_k_indices
 from ..models.base import GraphHerbRecommender
 from ..utils.cache import MAX_CACHED_VERSIONS, VersionedCache
 from .backends import get_backend
@@ -81,12 +83,16 @@ class InferenceEngine:
     Every serving knob lives in one :class:`~repro.inference.options.
     EngineOptions`, kept as :attr:`options`: pass ``options=``, or its field
     names as keywords (``InferenceEngine(model, num_shards=4)``), which are
-    folded in and validated once.  With the defaults everything flows through
-    ``model.score_sets`` unchanged; ``retrieval="approx"`` serves top-k
-    through the two-stage :class:`~repro.inference.retrieval.ApproxHerbIndex`,
-    with per-request fallback to the exact index whenever the candidate pool
-    cannot certify ``k`` results.  ``retrieval="exact"`` is the oracle and
-    stays bit-identical whatever the other knobs say.
+    folded in and validated once.  Scores come from the shard index, which
+    computes the base formula of ``GraphHerbRecommender.score_sets`` (the
+    syndrome embedding's inner product with each herb embedding); a model
+    that overrides ``score_sets`` defines some other score, so it is refused
+    with ``TypeError`` rather than served a formula it does not use.
+    ``retrieval="approx"`` serves top-k through the two-stage
+    :class:`~repro.inference.retrieval.ApproxHerbIndex`, with per-request
+    fallback to the exact index whenever the candidate pool cannot certify
+    ``k`` results.  ``retrieval="exact"`` is the oracle and stays
+    bit-identical whatever the other knobs say.
     """
 
     def __init__(
@@ -96,14 +102,14 @@ class InferenceEngine:
             raise TypeError(
                 f"InferenceEngine requires a GraphHerbRecommender, got {type(model).__name__}"
             )
+        if type(model).score_sets is not GraphHerbRecommender.score_sets:
+            raise TypeError(
+                f"{type(model).__name__} overrides score_sets; InferenceEngine scores only "
+                "the base formula (syndrome embedding . herb embedding) through its shard index"
+            )
         self.model = model
         options = self.options = dataclasses.replace(options or EngineOptions(), **knobs)
         self.backend = get_backend(options.backend, options.num_workers, options.worker_addrs)
-        # The sharded fast path re-implements only the *base* scoring recipe
-        # (encode_syndrome + tile matmuls).  A subclass that overrides
-        # score_sets defines its own notion of a score, so sharding must
-        # defer to it rather than silently serve different answers.
-        self._base_scoring = type(model).score_sets is GraphHerbRecommender.score_sets
         backend = self.backend
         #: parameter version -> ``(shard index, approx index or None)``; the
         #: approx index is built with its shard index iff
@@ -122,47 +128,29 @@ class InferenceEngine:
     # Cache handling
     # ------------------------------------------------------------------
     @property
-    def sharding_active(self) -> bool:
-        """Whether requests actually take the sharded path.
-
-        False when ``num_shards == 1``, and also for models that override
-        ``score_sets``: the sharded path reproduces only the base scoring
-        recipe, so a custom ``score_sets`` must keep answering (bit-identity
-        with the model's own answers beats fanning out the wrong formula).
-        """
-        return self.options.num_shards > 1 and self._base_scoring
-
-    @property
     def retrieval_active(self) -> bool:
-        """Whether top-k requests take the approximate two-stage path.
-
-        False for ``retrieval="exact"``, and also for models that override
-        ``score_sets`` — like sharding, the approx first pass reproduces only
-        the base scoring recipe, so a custom score definition keeps answering
-        exactly rather than being pruned by the wrong formula.
-        """
-        return self.options.retrieval == "approx" and self._base_scoring
+        """Whether top-k requests take the approximate two-stage path."""
+        return self.options.retrieval == "approx"
 
     def warm_up(self) -> "InferenceEngine":
         """Force the propagation, index builds and backend start now, before traffic.
 
-        When requests go through the backend, one zero row block runs
-        through the leased index on it, so a thread pool starts its threads,
-        and a remote backend pushes the snapshot to its workers, here rather
-        than on the first request.  On the sharded exact path the block runs
-        through ``topk``, so the snapshot (a shard worker's too) also makes
-        the float32 herb copy the top-k screen needs
-        (:func:`~repro.inference.backends.execute_shard_task`); the approx
+        One zero row block runs through the leased index on the backend, so
+        a thread pool starts its threads, and a remote backend pushes the
+        snapshot to its workers, here rather than on the first request.  On
+        the exact path the block runs through ``topk``, so a shard wide
+        enough to screen also makes the float32 herb copy the top-k screen
+        needs, in the snapshot (a shard worker's too; see
+        :func:`~repro.inference.backends.execute_shard_task`); the approx
         path scores it.
         """
         self.model.cached_encode()
-        if self.retrieval_active or self.sharding_active:
-            with self._lease_index() as index:
-                zeros = np.zeros((index.row_block, index.snapshot.dim), dtype=np.float64)
-                if self.retrieval_active:
-                    index.score(zeros, backend=self.backend)
-                else:
-                    index.topk(zeros, 1, 1, backend=self.backend)
+        with self._lease_index() as index:
+            zeros = np.zeros((index.row_block, index.snapshot.dim), dtype=np.float64)
+            if self.retrieval_active:
+                index.score(zeros, backend=self.backend)
+            else:
+                index.topk(zeros, 1, 1, backend=self.backend)
         return self
 
     def refresh(self) -> "InferenceEngine":
@@ -229,16 +217,11 @@ class InferenceEngine:
         Reports the active backend's own status (name, worker counts — a
         remote backend pings its shard workers) plus the effective shard
         count: the built index's if one exists, otherwise the configured
-        request, or 1 when sharding is inactive for this model.
+        request.
         """
         status = dict(self.backend.status())
         newest = self.index_cache.peek()
-        if not self.sharding_active:
-            status["shards"] = 1
-        elif newest is not None:
-            status["shards"] = newest[0].num_shards
-        else:
-            status["shards"] = self.options.num_shards
+        status["shards"] = newest[0].num_shards if newest is not None else self.options.num_shards
         status["cached_index_versions"] = len(self.index_cache)
         draining = self.index_cache.draining
         if draining:
@@ -247,7 +230,6 @@ class InferenceEngine:
         if self.retrieval_active:
             if newest is not None:
                 approx = newest[1]  # its lists and probes, not the configured ones
-                status["approx_rerank"] = approx.rerank_mode
                 status["num_lists"] = approx.num_lists
                 status["nprobe"] = approx.nprobe
             status["candidate_factor"] = self.options.candidate_factor
@@ -276,24 +258,16 @@ class InferenceEngine:
     def score_batch(self, symptom_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """Herb scores for every symptom set, one propagation total.
 
-        Unsharded, this delegates to ``model.score_sets`` chunk by chunk —
-        the model serves every chunk from the cached propagation (refreshed
-        here once if stale), so only the syndrome induction (sparse CSR
-        pooling + MLP) runs per chunk, and subclass ``score_sets`` overrides
-        are respected.  Sharded, each chunk's syndrome scores every herb
-        shard through the configured backend; both paths run the identical
-        fixed-tile matmul grid, so their outputs are bit-identical.
+        Every chunk is served from the cached propagation (refreshed here
+        once if stale), so only the syndrome induction (sparse CSR pooling +
+        MLP) runs per chunk; its syndrome then scores every herb shard
+        through the configured backend.  Shards run the fixed-tile matmul
+        grid of ``model.score_sets``, so the scores equal it bit for bit.
         """
         if len(symptom_sets) == 0:
             return np.zeros((0, self.model.num_herbs), dtype=np.float64)
         self.model.cached_encode()
-        if not self.sharding_active:
-            rows: List[np.ndarray] = [
-                self.model.score_sets(symptom_sets[start : start + self.options.batch_size])
-                for start in range(0, len(symptom_sets), self.options.batch_size)
-            ]
-            return np.vstack(rows)
-        rows = []
+        rows: List[np.ndarray] = []
         with self._lease_index() as index:
             for start in range(0, len(symptom_sets), self.options.batch_size):
                 chunk = symptom_sets[start : start + self.options.batch_size]
@@ -311,8 +285,8 @@ class InferenceEngine:
         scoring matmul.  Rankings follow the canonical order of
         ``top_k_indices`` (score descending, herb id ascending), which keeps
         batched answers bit-identical to single-request ones even for tied
-        scores — and, since the sharded path merges per-shard candidates
-        under the same order, identical across ``num_shards`` settings too.
+        scores — and, since per-shard candidates merge under the same order,
+        identical across ``num_shards`` settings too.
         """
         ks = [k] * len(symptom_sets) if isinstance(k, (int, np.integer)) else list(k)
         if len(ks) != len(symptom_sets):
@@ -323,13 +297,9 @@ class InferenceEngine:
             return []
         if self.retrieval_active:
             return self._recommend_approx(symptom_sets, ks)
-        if self.sharding_active:
-            return self._recommend_sharded(symptom_sets, ks)
-        scores = self.score_batch(symptom_sets)
-        top = top_k_indices(scores, max(ks))
-        return ranked_prefixes(top, np.take_along_axis(scores, top, axis=1), ks)
+        return self._recommend_exact(symptom_sets, ks)
 
-    def _recommend_sharded(
+    def _recommend_exact(
         self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
     ) -> List[Recommendation]:
         """Per-shard top-k + candidate merge; the full score matrix never exists.

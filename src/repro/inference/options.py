@@ -156,15 +156,15 @@ class EngineOptions:
         """Options from parsed flags; ``ValueError`` names the offending flag.
 
         On top of the field checks, flags that would have no effect are
-        refused rather than silently ignored: the backend knobs need the
-        sharded or approx path, a remote backend takes no ``--workers``
+        refused rather than silently ignored: the backend knobs need two or
+        more shards or the approx path, a remote backend takes no ``--workers``
         (one worker per address), and the approx knobs need
         ``--retrieval approx``.
         """
         options = cls(**{name: getattr(args, _dest(flag)) for name, flag in _FLAGS.items() if flag})
-        # approx retrieval runs its exact fallback (and a "tiles"-mode
-        # re-rank) through the backend even with one shard, so the backend
-        # knobs stay meaningful there
+        # every request runs its shard tasks on the backend, but one exact
+        # shard is one task per chunk, which no pool can spread; approx
+        # retrieval keeps the knobs for its exact fallback rows
         uses_backend = options.num_shards > 1 or options.retrieval == "approx"
         backend_set = options.backend not in (None, "numpy") or options.num_workers is not None
         if not uses_backend and (backend_set or options.worker_addrs):

@@ -29,13 +29,11 @@ rows fill the other rows of the block.
    oracle's score for the same ``(request, herb)`` pair, and the final
    ranking applies the canonical tie-break (score descending, id
    ascending).  Whether packing is bit-faithful is a property of the host's
-   BLAS, so each index checks it at build (:func:`gather_invariant`); where
-   the check fails the index re-ranks through ``tiles`` instead: the
-   survivors' covering tiles merge into interval
-   :class:`~repro.inference.backends.ShardTask`\\ s run on the configured
-   :class:`~repro.inference.backends.ComputeBackend`, the arithmetic of
-   ``score_sets(herb_range=...)``.  :attr:`ApproxHerbIndex.rerank_mode` and
-   :class:`RetrievalReport` name the mode in use.
+   BLAS, so each index checks it at build
+   (:func:`~repro.inference.backends.gather_invariant`).  Where the check
+   fails the index builds no lists and every request takes the exact
+   fallback, which on such a host scans in float64, as the exact screen
+   does.
 
 Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
 
@@ -55,7 +53,7 @@ Determinism invariants (pinned by ``tests/inference/test_retrieval.py``):
 
 Recall is certified offline: the test harness and
 ``benchmarks/bench_approx_topk.py`` hard-gate recall@k >= 0.99 against the
-exact oracle; serving surfaces the re-rank mode and fallback/pool counters
+exact oracle; serving surfaces the partition and the fallback/pool counters
 through ``InferenceEngine.backend_status()`` into the ``stats`` control line.
 """
 
@@ -68,10 +66,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..evaluation.metrics import top_k_indices
-from ..models.base import HERB_BLOCK, WeightSnapshot, _pad_rows, score_herb_tiles
+from ..models.base import WeightSnapshot, _pad_rows, score_herb_tiles
 from . import backends
-from .backends import ComputeBackend, NumpyBackend, ShardTask, gathered_scores
-from .backends import packed_scores as _packed_scores
+from .backends import ComputeBackend, NumpyBackend, gathered_scores
 from .options import check_minimum
 from .sharding import ShardedHerbIndex
 
@@ -80,7 +77,6 @@ __all__ = [
     "PROBE_ROW_BLOCK",
     "ApproxHerbIndex",
     "RetrievalReport",
-    "gather_invariant",
     "kmeans_partition",
     "partition_size",
 ]
@@ -119,11 +115,6 @@ def partition_size(
     if nprobe is None:
         nprobe = max(1, num_lists // 16)
     return num_lists, nprobe
-
-
-def gather_invariant(dim: int, row_block: int) -> bool:
-    """:func:`~repro.inference.backends.gather_invariant` for this module's packer."""
-    return backends.gather_invariant(dim, row_block, _packed_scores)
 
 
 def _nearest_centroids(data: np.ndarray, centroids: np.ndarray, chunk: int = 8192) -> np.ndarray:
@@ -222,14 +213,11 @@ class RetrievalReport:
     fallback_rows: int = 0
     #: Sum of survivor-pool sizes over the approx-answered requests.
     candidates: int = 0
-    #: The index's re-rank mode (:attr:`ApproxHerbIndex.rerank_mode`).
-    rerank_mode: str = ""
 
     def merge(self, other: "RetrievalReport") -> None:
         self.rows += other.rows
         self.fallback_rows += other.fallback_rows
         self.candidates += other.candidates
-        self.rerank_mode = other.rerank_mode or self.rerank_mode
 
 
 class ApproxHerbIndex:
@@ -247,7 +235,8 @@ class ApproxHerbIndex:
     (:func:`partition_size`).  Empty lists are dropped, fewer than two lists
     are not kept (one would be a full scan, which exact beats), ``nprobe`` is
     clamped to the lists kept, and without lists every request falls back
-    to exact.  The re-rank mode is fixed at build by :func:`gather_invariant`.
+    to exact.  On a host whose BLAS fails
+    :func:`~repro.inference.backends.gather_invariant` no lists are built.
     Herb embeddings that are NaN, inf or beyond float32 range are refused.
     """
 
@@ -284,11 +273,14 @@ class ApproxHerbIndex:
         num_lists, nprobe = partition_size(self.num_herbs, num_lists, nprobe)
         self.lists: Tuple[_InvertedList, ...] = ()
         self.centroids32 = np.zeros((0, self.dim), dtype=np.float32)
-        if num_lists:
+        if num_lists and backends.gather_invariant(self.dim, self.row_block):
             assignments, centroids = kmeans_partition(herbs32, num_lists, seed=seed)
-            populated = np.flatnonzero(np.bincount(assignments, minlength=centroids.shape[0]))
+            counts = np.bincount(assignments, minlength=centroids.shape[0])
+            populated = np.flatnonzero(counts)
             if populated.size >= 2:
-                members = [np.flatnonzero(assignments == list_id) for list_id in populated]
+                # a stable sort keeps each list's members in ascending id order
+                order = np.argsort(assignments, kind="stable")
+                members = np.split(order, np.cumsum(counts[populated])[:-1])
                 self.lists = tuple(_InvertedList(ids=ids, herbs32=herbs32[ids]) for ids in members)
                 self.centroids32 = centroids[populated]
         #: Per list, the largest distance of a member from its centroid.
@@ -301,9 +293,6 @@ class ApproxHerbIndex:
         self.num_lists = len(self.lists)
         self._list_sizes = np.array([inverted.ids.size for inverted in self.lists], dtype=np.int64)
         self.nprobe = min(int(nprobe), self.num_lists)
-        #: ``"gathered"`` (packed survivor tiles, in process) or ``"tiles"``
-        #: (covering tile runs on the backend), from the host probe.
-        self.rerank_mode = "gathered" if gather_invariant(self.dim, self.row_block) else "tiles"
         self._exact_index: Optional[ShardedHerbIndex] = None
 
     # ------------------------------------------------------------------
@@ -475,78 +464,25 @@ class ApproxHerbIndex:
     # ------------------------------------------------------------------
     # Exact re-rank + fallback
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tile_runs(candidate_ids: np.ndarray, num_herbs: int) -> List[Tuple[int, int]]:
-        """Covering HERB_BLOCK tiles of ``candidate_ids``, merged into runs."""
-        tiles = np.unique(candidate_ids // HERB_BLOCK)
-        runs: List[Tuple[int, int]] = []
-        run_start = previous = int(tiles[0])
-        for tile in tiles[1:]:
-            tile = int(tile)
-            if tile != previous + 1:
-                runs.append((run_start * HERB_BLOCK, min(num_herbs, (previous + 1) * HERB_BLOCK)))
-                run_start = tile
-            previous = tile
-        runs.append((run_start * HERB_BLOCK, min(num_herbs, (previous + 1) * HERB_BLOCK)))
-        return runs
-
-    def _tile_run_scores(
-        self, syndrome: np.ndarray, union: np.ndarray, backend: ComputeBackend
-    ) -> np.ndarray:
-        """``(rows, union.size)`` exact scores from the survivors' real tiles.
-
-        The covering tiles merge into contiguous intervals; each interval
-        becomes one ``op="score"`` ShardTask on ``backend``, so the scores
-        come out of the identical tile grid as ``score_sets(herb_range=...)``.
-        """
-        runs = self._tile_runs(union, self.num_herbs)
-        tasks = [
-            ShardTask(
-                op="score",
-                shard_index=index,
-                start=start,
-                stop=stop,
-                snapshot_key=self.snapshot.key,
-                row_block=self.row_block,
-                num_rows=syndrome.shape[0],
-                syndrome=syndrome,
-                k=0,
-            )
-            for index, (start, stop) in enumerate(runs)
-        ]
-        pieces = backend.run_tasks(self.snapshot, tasks)
-        return np.hstack(
-            [
-                piece[:, union[(union >= start) & (union < stop)] - start]
-                for piece, (start, stop) in zip(pieces, runs)
-            ]
-        )
-
-    def _gathered_scores(self, syndrome: np.ndarray, union: np.ndarray) -> np.ndarray:
-        """``(rows, union.size)`` exact scores from packed survivor tiles
-        (:func:`~repro.inference.backends.gathered_scores`)."""
-        return gathered_scores(syndrome, self.snapshot.herb_embeddings, union, self.row_block)
-
     def _rerank(
         self,
         syndrome: np.ndarray,
         survivors: List[Optional[np.ndarray]],
         rows: List[int],
         ks: Sequence[int],
-        backend: ComputeBackend,
         results: List[Optional[Tuple[np.ndarray, np.ndarray]]],
     ) -> None:
         """Score survivors exactly and rank them canonically.
 
-        The survivor union is scored once, by the mode the host probe chose
-        at build (:attr:`rerank_mode`); both give every survivor the bits the
-        exact oracle gives it.
+        The survivor union is scored once, in packed tiles
+        (:func:`~repro.inference.backends.gathered_scores`), which give every
+        survivor the bits the exact oracle gives it: an index has lists only
+        where the host passes the gather probe.
         """
         union = np.unique(np.concatenate([survivors[row] for row in rows]))
-        if self.rerank_mode == "gathered":
-            union_scores = self._gathered_scores(syndrome, union)
-        else:
-            union_scores = self._tile_run_scores(syndrome, union, backend)
+        union_scores = gathered_scores(
+            syndrome, self.snapshot.herb_embeddings, union, self.row_block
+        )
         for row in rows:
             ids = survivors[row]
             exact = union_scores[row, np.searchsorted(union, ids)]
@@ -612,12 +548,11 @@ class ApproxHerbIndex:
             rows=len(ks),
             fallback_rows=len(fallback_rows),
             candidates=sum(ids.size for ids in survivors if ids is not None),
-            rerank_mode=self.rerank_mode,
         )
         results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(ks)
         rerank_rows = [row for row in range(len(ks)) if survivors[row] is not None]
         if rerank_rows:
-            self._rerank(syndrome, survivors, rerank_rows, ks, backend, results)
+            self._rerank(syndrome, survivors, rerank_rows, ks, results)
         if fallback_rows:
             self._fallback(syndrome, fallback_rows, ks, backend, exact_index, results)
         return results, report  # type: ignore[return-value]

@@ -432,11 +432,7 @@ class GraphHerbRecommender(Module, HerbRecommender):
             self._apply_training_flag(was_training)
         return rows[0] if len(rows) == 1 else np.vstack(rows)
 
-    def score_sets(
-        self,
-        symptom_sets: Sequence[Sequence[int]],
-        herb_range: Optional[Tuple[int, int]] = None,
-    ) -> np.ndarray:
+    def score_sets(self, symptom_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """Evaluation-mode scoring: no dropout, no autograd graph.
 
         Served from the cached propagation: the expensive full-graph
@@ -451,34 +447,16 @@ class GraphHerbRecommender(Module, HerbRecommender):
         — enough to flip near-tied top-k orderings between batched and
         sequential serving).  Herb columns are scored in fixed
         :data:`HERB_BLOCK` tiles for the same reason applied to the herb
-        axis, which is what makes column-sharded scoring bit-identical to
-        this unsharded path.
-
-        ``herb_range`` — the shard-aware entry point — restricts scoring to
-        the global herb-id interval ``[start, stop)``; the tiles computed for
-        a range are the same tiles the full-vocabulary call computes, so
-        partial scores agree bitwise with slices of the full matrix.
+        axis, which is what makes column-sharded scoring
+        (:class:`~repro.inference.sharding.ShardedHerbIndex`) bit-identical
+        to this call.
         """
         num_sets = len(symptom_sets)
-        start, stop = (0, self.num_herbs) if herb_range is None else herb_range
-        if not 0 <= start < stop <= self.num_herbs:
-            raise ValueError(
-                f"herb_range must satisfy 0 <= start < stop <= {self.num_herbs}, "
-                f"got ({start}, {stop})"
-            )
         if num_sets == 0:
-            return np.zeros((0, stop - start), dtype=np.float64)
+            return np.zeros((0, self.num_herbs), dtype=np.float64)
         syndrome = self.encode_syndrome(symptom_sets)
         _, herb_embeddings = self.cached_encode()
-        # expand to covering HERB_BLOCK tiles so every tile matches the grid
-        # the full-vocabulary call (and every tile-aligned shard) computes
-        tile_start = (start // HERB_BLOCK) * HERB_BLOCK
-        tile_stop = min(self.num_herbs, -(-stop // HERB_BLOCK) * HERB_BLOCK)
         scores = score_herb_tiles(
-            syndrome,
-            herb_embeddings[tile_start:tile_stop],
-            row_block=max(1, int(self.scoring_block)),
+            syndrome, herb_embeddings, row_block=max(1, int(self.scoring_block))
         )
-        return np.array(
-            scores[:num_sets, start - tile_start : stop - tile_start], dtype=np.float64
-        )
+        return np.array(scores[:num_sets], dtype=np.float64)

@@ -211,12 +211,14 @@ class ServerStats:
         return float(np.percentile(samples, percentile) * 1000.0)
 
     def snapshot(self) -> Dict[str, Any]:
-        """A consistent point-in-time view of every metric."""
-        p50 = self.latency_ms(50)
-        p95 = self.latency_ms(95)
-        p99 = self.latency_ms(99)
+        """A consistent point-in-time view of every metric.
+
+        The latency window is copied once and its three percentiles come
+        from one ``np.percentile`` call, equal to :meth:`latency_ms`'s.
+        """
         per_model = self.per_model()
         with self._lock:
+            samples = np.asarray(self._latencies_s, dtype=np.float64)
             view: Dict[str, Any] = {
                 "requests": self._requests,
                 "errors": self._errors,
@@ -224,14 +226,17 @@ class ServerStats:
                 "mean_batch_size": (
                     self._batched_requests / self._batches if self._batches else 0.0
                 ),
-                "p50_ms": p50,
-                "p95_ms": p95,
-                "p99_ms": p99,
+                "p50_ms": 0.0,
+                "p95_ms": 0.0,
+                "p99_ms": 0.0,
                 "connections": self._connections,
                 "rejected_overload": self._rejected_overload,
                 "rejected_quota": self._rejected_quota,
                 "idle_closed": self._idle_closed,
             }
+        if samples.size:
+            percentiles = np.percentile(samples, [50, 95, 99]) * 1000.0
+            view["p50_ms"], view["p95_ms"], view["p99_ms"] = percentiles.tolist()
         if per_model:
             view["models"] = per_model
         return view

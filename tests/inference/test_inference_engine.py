@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.evaluation import Evaluator
+from repro.evaluation.metrics import top_k_indices
 from repro.inference import InferenceEngine, Recommendation
+from repro.inference.engine import ranked_prefixes
 from repro.models import SMGCN, SMGCNConfig
 from repro.nn import Adam
 from repro.training import Trainer, TrainerConfig
@@ -27,6 +29,13 @@ def model(tiny_split):
         embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
     )
     return SMGCN.from_dataset(train, config)
+
+
+def oracle_recommendations(model, symptom_sets, k):
+    """``top_k_indices`` over ``model.score_sets``: the engine's answers, computed apart."""
+    scores = model.score_sets(symptom_sets)
+    top = top_k_indices(scores, k)
+    return ranked_prefixes(top, np.take_along_axis(scores, top, axis=1), [k] * len(symptom_sets))
 
 
 def _count_encodes(model):
@@ -280,7 +289,7 @@ class TestShardedEngine:
     def test_score_batch_bit_identical(self, wide_split, wide_model, num_shards, backend):
         _, test = wide_split
         sets = test.symptom_sets()[:40]
-        baseline = InferenceEngine(wide_model).score_batch(sets)
+        baseline = wide_model.score_sets(sets)
         engine = InferenceEngine(
             wide_model, batch_size=16, num_shards=num_shards, backend=backend, num_workers=2
         )
@@ -289,14 +298,14 @@ class TestShardedEngine:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("num_shards", [2, 3, 50])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 50])
     def test_recommend_batch_bit_identical(self, wide_split, wide_model, num_shards):
         _, test = wide_split
         sets = test.symptom_sets()[:30]
-        baseline = InferenceEngine(wide_model)
         sharded = InferenceEngine(wide_model, batch_size=16, num_shards=num_shards)
         for k in (1, 10, 300, 10_000):
-            assert sharded.recommend_batch(sets, k=k) == baseline.recommend_batch(sets, k=k)
+            expected = oracle_recommendations(wide_model, sets, k)
+            assert sharded.recommend_batch(sets, k=k) == expected
 
     def test_recommend_batch_per_request_k(self, wide_split, wide_model):
         _, test = wide_split
@@ -334,25 +343,23 @@ class TestShardedEngine:
         assert not np.allclose(before, after)
         np.testing.assert_array_equal(after, InferenceEngine(wide_model).score_batch(sets))
 
-    def test_subclass_score_sets_override_beats_sharding(self, wide_split):
-        """A custom score_sets defines the scores; sharding must defer to it."""
-        from repro.models import SMGCN, SMGCNConfig
-
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"num_shards": 3}, {"retrieval": "approx"}], ids=["default", "shards", "approx"]
+    )
+    def test_refuses_a_score_sets_override(self, wide_split, knobs):
+        """The index scores only the base formula; a custom score_sets is not served."""
         train, _ = wide_split
 
         class Boosted(SMGCN):
-            def score_sets(self, symptom_sets, herb_range=None):
-                return super().score_sets(symptom_sets, herb_range=herb_range) + 100.0
+            def score_sets(self, symptom_sets):
+                return super().score_sets(symptom_sets) + 100.0
 
         config = SMGCNConfig(
             embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
         )
-        model = Boosted.from_dataset(train, config)
-        engine = InferenceEngine(model, num_shards=3)
-        assert not engine.sharding_active
-        scores = engine.score_batch([(0, 1), (2,)])
-        assert scores.min() > 50.0, "override bypassed by the sharded fast path"
-        assert InferenceEngine(SMGCN.from_dataset(train, config), num_shards=3).sharding_active
+        with pytest.raises(TypeError, match="Boosted overrides score_sets"):
+            InferenceEngine(Boosted.from_dataset(train, config), **knobs)
+        InferenceEngine(SMGCN.from_dataset(train, config), **knobs)  # the base class serves
 
     def test_backend_status_reports_topology(self, wide_model):
         engine = InferenceEngine(wide_model, num_shards=3, backend="threads", num_workers=2)
@@ -387,9 +394,10 @@ class TestShardedEngine:
             entry = MODEL_REGISTRY.get(name)
             model = entry.build(train, entry.default_config(profile, seed=0))
             assert isinstance(model, GraphHerbRecommender)
-            baseline = InferenceEngine(model).recommend_batch(sets, k=12)
-            sharded = InferenceEngine(model, num_shards=3).recommend_batch(sets, k=12)
-            assert sharded == baseline, f"{name} diverged under sharding"
+            baseline = oracle_recommendations(model, sets, 12)
+            for num_shards in (1, 3):
+                served = InferenceEngine(model, num_shards=num_shards).recommend_batch(sets, k=12)
+                assert served == baseline, f"{name} diverged on {num_shards} shard(s)"
 
 
 from repro.inference import ComputeBackend, NumpyBackend

@@ -23,20 +23,22 @@ The contract under test (see :mod:`repro.inference.retrieval`):
 import numpy as np
 import pytest
 
+from repro.evaluation.metrics import top_k_indices
 from repro.experiments.runners import NEURAL_MODEL_NAMES, build_neural_model
 from repro.inference import (
     MAX_CACHED_INDEX_VERSIONS,
     ApproxHerbIndex,
     InferenceEngine,
     ShardedHerbIndex,
+    backends,
     kmeans_partition,
 )
+from repro.inference.backends import gather_invariant, gathered_scores, packed_scores
 from repro.inference.retrieval import (
     MIN_CHUNK_ROWS,
     MIN_PARTITIONED_HERBS,
     PROBE_ROW_BLOCK,
     _nearest_centroids,
-    gather_invariant,
     partition_size,
 )
 from repro.models.base import HERB_BLOCK, SCORING_BLOCK, WeightSnapshot
@@ -154,6 +156,37 @@ MATRIX_CASES = [
 ]
 
 
+class TestListMembers:
+    """Each list's members come from one stable argsort of the assignments."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param(clustered_vocab(n, dim, 6, seed=3), id=f"{n}x{dim}")
+            for n, dim, _, _ in MATRIX_CASES
+        ]
+        + [
+            pytest.param(clustered_vocab(3 * 8192 + 517, 64, 40, seed=19), id="chunked"),
+            # 3 distinct rows: duplicate centroids leave empty lists between full ones
+            pytest.param(np.repeat(np.eye(3, 8), [90, 200, 110], axis=0), id="empty-lists"),
+        ],
+    )
+    @pytest.mark.parametrize("num_lists", [8, 256])
+    def test_lists_byte_identical_to_per_list_flatnonzero(self, matrix, num_lists):
+        if not gather_invariant(matrix.shape[1], SCORING_BLOCK):
+            pytest.skip("this host's BLAS is not column-gather invariant: no lists")
+        approx = ApproxHerbIndex(WeightSnapshot.from_matrix(matrix), num_lists=num_lists)
+        herbs32 = matrix.astype(np.float32)
+        assignments, centroids = kmeans_partition(herbs32, num_lists, seed=0)
+        populated = np.flatnonzero(np.bincount(assignments, minlength=centroids.shape[0]))
+        members = [np.flatnonzero(assignments == list_id) for list_id in populated]
+        assert approx.num_lists == len(members) >= 2
+        for inverted, ids in zip(approx.lists, members):
+            assert inverted.ids.dtype == ids.dtype and inverted.ids.tobytes() == ids.tobytes()
+            assert inverted.herbs32.tobytes() == herbs32[ids].tobytes()
+        assert approx.centroids32.tobytes() == centroids[populated].tobytes()
+
+
 class TestMatrixRecallHarness:
     """Property-style recall + bit-identity over synthetic vocabularies."""
 
@@ -247,8 +280,6 @@ class TestGatheredRerank:
         rng = np.random.default_rng(num_herbs)
         snapshot = WeightSnapshot.from_matrix(rng.normal(size=(num_herbs, 12)))
         syndrome = pad_rows(rng.normal(size=(40, 12)))
-        approx = ApproxHerbIndex(snapshot)
-        assert approx.rerank_mode == "gathered"
         full_tiles = num_herbs // HERB_BLOCK * HERB_BLOCK
         ids = np.unique(
             np.concatenate(
@@ -259,45 +290,37 @@ class TestGatheredRerank:
             )
         )
         expected = ShardedHerbIndex(snapshot, num_shards=3).score(syndrome)[:, ids]
-        assert approx._gathered_scores(syndrome, ids).tobytes() == expected.tobytes()
+        got = gathered_scores(syndrome, snapshot.herb_embeddings, ids, SCORING_BLOCK)
+        assert got.tobytes() == expected.tobytes()
 
-    def test_probe_rejects_a_packer_that_changes_bits(self, monkeypatch):
-        import repro.inference.retrieval as retrieval
-
-        packed = retrieval._packed_scores
-
+    def test_probe_rejects_a_packer_that_changes_bits(self):
         def nudged(*args):
-            scores = packed(*args)
+            scores = packed_scores(*args)
             scores[0, 0] = np.nextafter(scores[0, 0], np.inf)
             return scores
 
-        monkeypatch.setattr(retrieval, "_packed_scores", nudged)
-        assert not gather_invariant(16, SCORING_BLOCK)
+        assert not gather_invariant(16, SCORING_BLOCK, nudged)
 
     @pytest.mark.parametrize("num_lists,nprobe", [(8, 8), (8, 3)])
-    def test_failed_probe_falls_back_to_tile_runs_with_identical_answers(
+    def test_failed_probe_builds_no_lists_and_answers_exactly(
         self, monkeypatch, num_lists, nprobe
     ):
-        import repro.inference.retrieval as retrieval
-
+        """Without a bit-faithful packed re-rank every row takes the exact fallback."""
         matrix = clustered_vocab(5 * HERB_BLOCK + 21, 12, num_clusters=8, seed=16)
         snapshot = WeightSnapshot.from_matrix(matrix)
         exact = ShardedHerbIndex(snapshot, num_shards=2)
         syndrome = pad_rows(cluster_queries(matrix, 30, seed=16))
         ks = [6, 11, 3] * 10
-        built = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
-        gathered, report = built.topk(syndrome, ks, exact_index=exact)
-        assert report.rerank_mode == built.rerank_mode
-        monkeypatch.setattr(retrieval, "gather_invariant", lambda *args, **kwargs: False)
-        fallback = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
-        assert fallback.rerank_mode == "tiles"
-        tiled, tiled_report = fallback.topk(syndrome, ks, exact_index=exact)
-        assert tiled_report.rerank_mode == "tiles"
-        full_scores = exact.score(syndrome)
-        for row, ((ids, scores), (tile_ids, tile_scores)) in enumerate(zip(gathered, tiled)):
-            np.testing.assert_array_equal(ids, tile_ids)
-            assert scores.tobytes() == tile_scores.tobytes()
-            assert scores.tobytes() == full_scores[row, ids].tobytes()
+        monkeypatch.setattr(backends, "gather_invariant", lambda *args, **kwargs: False)
+        approx = ApproxHerbIndex(snapshot, num_lists=num_lists, nprobe=nprobe)
+        assert (approx.num_lists, approx.nprobe, approx.lists) == (0, 0, ())
+        results, report = approx.topk(syndrome, ks, exact_index=exact)
+        assert (report.rows, report.fallback_rows, report.candidates) == (30, 30, 0)
+        full_scores = exact.score(syndrome)[:30]
+        for row, (ids, scores) in enumerate(results):
+            top = top_k_indices(full_scores[row : row + 1], ks[row])[0]
+            assert ids.tobytes() == top.tobytes()
+            assert scores.tobytes() == full_scores[row, top].tobytes()
 
 
 class TestPerRowFirstPass:
@@ -639,26 +662,6 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError, match="num_lists"):
             InferenceEngine(wide_model, retrieval="approx", num_lists=1)
 
-    def test_subclass_score_sets_override_disables_approx(self, wide_split):
-        """A custom score definition must not be pruned by the base first pass."""
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = wide_split
-
-        class Boosted(SMGCN):
-            def score_sets(self, symptom_sets, herb_range=None):
-                return super().score_sets(symptom_sets, herb_range=herb_range) + 100.0
-
-        config = SMGCNConfig(
-            embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-        )
-        model = Boosted.from_dataset(train, config)
-        engine = InferenceEngine(model, retrieval="approx")
-        assert not engine.retrieval_active
-        assert engine.backend_status()["retrieval"] == "exact"
-        rec = engine.recommend_batch([(0, 1)], k=3)[0]
-        assert min(rec.scores) > 50.0, "override bypassed by the approx fast path"
-
     def test_approx_cache_keyed_by_version_and_lru_bounded(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx")
         engine.recommend_batch(SETS[:2], k=5)
@@ -709,7 +712,6 @@ class TestEngineLifecycle:
         engine.recommend_batch(SETS[:5], k=4)
         status = engine.backend_status()
         assert status["retrieval"] == "approx"
-        assert status["approx_rerank"] == engine.index_cache.peek()[1].rerank_mode
         assert status["approx_requests"] == 5
         assert status["approx_fallbacks"] == 0
         assert status["approx_pool_mean"] == pytest.approx(8.0)

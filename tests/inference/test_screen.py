@@ -337,6 +337,20 @@ class TestFloat32Copy:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_default_engine_screens_its_one_wide_shard(self, wide_model, screened, k):
+        """The default engine is one shard: 8 whole tiles screen k <= 2 like any shard."""
+        sets = [[0, 3], [1, 2, 5], [7], [4, 9, 11, 20]]
+        engine = InferenceEngine(wide_model)
+        recommendations = engine.recommend_batch(sets, k=k)
+        assert screened == [True]
+        assert engine.herb_index().snapshot.float32_copy.value is not None
+        scores = wide_model.score_sets(sets)
+        top = top_k_indices(scores, k)
+        assert np.array([rec.herb_ids for rec in recommendations]).tobytes() == top.tobytes()
+        expected = np.take_along_axis(scores, top, axis=1)
+        assert np.array([rec.scores for rec in recommendations]).tobytes() == expected.tobytes()
+
     def test_approx_engine_warm_up_makes_no_copy(self, wide_model):
         engine = InferenceEngine(wide_model, retrieval="approx", num_lists=4)
         engine.warm_up()

@@ -260,38 +260,3 @@ class TestMergeTopk:
             merge_topk([np.array([[1]])], [], k=1)
         with pytest.raises(ValueError, match="at least one"):
             merge_topk([], [], k=1)
-
-
-class TestShardAwareScoreSets:
-    """The model-level entry point: ``score_sets(..., herb_range=...)``."""
-
-    def test_range_slices_bitwise(self, tiny_split):
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = tiny_split
-        model = SMGCN.from_dataset(
-            train,
-            SMGCNConfig(
-                embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-            ),
-        )
-        sets = [(0, 1), (2,), (3, 4, 5)]
-        full = model.score_sets(sets)
-        for rng in [(0, model.num_herbs), (0, 1), (7, 23), (model.num_herbs - 1, model.num_herbs)]:
-            part = model.score_sets(sets, herb_range=rng)
-            assert part.shape == (len(sets), rng[1] - rng[0])
-            np.testing.assert_array_equal(part, full[:, rng[0] : rng[1]])
-
-    def test_range_validation(self, tiny_split):
-        from repro.models import SMGCN, SMGCNConfig
-
-        train, _ = tiny_split
-        model = SMGCN.from_dataset(
-            train,
-            SMGCNConfig(
-                embedding_dim=8, layer_dims=(12,), symptom_threshold=2, herb_threshold=4, seed=0
-            ),
-        )
-        for bad in [(-1, 5), (5, 5), (8, 2), (0, model.num_herbs + 1)]:
-            with pytest.raises(ValueError, match="herb_range"):
-                model.score_sets([(0,)], herb_range=bad)

@@ -6,6 +6,7 @@ liveness) whenever a backend-info provider is attached — and must degrade to
 plain counters, never crash, when the provider is missing or failing.
 """
 
+import numpy as np
 import pytest
 
 from repro.serving import ServerStats
@@ -32,6 +33,17 @@ class TestCounters:
         assert 98.0 <= view["p99_ms"] <= 100.0
         assert "p99_ms=" in stats.to_line()
         assert "latency p99" in stats.to_text()
+
+    @pytest.mark.parametrize("num_samples", [0, 1, 2, 1000, 4096])
+    def test_snapshot_percentiles_equal_latency_ms(self, num_samples):
+        """One copy and one percentile call give latency_ms's values, bit for bit."""
+        stats = ServerStats(max_samples=3000)  # 4096 samples wrap the window
+        for latency_s in np.random.default_rng(num_samples).lognormal(-6.0, 1.0, num_samples):
+            stats.record_request(latency_s)
+        view = stats.snapshot()
+        for q in (50, 95, 99):
+            assert view[f"p{q}_ms"] == stats.latency_ms(q)
+            assert type(view[f"p{q}_ms"]) is float
 
 
 class TestAdmissionCounters:
