@@ -42,6 +42,15 @@ from .training import TrainerConfig
 __all__ = ["Pipeline", "parse_symptom_tokens"]
 
 
+def is_int_token(token: str) -> bool:
+    """Whether ``int(token)`` reads ``token``: an optional ``-``, then decimal digits.
+
+    The one test of a numeric token on every request surface: a symptom
+    token that passes is an id, and so must be a ``k=`` value.
+    """
+    return (token[1:] if token.startswith("-") else token).isdecimal()
+
+
 def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> List[int]:
     """Map symptom tokens and/or integer ids onto vocabulary ids.
 
@@ -55,9 +64,9 @@ def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> L
     size = len(vocab)
     ids: List[int] = []
     for token in tokens:
-        # a digit-looking token is an id even when the vocabulary holds it as a token
+        # a token int() reads is an id even when the vocabulary holds it as a token
         if isinstance(token, str):
-            is_id = token.lstrip("-").isdigit()
+            is_id = is_int_token(token)
         else:
             is_id = isinstance(token, (int, np.integer))
         if is_id:
@@ -71,20 +80,6 @@ def parse_symptom_tokens(raw: Union[str, Sequence[Union[int, str]]], vocab) -> L
             except KeyError:
                 raise ValueError(f"unknown symptom token {token!r}") from None
     return ids
-
-
-class _SymptomIds(tuple):
-    """Symptom ids already parsed against a pipeline's vocabulary.
-
-    Internal to the serving and batch scoring core
-    (:func:`repro.io.catalog.answer`), which parses each query once, so a
-    bad query fails alone, and hands the ids on in this type;
-    :meth:`Pipeline.recommend_many` passes them to the engine as they are
-    instead of parsing them again.  Not part of the public API: every other
-    query is parsed and checked.
-    """
-
-    __slots__ = ()
 
 
 class Pipeline:
@@ -234,15 +229,20 @@ class Pipeline:
         ks = [k] * len(queries) if isinstance(k, (int, np.integer)) else list(k)
         if len(ks) != len(queries):
             raise ValueError(f"got {len(ks)} k values for {len(queries)} queries")
-        if any(kk <= 0 for kk in ks):
-            raise ValueError("k must be positive")
         if not queries:
             return []
         vocab = self.symptom_vocab
-        sets = [
-            query if type(query) is _SymptomIds else tuple(parse_symptom_tokens(query, vocab))
-            for query in queries
-        ]
+        return self._recommend_ids([parse_symptom_tokens(query, vocab) for query in queries], ks)
+
+    def _recommend_ids(
+        self, sets: Sequence[Sequence[int]], ks: Sequence[int]
+    ) -> List[Recommendation]:
+        """Top-``ks[i]`` herbs for symptom-id sets already parsed against
+        :attr:`symptom_vocab`: :meth:`recommend_many` after its parse, and
+        :func:`repro.io.catalog.answer`, which parses each query itself so a
+        bad one fails alone."""
+        if any(kk <= 0 for kk in ks):
+            raise ValueError("k must be positive")
         model = self._require_model()
         if isinstance(model, GraphHerbRecommender):
             return self.engine.recommend_batch(sets, k=ks)

@@ -5,7 +5,8 @@ whole corpora — nightly evaluation sweeps, candidate-set precompute, dataset
 migrations — as a unix-composable batch pipeline:
 
 * :mod:`repro.batch.records` — the JSONL record codec (one prescription per
-  input line, one result/error line per record, NaN-free, byte-deterministic);
+  input line, decoded to its id and a :class:`~repro.io.catalog.Query`; one
+  result/error line per record, NaN-free, byte-deterministic);
 * :mod:`repro.batch.checkpoint` — the atomic progress sidecar (fsync
   watermark; SIGKILL-safe resume);
 * :mod:`repro.batch.runner` — bounded-window streaming through a
@@ -16,8 +17,9 @@ The CLI front door is ``repro batch`` (see ``docs/BATCH.md``); the library
 front door is :meth:`repro.api.Pipeline.recommend_stream`.
 """
 
+from ..io.catalog import Query
 from .checkpoint import BatchCheckpoint, CheckpointStateError, checkpoint_path_for
-from .records import BatchRecord, RecordError, decode_record, encode_error, encode_result
+from .records import RecordError, decode_record, encode_error, encode_result
 from .runner import (
     BatchError,
     BatchStats,
@@ -31,10 +33,10 @@ from .runner import (
 __all__ = [
     "BatchCheckpoint",
     "BatchError",
-    "BatchRecord",
     "BatchStats",
     "CheckpointStateError",
     "FileResult",
+    "Query",
     "RecordError",
     "checkpoint_path_for",
     "decode_record",

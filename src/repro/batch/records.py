@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Sequence, Tuple, Union
+
+from ..io.catalog import Query
 
 __all__ = [
-    "BatchRecord",
     "RecordError",
     "decode_record",
     "encode_result",
@@ -64,16 +64,6 @@ class RecordError(ValueError):
         self.record_id = record_id
 
 
-@dataclass(frozen=True)
-class BatchRecord:
-    """One validated input record, ready to route and score."""
-
-    id: Union[str, int]
-    symptoms: Union[str, List[Union[str, int]]]
-    k: int
-    model: Optional[str]
-
-
 def _reject_constant(token: str) -> None:
     # json.loads would happily parse NaN/Infinity literals; they are not JSON
     # and would leak non-finite floats into ids/ks, so refuse them outright.
@@ -93,10 +83,9 @@ def load_json(line: str) -> Any:
     return json.loads(line, parse_constant=_reject_constant)
 
 
-def request_fields(
-    payload: Dict[str, Any], default_k: int
-) -> Tuple[Union[str, List[Union[str, int]]], int, Optional[str]]:
-    """Validated ``(symptoms, k, model)`` of one JSON request; raises ``ValueError``.
+def request_fields(payload: Dict[str, Any], default_k: int) -> Query:
+    """The validated :class:`~repro.io.catalog.Query` of one JSON request;
+    raises ``ValueError``.
 
     The one validator behind both JSON surfaces: :func:`decode_record` for
     ``repro batch`` and the serving handler's JSON mode.
@@ -121,11 +110,11 @@ def request_fields(
     model = payload.get("model")
     if model is not None and (not isinstance(model, str) or not model):
         raise ValueError(f"model must be a non-empty string, got {model!r}")
-    return symptoms, k, model
+    return Query(symptoms, k, model)
 
 
-def decode_record(line: str, default_k: int = 10) -> BatchRecord:
-    """Parse and validate one input line; raises only :class:`RecordError`."""
+def decode_record(line: str, default_k: int = 10) -> Tuple[Union[str, int], Query]:
+    """``(id, query)`` of one validated input line; raises only :class:`RecordError`."""
     try:
         payload = load_json(line)
     except ValueError as error:
@@ -142,10 +131,9 @@ def decode_record(line: str, default_k: int = 10) -> BatchRecord:
             f"unknown record fields: {', '.join(sorted(unknown))}", record_id
         )
     try:
-        symptoms, k, model = request_fields(payload, default_k)
+        return record_id, request_fields(payload, default_k)
     except ValueError as error:
         raise RecordError(str(error), record_id) from error
-    return BatchRecord(id=record_id, symptoms=symptoms, k=k, model=model)
 
 
 #: Fixed key order (insertion), compact separators, ASCII escapes,

@@ -52,14 +52,14 @@ from typing import (
     Union,
 )
 
-from ..io.catalog import ModelCatalog, answer
+from ..io.catalog import ModelCatalog, Query, answer
 from .checkpoint import (
     BatchCheckpoint,
     CheckpointStateError,
     checkpoint_path_for,
     hash_input_prefix,
 )
-from .records import BatchRecord, RecordError, decode_record, encode_error, encode_result
+from .records import RecordError, decode_record, encode_error, encode_result
 
 __all__ = [
     "BatchError",
@@ -142,27 +142,30 @@ def score_lines(
     """
     out: List[str] = [""] * len(lines)
     positions: List[int] = []
-    records: List[BatchRecord] = []
+    record_ids: List[Union[str, int]] = []
+    queries: List[Query] = []
     errors = 0
     for index, line in enumerate(lines):
         try:
-            records.append(decode_record(line, default_k=default_k))
+            record_id, query = decode_record(line, default_k=default_k)
         except RecordError as error:
             out[index] = encode_error(error.record_id, str(error))
             errors += 1
             continue
         positions.append(index)
-    for index, record, result in zip(positions, records, answer(catalog, records)):
+        record_ids.append(record_id)
+        queries.append(query)
+    for index, record_id, result in zip(positions, record_ids, answer(catalog, queries)):
         reason = result.error
         if reason is None:
             try:
                 out[index] = encode_result(
-                    record.id, result.model, result.herbs, result.herb_ids, result.scores
+                    record_id, result.model, result.herbs, result.herb_ids, result.scores
                 )
                 continue
             except RecordError as error:  # non-finite score — NaN-free guarantee
                 reason = str(error)
-        out[index] = encode_error(record.id, reason)
+        out[index] = encode_error(record_id, reason)
         errors += 1
     if stats is not None:
         stats.records += len(lines)

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,9 +144,9 @@ class InferenceEngine:
         path scores it.
         """
         self.model.cached_encode()
-        with self._lease_index() as index:
+        with self._lease_index() as (index, approx):
             zeros = np.zeros((index.row_block, index.snapshot.dim), dtype=np.float64)
-            if self.retrieval_active:
+            if approx is not None:
                 index.score(zeros, backend=self.backend)
             else:
                 index.topk(zeros, 1, 1, backend=self.backend)
@@ -195,21 +194,18 @@ class InferenceEngine:
             nprobe=self.options.nprobe,
         )
 
-    @contextmanager
-    def _lease_index(self, with_approx: bool = False):
-        """The current shard index, pinned for the duration of one scoring call.
+    def _lease_index(self) -> ContextManager[Tuple[ShardedHerbIndex, Optional[ApproxHerbIndex]]]:
+        """The current ``(shard index, approx index or None)`` pair, both
+        wrapping one snapshot, pinned for the duration of one scoring call.
 
         While leased, an eviction of this version defers the backend
         ``release_snapshot`` to the last checkin — so concurrent weight
         rollouts can never release a snapshot that live requests still score
-        against.  With ``with_approx`` the ``(index, approx index)`` pair is
-        yielded, both wrapping one snapshot.
+        against.
         """
         # keyed by the pre-build version: a parameter bump landing mid-build
         # must leave the new index looking stale, not fresh
-        version = self.model.parameter_version()
-        with self.index_cache.lease(version, self._build_indexes) as indexes:
-            yield indexes if with_approx else indexes[0]
+        return self.index_cache.lease(self.model.parameter_version(), self._build_indexes)
 
     def backend_status(self) -> Dict[str, Any]:
         """Topology/liveness for the serving ``stats`` line.
@@ -268,7 +264,7 @@ class InferenceEngine:
             return np.zeros((0, self.model.num_herbs), dtype=np.float64)
         self.model.cached_encode()
         rows: List[np.ndarray] = []
-        with self._lease_index() as index:
+        with self._lease_index() as (index, _):
             for start in range(0, len(symptom_sets), self.options.batch_size):
                 chunk = symptom_sets[start : start + self.options.batch_size]
                 syndrome = self.model.encode_syndrome(chunk)
@@ -287,6 +283,19 @@ class InferenceEngine:
         batched answers bit-identical to single-request ones even for tied
         scores — and, since per-shard candidates merge under the same order,
         identical across ``num_shards`` settings too.
+
+        Each chunk's syndrome takes one of two top-k routes; the full score
+        matrix never exists on either:
+
+        * exact — per-shard top-k and candidate merge, selected once at
+          ``max(ks)``; each row keeps its own ``k`` prefix (see
+          :func:`ranked_prefixes`);
+        * approx — float32 first pass, exact re-rank, exact fallback.  Every
+          returned score comes from the exact path's fixed-shape gemms, so
+          approximation only affects which herbs make the list, never a
+          listed herb's score or order.  Rows whose candidate pool cannot
+          certify ``k`` results fall back to the exact index one by one; the
+          counters feed ``backend_status()`` and the serving ``stats`` line.
         """
         ks = [k] * len(symptom_sets) if isinstance(k, (int, np.integer)) else list(k)
         if len(ks) != len(symptom_sets):
@@ -295,64 +304,30 @@ class InferenceEngine:
             raise ValueError("k must be positive")
         if len(symptom_sets) == 0:
             return []
-        if self.retrieval_active:
-            return self._recommend_approx(symptom_sets, ks)
-        return self._recommend_exact(symptom_sets, ks)
-
-    def _recommend_exact(
-        self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
-    ) -> List[Recommendation]:
-        """Per-shard top-k + candidate merge; the full score matrix never exists.
-
-        One selection pass runs at ``max(ks)``; each row then keeps its own
-        ``k`` prefix (see :func:`ranked_prefixes`).
-        """
         self.model.cached_encode()
         k_max = min(max(ks), self.model.num_herbs)
         results: List[Recommendation] = []
-        with self._lease_index() as index:
-            for start in range(0, len(symptom_sets), self.options.batch_size):
-                chunk = symptom_sets[start : start + self.options.batch_size]
-                syndrome = self.model.encode_syndrome(chunk)
-                ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
-                results.extend(ranked_prefixes(ids, scores, ks[start : start + len(chunk)]))
-        return results
-
-    def _recommend_approx(
-        self, symptom_sets: Sequence[Sequence[int]], ks: List[int]
-    ) -> List[Recommendation]:
-        """Two-stage top-k: float32 first pass, exact re-rank, exact fallback.
-
-        Every returned score comes from the exact path's fixed-shape gemms
-        (the re-rank and the fallback both run them), so approximation only affects
-        which herbs make the list — never a listed herb's score or the
-        relative order of listed herbs.  Requests whose candidate pool cannot
-        certify ``k`` results fall back to the exact index individually;
-        the counters feed ``backend_status()`` and the serving ``stats`` line.
-        """
-        self.model.cached_encode()
-        results: List[Recommendation] = []
         report = RetrievalReport()
-        with self._lease_index(with_approx=True) as (index, approx):
+        with self._lease_index() as (index, approx):
             for start in range(0, len(symptom_sets), self.options.batch_size):
                 chunk = symptom_sets[start : start + self.options.batch_size]
+                chunk_ks = ks[start : start + len(chunk)]
                 syndrome = self.model.encode_syndrome(chunk)
+                if approx is None:
+                    ids, scores = index.topk(syndrome, len(chunk), k_max, backend=self.backend)
+                    results.extend(ranked_prefixes(ids, scores, chunk_ks))
+                    continue
                 rows, chunk_report = approx.topk(
-                    syndrome,
-                    ks[start : start + len(chunk)],
-                    backend=self.backend,
-                    exact_index=index,
+                    syndrome, chunk_ks, backend=self.backend, exact_index=index
                 )
                 report.merge(chunk_report)
-                for ids, scores in rows:
-                    results.append(
-                        Recommendation(
-                            herb_ids=tuple(int(h) for h in ids),
-                            scores=tuple(float(s) for s in scores),
-                        )
-                    )
-        with self._counters_lock:
-            self._retrieval_counters.merge(report)
+                results.extend(
+                    Recommendation(herb_ids=tuple(ids.tolist()), scores=tuple(scores.tolist()))
+                    for ids, scores in rows
+                )
+        if approx is not None:
+            with self._counters_lock:
+                self._retrieval_counters.merge(report)
         return results
 
     def recommend(self, symptom_set: Sequence[int], k: int = 20) -> Recommendation:

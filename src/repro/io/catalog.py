@@ -15,9 +15,10 @@ gives every layer above it one contract:
   through the engine's index cache / ``release_snapshot`` path — so
   rollouts never grow memory and never drop or corrupt a request;
 * **answering** — :func:`answer` is the one request-scoring path behind
-  ``repro serve`` and ``repro batch``: route each query to an entry, lease
-  it, parse, score each entry's queries in one pooled call, retry per query
-  when that call fails, and mirror answered queries to a canary;
+  ``repro serve`` and ``repro batch``: it takes one :class:`Query` type from
+  both, routes once per requested model, leases each entry, parses, scores
+  each entry's queries in one pooled call, retries per query when that call
+  fails, and mirrors answered queries to a canary;
 * **observation** — per-entry version history, a shadow/canary mode that
   mirrors a configurable fraction of traffic to a candidate build and
   reports score/latency deltas without affecting responses, and
@@ -55,6 +56,7 @@ __all__ = [
     "MAX_VERSION_HISTORY",
     "ModelCatalog",
     "ModelVersion",
+    "Query",
     "answer",
     "warm_pipeline",
 ]
@@ -147,7 +149,7 @@ class CanaryState:
         with self._lock:
             self._errors += 1
 
-    def mirror(self, query: Any, primary: "Answer", primary_ms: float) -> None:
+    def mirror(self, query: "Query", primary: "Answer", primary_ms: float) -> None:
         """Score ``query`` on the candidate and record how it compares.
 
         Never raises: a candidate failure is only counted.
@@ -483,6 +485,18 @@ class ModelCatalog:
             entry.close()
 
 
+class Query(NamedTuple):
+    """One request for :func:`answer`, as serve and batch both parse it.
+
+    ``symptoms`` holds tokens and/or integer ids, or one whitespace-separated
+    string; ``model`` names a catalog entry (``None`` routes to the default).
+    """
+
+    symptoms: Union[str, Sequence[Union[str, int]]]
+    k: int
+    model: Optional[str]
+
+
 class Answer(NamedTuple):
     """One query's outcome from :func:`answer`: herbs best first, or an error.
 
@@ -498,40 +512,44 @@ class Answer(NamedTuple):
     error: Optional[str] = None
 
 
-def answer(catalog: ModelCatalog, queries: Sequence[Any]) -> List[Answer]:
+def answer(catalog: ModelCatalog, queries: Sequence[Query]) -> List[Answer]:
     """One :class:`Answer` per query, in order; never raises for a query.
 
-    A query is anything with ``symptoms`` (tokens/ids, or one string), ``k``
-    and ``model`` (``None`` routes to the default entry) attributes.  Errors
-    are isolated per query at every step:
+    Errors are isolated per query at every step:
 
-    * routing — an unknown model, or an entry removed between routing and
-      leasing, fails only its own queries, without touching any model;
+    * routing — queries are grouped by requested model and each distinct
+      name is looked up once; names resolving to one entry (``None`` and the
+      default entry's own name) share its group.  An unknown model fails
+      only its own queries, without touching any model;
     * parsing — symptoms are parsed once, against the leased generation's
       vocabulary, so a rollout can never mix vocabularies within a call; the
-      ids reach the engine without a second parse;
-    * scoring — each entry's queries score in one pooled ``recommend_many``;
-      if that call fails they are retried one by one, so only the poisoned
-      queries answer with an error and other entries are never affected.
+      ids reach the model without a second parse;
+    * scoring — each entry's queries score in one pooled call; if that call
+      fails they are retried one by one, so only the poisoned queries answer
+      with an error and other entries are never affected.
 
     When an entry has a canary attached, its share of the answered queries is
     mirrored to the candidate after the answers are decided, so canary
     behaviour (crashes included) never changes an answer.
     """
     answers: List[Optional[Answer]] = [None] * len(queries)
-    groups: Dict[str, List[int]] = {}
+    by_name: Dict[Optional[str], List[int]] = {}
     for index, query in enumerate(queries):
-        try:
-            groups.setdefault(catalog.entry(query.model).name, []).append(index)
-        except CatalogError as error:
-            answers[index] = Answer(None, error=str(error))
-    for name, members in groups.items():
+        by_name.setdefault(query.model, []).append(index)
+    groups: Dict[str, Tuple[CatalogEntry, List[int]]] = {}
+    for name, members in by_name.items():
         try:
             entry = catalog.entry(name)
-        except CatalogError as error:  # entry vanished since routing
+        except CatalogError as error:
+            failed = Answer(None, error=str(error))
             for index in members:
-                answers[index] = Answer(None, error=str(error))
+                answers[index] = failed
             continue
+        # names of one entry (None and its own name) share a group, in query order
+        group = groups.setdefault(entry.name, (entry, []))[1]
+        group.extend(members)
+        group.sort()
+    for entry, members in groups.values():
         with entry.lease() as pipeline:
             _answer_entry(entry, pipeline, queries, members, answers)
     return answers
@@ -540,33 +558,34 @@ def answer(catalog: ModelCatalog, queries: Sequence[Any]) -> List[Answer]:
 def _answer_entry(
     entry: CatalogEntry,
     pipeline,
-    queries: Sequence[Any],
+    queries: Sequence[Query],
     members: List[int],
     answers: List[Optional[Answer]],
 ) -> None:
     """Parse, score and decode one entry's queries on one leased generation."""
-    from ..api import _SymptomIds, parse_symptom_tokens  # lazy: repro.api imports repro.io
+    from ..api import parse_symptom_tokens  # lazy: repro.api imports repro.io
 
     vocab = pipeline.symptom_vocab
-    valid = []
+    valid: List[int] = []
+    sets: List[List[int]] = []
     for index in members:
         try:
-            ids = _SymptomIds(parse_symptom_tokens(queries[index].symptoms, vocab))
-            valid.append((index, ids))
+            sets.append(parse_symptom_tokens(queries[index].symptoms, vocab))
         except ValueError as error:
             answers[index] = Answer(entry.name, error=str(error))
+            continue
+        valid.append(index)
     if not valid:
         return
+    ks = [queries[index].k for index in valid]
     started = time.perf_counter()
     try:
-        results = pipeline.recommend_many(
-            [ids for _, ids in valid], k=[queries[index].k for index, _ in valid]
-        )
+        results = pipeline._recommend_ids(sets, ks)
     except Exception:  # noqa: BLE001 — retry per query to find the poison
         results = []
-        for index, symptom_ids in valid:
+        for index, symptom_ids, k in zip(valid, sets, ks):
             try:
-                results.append(pipeline.recommend(symptom_ids, k=queries[index].k))
+                results.append(pipeline._recommend_ids([symptom_ids], [k])[0])
             except Exception as error:  # noqa: BLE001
                 results.append(None)
                 answers[index] = Answer(entry.name, error=str(error))
@@ -577,7 +596,7 @@ def _answer_entry(
     else:  # any object with token_of serves as a vocabulary
         decode = lambda ids: [herb_vocab.token_of(h) for h in ids]  # noqa: E731
     answered = []
-    for (index, _), result in zip(valid, results):
+    for index, result in zip(valid, results):
         if result is not None:
             herbs = decode(result.herb_ids)
             answers[index] = Answer(entry.name, herbs, result.herb_ids, result.scores)

@@ -22,23 +22,14 @@ answers line N of input, even when request N was malformed.
 from __future__ import annotations
 
 import json
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from ..api import Pipeline
+from ..api import Pipeline, is_int_token
 from ..batch.records import REQUEST_FIELDS, load_json, request_fields
-from ..io.catalog import Answer, ModelCatalog, answer
+from ..io.catalog import Answer, ModelCatalog, Query, answer
 from .stats import ServerStats
 
 __all__ = ["RecommendationHandler"]
-
-
-class _Request(NamedTuple):
-    """One parsed request line: a query for :func:`~repro.io.catalog.answer`."""
-
-    symptoms: Union[str, List[Union[str, int]]]
-    k: int
-    model: Optional[str]  # as requested; None -> catalog default
-    json_mode: bool
 
 
 class RecommendationHandler:
@@ -80,29 +71,28 @@ class RecommendationHandler:
     def __call__(self, lines: Sequence[str]) -> List[str]:
         responses: List[Optional[str]] = [None] * len(lines)
         positions: List[int] = []
-        requests: List[_Request] = []
+        json_modes: List[bool] = []
+        queries: List[Query] = []
         for index, line in enumerate(lines):
+            line = line.strip()
+            json_mode = line.startswith("{")
             try:
-                requests.append(self._parse_line(line))
+                queries.append(self._parse_json(line) if json_mode else self._parse_text(line))
             except ValueError as error:
-                responses[index] = self._fail(
-                    str(error), json_mode=line.lstrip().startswith("{")
-                )
+                responses[index] = self._fail(str(error), json_mode=json_mode)
                 continue
             positions.append(index)
-        results = answer(self._catalog, requests)
-        for index, request, result in zip(positions, requests, results):
-            responses[index] = self._respond(request, result)
+            json_modes.append(json_mode)
+        results = answer(self._catalog, queries)
+        for index, json_mode, result in zip(positions, json_modes, results):
+            responses[index] = self._respond(result, json_mode)
         return responses
 
     # ------------------------------------------------------------------
     # Protocol pieces
     # ------------------------------------------------------------------
-    def _parse_line(self, line: str) -> _Request:
-        """Classify one line as a JSON or text request; raises ``ValueError``."""
-        line = line.strip()
-        if line.startswith("{"):
-            return self._parse_json(line)
+    def _parse_text(self, line: str) -> Query:
+        """One text request: ``k=``/``model=`` prefixes, then symptoms; raises ``ValueError``."""
         tokens = line.split()
         k: Optional[int] = None
         model: Optional[str] = None
@@ -116,9 +106,9 @@ class RecommendationHandler:
             else:
                 break
             tokens = tokens[1:]
-        return _Request(tokens, k if k is not None else self._default_k, model, False)
+        return Query(tokens, k if k is not None else self._default_k, model)
 
-    def _parse_json(self, line: str) -> _Request:
+    def _parse_json(self, line: str) -> Query:
         try:
             payload = load_json(line)
         except ValueError as error:
@@ -128,19 +118,19 @@ class RecommendationHandler:
         unknown = set(payload) - REQUEST_FIELDS
         if unknown:
             raise ValueError(f"unknown JSON request fields: {', '.join(sorted(unknown))}")
-        return _Request(*request_fields(payload, self._default_k), True)
+        return request_fields(payload, self._default_k)
 
     @staticmethod
     def _parse_k(raw_k: str, token: str) -> int:
-        if not raw_k.lstrip("-").isdigit() or int(raw_k) <= 0:
+        if not is_int_token(raw_k) or int(raw_k) <= 0:
             raise ValueError(f"k must be a positive integer, got {token!r}")
         return int(raw_k)
 
-    def _respond(self, request: _Request, result: Answer) -> str:
+    def _respond(self, result: Answer, json_mode: bool) -> str:
         """The response line for one answered request; records its stats."""
         if result.error is not None:
-            return self._fail(result.error, model=result.model, json_mode=request.json_mode)
-        if not request.json_mode:
+            return self._fail(result.error, model=result.model, json_mode=json_mode)
+        if not json_mode:
             response = " ".join(result.herbs)
         else:
             scores = [round(float(s), 6) for s in result.scores]

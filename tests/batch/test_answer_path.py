@@ -10,26 +10,15 @@ import json
 
 import pytest
 
+from repro.api import Pipeline
 from repro.batch.runner import score_lines
 from repro.inference.engine import Recommendation
-from repro.io.catalog import ModelCatalog
+from repro.io.catalog import ModelCatalog, Query, answer
 from repro.serving.handler import RecommendationHandler
 from repro.serving.stats import ServerStats
 
 GOOD = [0, 3]
 POISON = [1, 2]
-
-
-class VanishingCatalog(ModelCatalog):
-    """Removes the ``ghost`` entry right after a query is routed to it."""
-
-    def entry(self, name=None):
-        found = super().entry(name)
-        if name == "ghost":
-            with self._lock:
-                del self._entries["ghost"]
-                self._order.remove("ghost")
-        return found
 
 
 def serve_outcomes(catalog, queries):
@@ -43,20 +32,14 @@ def batch_outcomes(catalog, queries):
 
 
 def poison_recommend(pipeline, monkeypatch):
-    real_many, real_one = pipeline.recommend_many, pipeline.recommend
+    real = pipeline._recommend_ids
 
-    def many(sets, k):
+    def recommend_ids(sets, ks):
         if any(sorted(s) == POISON for s in sets):
-            raise RuntimeError("pooled scoring exploded")
-        return real_many(sets, k=k)
+            raise RuntimeError("pooled scoring exploded" if len(sets) > 1 else "poisoned query")
+        return real(sets, ks)
 
-    def one(symptoms, k=10):
-        if sorted(symptoms) == POISON:
-            raise RuntimeError("poisoned query")
-        return real_one(symptoms, k=k)
-
-    monkeypatch.setattr(pipeline, "recommend_many", many)
-    monkeypatch.setattr(pipeline, "recommend", one)
+    monkeypatch.setattr(pipeline, "_recommend_ids", recommend_ids)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +48,6 @@ def poison_recommend(pipeline, monkeypatch):
         ("poison", {"symptoms": POISON}, "poisoned query"),
         ("unknown-model", {"symptoms": GOOD, "model": "gamma"}, "unknown model 'gamma'"),
         ("unknown-symptom", {"symptoms": ["no_such_symptom"]}, "unknown symptom token"),
-        ("entry-vanished", {"symptoms": GOOD, "model": "ghost"}, "unknown model 'ghost'"),
     ],
 )
 def test_bad_query_fails_alone_on_both_surfaces(
@@ -76,10 +58,8 @@ def test_bad_query_fails_alone_on_both_surfaces(
     queries = [{"symptoms": GOOD}, bad_query, {"symptoms": [2, 4], "k": 3}]
     results = {}
     for surface, outcomes in (("serve", serve_outcomes), ("batch", batch_outcomes)):
-        catalog = VanishingCatalog()
+        catalog = ModelCatalog()
         catalog.add("main", batch_pipeline)
-        if scenario == "entry-vanished":
-            catalog.add("ghost", batch_pipeline)
         results[surface] = outcomes(catalog, queries)
     for surface, rows in results.items():
         assert ["error" in row for row in rows] == [False, True, False], surface
@@ -94,8 +74,8 @@ def test_non_finite_scores_become_error_lines_on_both_surfaces(
     """Serve JSON refuses a NaN score like batch does, instead of emitting bare NaN."""
     monkeypatch.setattr(
         batch_pipeline,
-        "recommend_many",
-        lambda sets, k: [Recommendation(herb_ids=(0,), scores=(float("nan"),)) for _ in sets],
+        "_recommend_ids",
+        lambda sets, ks: [Recommendation(herb_ids=(0,), scores=(float("nan"),)) for _ in sets],
     )
     catalog = ModelCatalog.for_pipeline(batch_pipeline, name="m")
     stats = ServerStats()
@@ -144,3 +124,80 @@ def test_serve_json_and_batch_share_one_validator(body, reason, batch_catalog):
     batched = score_lines(batch_catalog, ['{"id": 1, ' + body + "}"])[0]
     assert reason in json.loads(served)["error"]
     assert reason in json.loads(batched)["error"]
+
+
+def test_answer_routes_once_per_requested_model(batch_pipeline, monkeypatch):
+    """A 1,024-query window for one model looks its entry up once, not per query."""
+    catalog = ModelCatalog.for_pipeline(batch_pipeline, name="main")
+    lookups = []
+    real_entry = catalog.entry
+    monkeypatch.setattr(
+        catalog, "entry", lambda name=None: lookups.append(name) or real_entry(name)
+    )
+    window = [Query([i % 30, (i * 7 + 3) % 30], 1 + i % 5, None) for i in range(1024)]
+    answers = answer(catalog, window)
+    assert lookups == [None]
+    assert all(result.error is None and result.model == "main" for result in answers)
+
+
+def test_default_spellings_pool_and_unknown_models_fail_alone(batch_pipeline, monkeypatch):
+    """``None`` and the default's own name score in one pooled call; ``gamma`` fails alone."""
+    catalog = ModelCatalog.for_pipeline(batch_pipeline, name="main")
+    models = [None, "main", "gamma", None, "main", "gamma", None]
+    queries = [Query([i, i + 3], 2 + i, model) for i, model in enumerate(models)]
+    expected = [batch_pipeline.recommend(query.symptoms, k=query.k) for query in queries]
+    lookups, pooled = [], []
+    real_entry, real_recommend_ids = catalog.entry, batch_pipeline._recommend_ids
+
+    def recommend_ids(sets, ks):
+        pooled.append([list(symptoms) for symptoms in sets])
+        return real_recommend_ids(sets, ks)
+
+    monkeypatch.setattr(
+        catalog, "entry", lambda name=None: lookups.append(name) or real_entry(name)
+    )
+    monkeypatch.setattr(batch_pipeline, "_recommend_ids", recommend_ids)
+    answers = answer(catalog, queries)
+    assert lookups == [None, "main", "gamma"]
+    assert pooled == [[list(q.symptoms) for q in queries if q.model != "gamma"]]  # in query order
+    for query, result, recommendation in zip(queries, answers, expected):
+        if query.model == "gamma":
+            assert result.model is None
+            assert result.error.startswith("unknown model 'gamma'")
+        else:
+            assert result.error is None and result.model == "main"
+            assert (result.herb_ids, result.scores) == (
+                recommendation.herb_ids,
+                recommendation.scores,
+            )
+
+
+@pytest.fixture(scope="module")
+def topic_pipeline():
+    """HC-KGETM: a model the engine refuses, scored through its own ``score_sets``."""
+    return Pipeline("HC-KGETM", scale="smoke", num_topics=4, gibbs_iterations=1).fit()
+
+
+def test_score_sets_model_answers_like_recommend_many_on_both_surfaces(topic_pipeline):
+    catalog = ModelCatalog.for_pipeline(topic_pipeline, name="topics")
+    token = topic_pipeline.symptom_vocab.token_of(4)
+    queries = [{"symptoms": [i % 30, (i * 7 + 3) % 30], "k": 1 + i % 6} for i in range(24)]
+    queries.append({"symptoms": [token, 1], "k": 3})
+    expected = topic_pipeline.recommend_many(
+        [query["symptoms"] for query in queries], k=[query["k"] for query in queries]
+    )
+    herbs = [topic_pipeline.decode_herbs(recommendation) for recommendation in expected]
+    batched = batch_outcomes(catalog, queries)
+    assert [(row["model"], row["herbs"], row["herb_ids"], row["scores"]) for row in batched] == [
+        ("topics", tokens, list(rec.herb_ids), list(rec.scores))
+        for tokens, rec in zip(herbs, expected)
+    ]
+    served = serve_outcomes(catalog, queries)
+    assert served == [
+        {"model": "topics", "herbs": tokens, "scores": [round(s, 6) for s in rec.scores]}
+        for tokens, rec in zip(herbs, expected)
+    ]
+    text_lines = [
+        f"k={query['k']} " + " ".join(map(str, query["symptoms"])) for query in queries
+    ]
+    assert RecommendationHandler(catalog, k=5)(text_lines) == [" ".join(t) for t in herbs]

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from repro.batch.records import (
-    BatchRecord,
     RecordError,
     decode_record,
     encode_error,
     encode_result,
     load_json,
 )
+from repro.io.catalog import Query
 
 # Token alphabet stressing the full unicode range: ASCII, JSON-special
 # characters, combining marks, CJK, astral-plane emoji, bidi controls.
@@ -63,23 +63,23 @@ class TestRoundTrip:
         for _ in range(300):
             payload = random_record(rng)
             line = json.dumps(payload)
-            record = decode_record(line, default_k=7)
-            assert isinstance(record, BatchRecord)
-            assert record.id == payload["id"]
-            assert record.symptoms == payload["symptoms"]
-            assert record.k == payload.get("k", 7)
-            assert record.model == payload.get("model")
+            record_id, query = decode_record(line, default_k=7)
+            assert isinstance(query, Query)
+            assert record_id == payload["id"]
+            assert query.symptoms == payload["symptoms"]
+            assert query.k == payload.get("k", 7)
+            assert query.model == payload.get("model")
 
     def test_symptoms_as_string(self):
-        record = decode_record('{"id": 1, "symptoms": "a b  c"}')
-        assert record.symptoms == "a b  c"
+        _, query = decode_record('{"id": 1, "symptoms": "a b  c"}')
+        assert query.symptoms == "a b  c"
 
     def test_duplicate_ids_are_not_the_codec_business(self):
         # the codec validates records independently; duplicate ids across
         # lines are legal and pass through untouched
-        a = decode_record('{"id": "dup", "symptoms": [1]}')
-        b = decode_record('{"id": "dup", "symptoms": [2]}')
-        assert a.id == b.id == "dup"
+        a_id, _ = decode_record('{"id": "dup", "symptoms": [1]}')
+        b_id, _ = decode_record('{"id": "dup", "symptoms": [2]}')
+        assert a_id == b_id == "dup"
 
     def test_result_line_round_trips_and_is_deterministic(self):
         rng = random.Random(99)
@@ -237,10 +237,10 @@ class TestRejections:
         for _ in range(500):
             garbage = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 60)))
             try:
-                record = decode_record(garbage)
+                _, query = decode_record(garbage)
             except RecordError:
                 continue  # the only exception the codec may raise
-            assert isinstance(record, BatchRecord)  # rare accidental valid JSON
+            assert isinstance(query, Query)  # rare accidental valid JSON
 
     def test_mutated_valid_records_never_raise_anything_else(self):
         rng = random.Random(777)

@@ -90,7 +90,7 @@ class TestScoreLines:
             symptom_vocab = _Vocab()
             herb_vocab = _Vocab()
 
-            def recommend_many(self, sets, k):
+            def _recommend_ids(self, sets, ks):
                 return [
                     Recommendation(herb_ids=(0,), scores=(float("nan"),))
                     for _ in sets

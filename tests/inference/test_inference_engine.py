@@ -560,7 +560,7 @@ class TestIndexCacheConcurrency:
 
         spy = _ReleaseSpyBackend()
         model, engine = self._build(wide_split, spy)
-        with engine._lease_index() as index:
+        with engine._lease_index() as (index, _):
             leased_key = index.snapshot.key
             # roll enough versions to evict the leased one from the LRU
             for _ in range(MAX_CACHED_INDEX_VERSIONS + 2):
@@ -576,8 +576,8 @@ class TestIndexCacheConcurrency:
     def test_nested_leases_release_once(self, wide_split):
         spy = _ReleaseSpyBackend()
         model, engine = self._build(wide_split, spy)
-        with engine._lease_index() as outer:
-            with engine._lease_index() as inner:
+        with engine._lease_index() as (outer, _):
+            with engine._lease_index() as (inner, _):
                 assert inner is outer
                 _bump_parameters(model)
                 for _ in range(3):

@@ -53,6 +53,18 @@ class TestRecommendationHandler:
         for bad in ("k=0 0 3", "k=-2 0 3", "k=abc 0 3"):
             assert handler([bad])[0].startswith("error: k must be a positive integer")
 
+    def test_numeric_looking_tokens_int_cannot_read(self, pipeline):
+        """``²`` passes ``isdigit`` but not ``int``: a token, and no ``k``."""
+        handler = RecommendationHandler(pipeline, k=5)
+        assert handler(["k=² 0 3", "k=--1 0 3", "0 ²", "--1"]) == [
+            "error: k must be a positive integer, got 'k=²'",
+            "error: k must be a positive integer, got 'k=--1'",
+            "error: unknown symptom token '²'",
+            "error: unknown symptom token '--1'",
+        ]
+        # what int() reads still parses: non-ASCII decimal digits and -0
+        assert handler(["k=٣ -0 ３"]) == [sequential_answer(pipeline, "0 3", k=3)]
+
     def test_empty_line_is_an_error_line(self, pipeline):
         handler = RecommendationHandler(pipeline, k=5)
         assert handler(["   "])[0] == "error: no symptoms given"
@@ -60,14 +72,14 @@ class TestRecommendationHandler:
     def test_scoring_failure_retried_per_request(self, pipeline, monkeypatch):
         handler = RecommendationHandler(pipeline, k=5)
         expected = {line: sequential_answer(pipeline, line, k=5) for line in ("0 3", "1 2")}
-        real_recommend_many = pipeline.recommend_many
+        real_recommend_ids = pipeline._recommend_ids
 
-        def poisoned_many(sets, k):
+        def poisoned_ids(sets, ks):
             if len(sets) > 1:  # the batched call dies; per-request retries survive
                 raise RuntimeError("batched scoring exploded")
-            return real_recommend_many(sets, k=k)
+            return real_recommend_ids(sets, ks)
 
-        monkeypatch.setattr(pipeline, "recommend_many", poisoned_many)
+        monkeypatch.setattr(pipeline, "_recommend_ids", poisoned_ids)
         responses = handler(["0 3", "1 2"])
         assert responses == [expected["0 3"], expected["1 2"]]
 
@@ -75,14 +87,14 @@ class TestRecommendationHandler:
         """Only the request whose scoring fails answers with ``error:``."""
         handler = RecommendationHandler(pipeline, k=5)
         expected = sequential_answer(pipeline, "0 3", k=5)
-        real_recommend_many = pipeline.recommend_many
+        real_recommend_ids = pipeline._recommend_ids
 
-        def poisoned_many(sets, k):
+        def poisoned_ids(sets, ks):
             if any(set(s) == {1, 2} for s in sets):
                 raise RuntimeError("poisoned request")
-            return real_recommend_many(sets, k=k)
+            return real_recommend_ids(sets, ks)
 
-        monkeypatch.setattr(pipeline, "recommend_many", poisoned_many)
+        monkeypatch.setattr(pipeline, "_recommend_ids", poisoned_ids)
         responses = handler(["0 3", "1 2"])
         assert responses[0] == expected
         assert responses[1] == "error: poisoned request"

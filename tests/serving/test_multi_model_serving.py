@@ -89,8 +89,7 @@ class TestModelRouting:
         def explode(*args, **kwargs):
             raise RuntimeError("beta scoring exploded")
 
-        monkeypatch.setattr(beta, "recommend_many", explode)
-        monkeypatch.setattr(beta, "recommend", explode)
+        monkeypatch.setattr(beta, "_recommend_ids", explode)
         responses = handler(["model=alpha 0 3", "model=beta 0 3"])
         assert responses[0] == baselines["a"]["0 3"]
         assert responses[1] == "error: beta scoring exploded"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Pipeline, parse_symptom_tokens
+from repro.api import Pipeline, is_int_token, parse_symptom_tokens
 from repro.data import Vocabulary
 from repro.experiments.datasets import experiment_split
 from repro.inference import Recommendation
@@ -153,12 +153,10 @@ class TestParseOnce:
         return calls
 
     def test_catalog_answers_parse_each_query_once(self, fitted, monkeypatch):
-        from types import SimpleNamespace
-
-        from repro.io.catalog import ModelCatalog, answer
+        from repro.io.catalog import ModelCatalog, Query, answer
 
         queries = [
-            SimpleNamespace(symptoms=symptoms, k=k, model=None)
+            Query(symptoms, k, None)
             for symptoms, k in (("0 3", 4), ([1, 2], 2), ("2 4 5", 5), ("bogus", 3))
         ]
         expected = [fitted.recommend(query.symptoms, k=query.k) for query in queries[:3]]
@@ -171,20 +169,16 @@ class TestParseOnce:
         assert "unknown symptom token" in answers[3].error
 
     def test_public_entry_still_parses_id_tuples(self, fitted):
-        """Only the internal marker skips parsing: a plain id tuple is checked."""
+        """Only the private ids entry skips parsing: a plain id tuple is checked."""
         with pytest.raises(ValueError):
             fitted.recommend_many([(0, 10**6)], k=2)
         with pytest.raises(ValueError):
             fitted.recommend_many([()], k=2)
 
     def test_parsed_ids_are_not_parsed_again(self, fitted, monkeypatch):
-        from repro.api import _SymptomIds
-
         expected = fitted.recommend_many(["0 3", [1, 2]], k=[4, 2])
         calls = self._count_parses(monkeypatch)
-        assert fitted.recommend_many([_SymptomIds((0, 3)), _SymptomIds((1, 2))], k=[4, 2]) == (
-            expected
-        )
+        assert fitted._recommend_ids([[0, 3], [1, 2]], [4, 2]) == expected
         assert calls == []
 
 
@@ -220,6 +214,30 @@ class TestParseSymptomTokens:
             parse_symptom_tokens([1.5], vocab)
         with pytest.raises(ValueError, match="^no symptoms given$"):
             parse_symptom_tokens([], vocab)
+
+    def test_only_tokens_int_reads_are_ids(self):
+        """``²`` and ``--1`` pass ``isdigit`` but not ``int``: they are tokens."""
+        vocab = Vocabulary(["a", "b", "c", "d"])
+        for token in ("²", "--1", "-²"):
+            with pytest.raises(ValueError, match=f"^unknown symptom token '{token}'$"):
+                parse_symptom_tokens([token], vocab)
+        assert parse_symptom_tokens("-0 ٣ １", vocab) == [0, 3, 1]
+
+    def test_int_token_predicate_matches_int(self):
+        """Every BMP character, bare, doubled and after one or two ``-``:
+        a token passes iff ``int`` reads it."""
+
+        def int_reads(token):
+            try:
+                int(token)
+            except ValueError:
+                return False
+            return True
+
+        for code in range(0x10000):
+            char = chr(code)
+            for token in (char, char * 2, "-" + char, "--" + char):
+                assert is_int_token(token) == int_reads(token), repr(token)
 
 
 class TestSaveLoad:
